@@ -6,7 +6,8 @@ re-running a command with the same config and seed reproduces the output
 byte for byte (worker count included: parallel cells are seeded per cell and
 aggregated in grid order).
 
-Exit codes: 0 success; 1 input error; 2 proved-bound violation (a bug —
+Exit codes: 0 success; 1 input error, including a chain path whose gap
+closes; 2 proved-bound violation or failed transport identity (a bug —
 reproduction bundle written); 3 conjectured-bound violation (a scientific
 event, bundle written).
 """
@@ -21,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .operators import DensityMatrix, HermitianOperator, PSD_TOL, TRACE_TOL
+from .operators import HermitianOperator, PSD_TOL, TRACE_TOL
 from .rates import (
     AdmissiblePair,
     BipartiteState,
@@ -43,6 +44,8 @@ from .search import (
 )
 from .chains import (
     ChainPathSpec,
+    GapCollapseError,
+    TransportConsistencyError,
     centered_generator_term,
     entropy_along_path,
     locality_profile,
@@ -249,9 +252,15 @@ def _cmd_beta_search(args) -> int:
 
 
 def _cmd_adiabatic(args) -> int:
-    spec = ChainPathSpec.from_json(_load_json(args.path))
-    points = entropy_along_path(spec, rate_check_tol=(args.rate_abs_tol, args.rate_rel_tol))
-    config = {"cmd": "adiabatic", "path": _load_json(args.path)}
+    path_json = _load_json(args.path)
+    spec = ChainPathSpec.from_json(path_json)
+    try:
+        points = entropy_along_path(spec, rate_check_tol=(args.rate_abs_tol, args.rate_rel_tol))
+    except TransportConsistencyError as exc:
+        path = _write_bundle(args.out, {"path": path_json, **exc.bundle})
+        sys.stderr.write(f"{exc}; bundle at {path}\n")
+        return EXIT_PROVED_VIOLATION
+    config = {"cmd": "adiabatic", "path": path_json}
     lines = _header_lines(config, args.seed)
     lines.append("s,E0,gap,S_L,dS_ds_comm,dS_ds_fd,K_norm")
     for pt in points:
@@ -345,9 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("adiabatic", help="entropy and rates along a chain path")
     p.add_argument("--path", type=str, required=True)
     p.add_argument("--rate-abs-tol", type=float, default=1e-4,
-                   help="absolute tolerance for the dual-method rate check "
-                        "(loosen on coarse s grids, where the finite "
-                        "difference is the inaccurate side)")
+                   help="absolute tolerance for the check of each interior "
+                        "commutator rate against the entropies on the grid "
+                        "(a Simpson relation, accurate to O(h^4) in the step)")
     p.add_argument("--rate-rel-tol", type=float, default=1e-2)
     common(p)
     p.set_defaults(func=_cmd_adiabatic)
@@ -374,7 +383,9 @@ def main(argv=None) -> int:
         path = _write_bundle(getattr(args, "out", None), exc.bundle)
         sys.stderr.write(f"{exc}; bundle at {path}\n")
         return EXIT_PROVED_VIOLATION
-    except (OSError, ValueError, KeyError, json.JSONDecodeError, SystemExit) as exc:
+    except (
+        OSError, ValueError, KeyError, json.JSONDecodeError, SystemExit, GapCollapseError
+    ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
 

@@ -12,6 +12,7 @@ Operations are pure functions of their inputs and hold no shared state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +27,7 @@ __all__ = [
     "HermitianOperator",
     "DensityMatrix",
     "Spectrum",
+    "real_if_exact",
     "hermitian_spectrum",
     "matrix_log_on_support",
     "partial_trace",
@@ -51,7 +53,8 @@ class HermitianOperator:
 
     The constructor symmetrizes ``(M + M^dag)/2`` after checking that the
     deviation from Hermiticity is below ``HERMITICITY_TOL`` (max elementwise),
-    so ``mat`` is exactly Hermitian in storage.
+    so ``mat`` is exactly Hermitian in storage.  The operator is immutable,
+    so its eigendecomposition (``eigh``) is computed at most once.
     """
 
     mat: np.ndarray
@@ -73,6 +76,17 @@ class HermitianOperator:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+    @cached_property
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """``numpy.linalg.eigh`` of ``mat``, computed on first use and kept:
+        ascending eigenvalues and eigenvector columns, both read-only.  A
+        matrix with no imaginary part is diagonalised in real arithmetic and
+        gets real eigenvectors."""
+        w, v = np.linalg.eigh(real_if_exact(self.mat))
+        w.setflags(write=False)
+        v.setflags(write=False)
+        return w, v
 
     def to_json(self) -> dict:
         """Serialize as {"dim": n, "re": [[...]], "im": [[...]]}, row-major."""
@@ -140,6 +154,12 @@ class Spectrum:
             raise ValueError("eigenvalues must be sorted descending")
         object.__setattr__(self, "eigenvalues", ev)
         object.__setattr__(self, "eigenvectors", np.asarray(self.eigenvectors, dtype=complex))
+
+
+def real_if_exact(m: np.ndarray) -> np.ndarray:
+    """The real part of ``m`` when its imaginary part is exactly zero,
+    otherwise ``m`` itself."""
+    return m if m.imag.any() else m.real
 
 
 def hermitian_spectrum(M: HermitianOperator) -> Spectrum:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -197,58 +198,84 @@ def sample_bipartite_state(dims, seed) -> BipartiteState:
 # projected-gradient ascent over admissible pairs
 
 
-def _herm_to_vec(m: np.ndarray) -> np.ndarray:
-    d = m.shape[0]
+@lru_cache(maxsize=None)
+def _herm_layout(d: int):
+    """Flat positions of the diagonal, the strict upper triangle (row-major)
+    and its mirror in a d x d matrix."""
     iu = np.triu_indices(d, 1)
-    return np.concatenate([np.diag(m).real, m[iu].real, m[iu].imag])
+    return np.arange(d) * (d + 1), iu[0] * d + iu[1], iu[1] * d + iu[0]
+
+
+def _herm_to_vec(m: np.ndarray) -> np.ndarray:
+    diag, upper, _ = _herm_layout(m.shape[0])
+    flat = m.ravel()
+    return np.concatenate([flat[diag].real, flat[upper].real, flat[upper].imag])
 
 
 def _vec_to_herm(v: np.ndarray, d: int) -> np.ndarray:
-    iu = np.triu_indices(d, 1)
-    n_off = iu[0].size
-    m = np.diag(v[:d]).astype(complex)
-    m[iu] += v[d : d + n_off] + 1j * v[d + n_off :]
-    m += np.triu(m, 1).conj().T
-    return m
+    """Inverse of ``_herm_to_vec``, row by row for a stack of vectors."""
+    diag, upper, lower = _herm_layout(d)
+    n_off = upper.size
+    off = v[..., d : d + n_off] + 1j * v[..., d + n_off :]
+    m = np.zeros(v.shape[:-1] + (d * d,), dtype=complex)
+    m[..., diag] += v[..., :d]
+    m[..., upper] += off
+    m[..., lower] += off.conj()
+    return m.reshape(v.shape[:-1] + (d, d))
 
 
-def _eval_pair_params(vy: np.ndarray, vz: np.ndarray, d: int, p: float):
-    """Project raw Hermitian parameters onto the admissible set and return
-    (value, Ym, Xm); None when the projected point is infeasible."""
-    Ay = _vec_to_herm(vy, d)
-    Az = _vec_to_herm(vz, d)
-    wy, uy = np.linalg.eigh(Ay)
+def _dag(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def _eval_pair_params(theta: np.ndarray, d: int, p: float):
+    """Project rows of raw Hermitian parameters (Y's, then Z's) onto the
+    admissible set.  Returns (values, Ym, Xm) stacked over the rows; an
+    infeasible row gets the value nan and zero matrices.  Every row goes
+    through the same LAPACK and BLAS calls as it would on its own, so a row's
+    value does not depend on the batch it came in."""
+    n = theta.shape[1] // 2
+    vals = np.full(theta.shape[0], np.nan)
+    Ym = np.zeros((theta.shape[0], d, d), dtype=complex)
+    Xm = np.zeros_like(Ym)
+    wy, uy = np.linalg.eigh(_vec_to_herm(theta[:, :n], d))
     wy = np.clip(wy, 0.0, None)
-    t = wy.sum()
-    if t <= 0:
-        return None
-    wy = wy / t
-    wz, uz = np.linalg.eigh(Az)
+    t = wy.sum(axis=-1)
+    rows = np.flatnonzero(t > 0)
+    wy, uy = wy[rows] / t[rows, None], uy[rows]
+    wz, uz = np.linalg.eigh(_vec_to_herm(theta[rows, n:], d))
     wz = np.clip(wz, 0.0, 1.0)
-    Zm = (uz * wz) @ uz.conj().T
-    sq = (uy * np.sqrt(wy)) @ uy.conj().T
+    Zm = (uz * wz[:, None, :]) @ _dag(uz)
+    sq = (uy * np.sqrt(wy)[:, None, :]) @ _dag(uy)
     W = sq @ Zm @ sq
-    tw = float(np.trace(W).real)
-    if tw <= 1e-300:
-        return None
-    c = p / tw
-    if c * float(wz.max()) > 1.0 + 1e-12:
-        return None
-    Xm = c * W
-    on = wy > 1e-12 * wy.max()
+    tw = np.trace(W, axis1=1, axis2=2).real
+    ok = tw > 1e-300
+    c = p / np.where(ok, tw, 1.0)
+    ok &= ~(c * wz.max(axis=-1) > 1.0 + 1e-12)
+    rows, wy, uy = rows[ok], wy[ok], uy[ok]
+    X = c[ok, None, None] * W[ok]
+    on = wy > 1e-12 * wy.max(axis=-1, keepdims=True)
     lw = np.zeros_like(wy)
     lw[on] = np.log(wy[on])
-    logY = (uy * lw) @ uy.conj().T
-    C = 1j * (Xm @ logY - logY @ Xm)
-    val = float(np.abs(np.linalg.eigvalsh(C)).sum())
-    Ym = (uy * wy) @ uy.conj().T
-    return val, Ym, Xm
+    logY = (uy * lw[:, None, :]) @ _dag(uy)
+    C = 1j * (X @ logY - logY @ X)
+    vals[rows] = np.abs(np.linalg.eigvalsh(C)).sum(axis=-1)
+    Ym[rows] = (uy * wy[:, None, :]) @ _dag(uy)
+    Xm[rows] = X
+    return vals, Ym, Xm
+
+
+# backtracking line-search steps: 0.1, halved down to the floor 1e-8
+_LINE_STEPS = 0.1 / 2.0 ** np.arange(24)
 
 
 def _ascend_pair(rng, dim, p, iters, fd_step=1e-5, patience=5):
     """One restart: random feasible start, then gradient ascent with central
     differences and a backtracking line search (start 0.1, floor 1e-8).
-    Returns (best value, Ym, Xm, evals, rejections)."""
+    The 2 x (number of parameters) differenced points of a step are
+    evaluated in one batch, and so are all the line-search steps; ``evals``
+    counts the line search up to its first gain, as a sequential search
+    would.  Returns (best value, Ym, Xm, evals, rejections)."""
     rejections = 0
     while True:
         drawn = _draw_pair(rng, dim, p)
@@ -259,46 +286,39 @@ def _ascend_pair(rng, dim, p, iters, fd_step=1e-5, patience=5):
             raise GeneratorFailure(f"no feasible restart (dim={dim}, p={p})")
     Ym0, Zm0, Xm0 = drawn
     theta = np.concatenate([_herm_to_vec(Ym0), _herm_to_vec(Zm0)])
-    n = theta.size // 2
-    out = _eval_pair_params(theta[:n], theta[n:], dim, p)
-    assert out is not None
-    f, Ym, Xm = out
+    m = theta.size
+    vals, Ym, Xm = _eval_pair_params(theta[None], dim, p)
+    assert not np.isnan(vals[0])
+    f, Ym, Xm = float(vals[0]), Ym[0], Xm[0]
     evals = 1
     stall = 0
+    diag = np.arange(m)
     for _ in range(iters):
-        g = np.zeros_like(theta)
-        for i in range(theta.size):
-            tp = theta.copy()
-            tp[i] += fd_step
-            tm = theta.copy()
-            tm[i] -= fd_step
-            op = _eval_pair_params(tp[:n], tp[n:], dim, p)
-            om = _eval_pair_params(tm[:n], tm[n:], dim, p)
-            evals += 2
-            fp = op[0] if op is not None else f
-            fm = om[0] if om is not None else f
-            g[i] = (fp - fm) / (2.0 * fd_step)
+        shifted = np.tile(theta, (2 * m, 1))
+        shifted[diag, diag] += fd_step
+        shifted[m + diag, diag] -= fd_step
+        vals = _eval_pair_params(shifted, dim, p)[0]
+        evals += 2 * m
+        vals[np.isnan(vals)] = f
+        g = (vals[:m] - vals[m:]) / (2.0 * fd_step)
         gn = float(np.linalg.norm(g))
         if gn < 1e-12:
             break
-        alpha = 0.1
-        accepted = False
-        while alpha >= 1e-8:
-            tn = theta + alpha * g / gn
-            on = _eval_pair_params(tn[:n], tn[n:], dim, p)
-            evals += 1
-            if on is not None and on[0] > f + 1e-14:
-                theta = tn
-                f, Ym, Xm = on
-                accepted = True
-                break
-            alpha /= 2.0
-        if not accepted:
+        trial = theta + _LINE_STEPS[:, None] * g / gn
+        vals, Yn, Xn = _eval_pair_params(trial, dim, p)
+        up = np.flatnonzero(vals > f + 1e-14)
+        if up.size:
+            # the backtracking search stops at the first (largest) step that gains
+            j = int(up[0])
+            evals += j + 1
+            theta = trial[j]
+            f, Ym, Xm = float(vals[j]), Yn[j], Xn[j]
+            stall = 0
+        else:
+            evals += _LINE_STEPS.size
             stall += 1
             if stall >= patience:
                 break
-        else:
-            stall = 0
     return f, Ym, Xm, evals, rejections
 
 

@@ -5,9 +5,9 @@ from entlab.chains import (
     AreaLawParams,
     ChainPathSpec,
     GapCollapseError,
-    SIGMA_X,
-    SIGMA_Z,
     TransportConsistencyError,
+    _check_rates,
+    _simpson_weights,
     adiabatic_generator,
     area_law_bound,
     build_chain_hamiltonian,
@@ -19,6 +19,23 @@ from entlab.chains import (
     transport_residual,
 )
 from entlab.operators import HermitianOperator
+
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+
+
+def site_op(op, i, n):
+    return np.kron(np.kron(np.eye(2**i), op), np.eye(2 ** (n - i - 1)))
+
+
+def kron_tfim(n, J, g):
+    """Reference TFIM matrix from tensor products, site 0 leftmost."""
+    H = np.zeros((2**n, 2**n))
+    for i in range(n - 1):
+        H -= J * site_op(SIGMA_Z, i, n) @ site_op(SIGMA_Z, i + 1, n)
+    for i in range(n):
+        H -= g * site_op(SIGMA_X, i, n)
+    return H
 
 
 def ramp_spec(n=4, cut=2, pts=21):
@@ -82,6 +99,18 @@ class TestHamiltonian:
             - 1.2 * (np.kron(SIGMA_X, np.eye(2)) + np.kron(np.eye(2), SIGMA_X))
         )
         assert np.allclose(H, expected)
+
+    def test_matches_tensor_product_reference(self):
+        spec = ChainPathSpec(n_sites=5, cut=2, J=(0.7, 0.3), g=(1.2, -0.9))
+        for s in (0.0, 0.37, 1.0):
+            J, g = spec.couplings(s)
+            dJ, dg = spec.coupling_derivatives(s)
+            H = build_chain_hamiltonian(spec, s).mat
+            Hp = chain_hprime(spec, s).mat
+            # the diagonal sums the n - 1 bond terms in another order
+            assert np.allclose(H, kron_tfim(5, J, g), rtol=0, atol=1e-14)
+            assert np.allclose(Hp, kron_tfim(5, dJ, dg), rtol=0, atol=1e-14)
+            assert not H.imag.any()
 
     def test_hprime_is_schedule_derivative(self):
         spec = ramp_spec()
@@ -205,6 +234,74 @@ class TestEntropyAlongPath:
     def test_impossible_tolerance_raises(self):
         with pytest.raises(TransportConsistencyError):
             entropy_along_path(ramp_spec(n=4, pts=5), rate_check_tol=(1e-15, 1e-15))
+
+    def test_two_site_closed_form(self):
+        # J = 1, g = 0.5 + s, cut = 1: with r = sqrt(J^2 + 4 g^2) and
+        # q = (1 + 2g/r)/2, E_0 = -r, gap = r - J, S_L is the binary entropy
+        # of q and dS/ds = ln((1 - q)/q) J^2 / r^3
+        spec = ChainPathSpec(
+            n_sites=2, cut=1, J=(1.0,), g=(0.5, 1.0), s_grid=tuple(np.linspace(0.0, 1.0, 41))
+        )
+        for pt in entropy_along_path(spec):
+            g = 0.5 + pt.s
+            r = np.sqrt(1.0 + 4.0 * g**2)
+            q = (1.0 + 2.0 * g / r) / 2.0
+            assert pt.ground_energy == pytest.approx(-r, rel=1e-14)
+            assert pt.gap == pytest.approx(r - 1.0, rel=1e-13)
+            assert pt.entropy_left == pytest.approx(
+                -q * np.log(q) - (1 - q) * np.log(1 - q), rel=1e-13
+            )
+            assert pt.rate_commutator == pytest.approx(np.log((1 - q) / q) / r**3, rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def n10_default_grid():
+    # the criterion-7 path at n = 10 on the default 11-point grid, where a
+    # central difference of the entropy is off by more than 1 %
+    spec = ChainPathSpec.from_json({"n_sites": 10, "cut": 5, "J": [1.0], "g": [1.5, 1.0]})
+    return spec, entropy_along_path(spec)
+
+
+class TestRateCheck:
+    def test_coarse_default_grid_passes(self, n10_default_grid):
+        spec, points = n10_default_grid
+        assert len(points) == 11
+        # the check that passed is not a loose one: the plain central
+        # difference misses the commutator rate by more than 1 % somewhere
+        worst = max(
+            abs(pt.rate_commutator - pt.rate_finite_difference) / abs(pt.rate_commutator)
+            for pt in points[1:-1]
+        )
+        assert worst > 1e-2
+
+    @pytest.mark.parametrize("i", range(1, 10))
+    def test_one_rate_off_by_two_percent_raises(self, n10_default_grid, i):
+        spec, points = n10_default_grid
+        entropies = [pt.entropy_left for pt in points]
+        rates = [pt.rate_commutator for pt in points]
+        _check_rates(spec.s_grid, entropies, rates, (1e-4, 1e-2))
+        rates[i] *= 1.02
+        with pytest.raises(TransportConsistencyError) as err:
+            _check_rates(spec.s_grid, entropies, rates, (1e-4, 1e-2))
+        assert err.value.bundle["s"] == spec.s_grid[i]
+
+    def test_simpson_weights_exact_for_quadratics(self):
+        for h0, h1 in ((0.1, 0.1), (0.03, 0.17), (0.4, 0.01)):
+            w0, w1, w2 = _simpson_weights(h0, h1)
+            for a, b, c in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.3, -2.0, 5.0)):
+                f = lambda x: a + b * x + c * x**2  # noqa: E731
+                exact = a * (h1 + h0) + b * (h1**2 - h0**2) / 2 + c * (h1**3 + h0**3) / 3
+                assert w0 * f(-h0) + w1 * f(0.0) + w2 * f(h1) == pytest.approx(exact, rel=1e-13)
+
+    def test_non_uniform_grid(self):
+        grid = (0.0, 0.05, 0.08, 0.2, 0.21, 0.3, 0.45, 0.5)
+        spec = ChainPathSpec(n_sites=6, cut=3, J=(1.0,), g=(1.5, 1.0), s_grid=grid)
+        points = entropy_along_path(spec)
+        entropies = [pt.entropy_left for pt in points]
+        rates = [pt.rate_commutator for pt in points]
+        rates[4] *= 1.02
+        with pytest.raises(TransportConsistencyError):
+            _check_rates(grid, entropies, rates, (1e-4, 1e-2))
 
 
 class TestAreaLawBound:

@@ -7,6 +7,7 @@ from entlab.cli import (
     EXIT_CONJECTURE_VIOLATION,
     EXIT_INPUT,
     EXIT_OK,
+    EXIT_PROVED_VIOLATION,
     _config_hash,
     main,
 )
@@ -185,6 +186,26 @@ class TestErrors:
 
     def test_bad_p(self, capsys):
         assert main(["bounds", "--d", "2", "--p", "1.5"]) == EXIT_INPUT
+
+    def test_gapless_path(self, tmp_path, capsys):
+        path = write_json(tmp_path / "p.json", {"n_sites": 4, "cut": 2, "J": [1], "g": [0]})
+        assert main(["adiabatic", "--path", path]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: gap ") and err.count("\n") == 1
+
+    def test_transport_inconsistency_bundle(self, tmp_path, chain_path_file, capsys):
+        out = str(tmp_path / "ad.csv")
+        rc = main(
+            ["adiabatic", "--path", chain_path_file, "--rate-abs-tol", "1e-15",
+             "--rate-rel-tol", "1e-15", "--out", out]
+        )
+        assert rc == EXIT_PROVED_VIOLATION
+        assert "Traceback" not in capsys.readouterr().err
+        with open(out + ".falsification.json") as fh:
+            bundle = json.load(fh)
+        assert bundle["path"]["n_sites"] == 4
+        assert 0.0 < bundle["s"] < 1.0
+        assert abs(bundle["rate_commutator"] - bundle["rate_entropy"]) > bundle["tol"]
 
 
 class TestDeterminism:

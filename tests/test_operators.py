@@ -51,6 +51,25 @@ class TestHermitianOperator:
             DensityMatrix(HermitianOperator(np.diag([0.5, 0.3])))
 
 
+class TestCachedEigh:
+    def test_computed_once_and_read_only(self):
+        op = HermitianOperator(rand_herm(np.random.default_rng(1), 6))
+        w, v = op.eigh
+        assert op.eigh[1] is v
+        assert np.allclose((v * w) @ v.conj().T, op.mat)
+        with pytest.raises(ValueError):
+            v[0, 0] = 0.0
+
+    def test_real_arithmetic_when_exactly_real(self):
+        rng = np.random.default_rng(2)
+        g = rng.standard_normal((6, 6))
+        real_op = HermitianOperator(g + g.T)
+        w, v = real_op.eigh
+        assert v.dtype == np.float64
+        assert np.allclose(w, np.linalg.eigvalsh(real_op.mat))
+        assert np.iscomplexobj(HermitianOperator(rand_herm(rng, 6)).eigh[1])
+
+
 class TestSpectrum:
     def test_diagonal_sorted_descending(self):
         spec = hermitian_spectrum(HermitianOperator(np.diag([0.2, 0.8])))

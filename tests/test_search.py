@@ -16,7 +16,7 @@ from entlab.search import (
     sample_bipartite_state,
     scan_rows,
 )
-from entlab.search import _as_int_seed, _check_proved_bound
+from entlab.search import _as_int_seed, _check_proved_bound, _eval_pair_params, _herm_to_vec
 
 
 class TestSampling:
@@ -93,6 +93,26 @@ class TestMaximizeLambda:
         assert _as_int_seed(3) == 3
         assert _as_int_seed([1, 2]) == _as_int_seed((1, 2))
         assert _as_int_seed([1, 2]) != _as_int_seed([2, 1])
+
+    def test_batched_evaluation_matches_row_by_row(self):
+        # a row's value and matrices do not depend on the batch it is in,
+        # bit for bit, and infeasible rows (Y with no positive eigenvalue,
+        # Z = 0) come back as nan
+        d, p = 4, 0.1
+        rng = np.random.default_rng(3)
+        pair = sample_admissible_pair(d, p, 11)
+        base = np.concatenate([_herm_to_vec(pair.Y.mat), _herm_to_vec(0.5 * np.eye(d))])
+        rows = base + 1e-2 * rng.standard_normal((6, base.size))
+        rows[2, :d] = -1.0
+        rows[4, d * d :] = 0.0
+        vals, Ym, Xm = _eval_pair_params(rows, d, p)
+        assert np.isnan(vals[[2, 4]]).all()
+        assert not np.isnan(vals[[0, 1, 3, 5]]).any()
+        for k in range(rows.shape[0]):
+            v1, Y1, X1 = _eval_pair_params(rows[k : k + 1], d, p)
+            assert v1.tobytes() == vals[k : k + 1].tobytes()
+            assert Y1[0].tobytes() == Ym[k].tobytes()
+            assert X1[0].tobytes() == Xm[k].tobytes()
 
     def test_proved_bound_check_raises_on_fake_record(self):
         rec = SearchRecord(
