@@ -34,8 +34,10 @@ import numpy as np
 
 from .operators import (
     HermitianOperator,
+    log_on_support,
     partial_trace_matrix,
     real_if_exact,
+    spectral_rebuild,
 )
 
 MAX_SITES = 12
@@ -337,28 +339,6 @@ def transport_residual(
 # locality
 
 
-def _ball_sites(center: int, r: int, n: int) -> list[int]:
-    return [i for i in range(n) if abs(i - center) <= r]
-
-
-def _compress(K: np.ndarray, ball: list[int], n: int) -> np.ndarray:
-    """Project K onto operators supported on ``ball``: partial trace over the
-    complement (normalized), tensored back with identity, reordered to the
-    chain's site order."""
-    outside = [i for i in range(n) if i not in ball]
-    if not outside:
-        return K
-    d_out = 2 ** len(outside)
-    kb = partial_trace_matrix(K, [2] * n, ball) / d_out
-    # embed kb (on ball sites, in order) back into the full chain
-    full = np.kron(kb, np.eye(d_out))
-    order = ball + outside
-    perm = np.argsort(order)
-    t = full.reshape([2] * n + [2] * n)
-    t = np.transpose(t, list(perm) + [n + p for p in perm])
-    return t.reshape(2**n, 2**n)
-
-
 def locality_profile(
     K: HermitianOperator, spec: ChainPathSpec, center: int
 ) -> LocalityProfile:
@@ -367,21 +347,30 @@ def locality_profile(
     Pi_r is the normalized compression onto the radius-r ball; Pi_{-1} is the
     identity component (Tr K / dim) I.  The shells sum back to Pi_{r_max} K
     exactly.
+
+    A ball is a contiguous run of sites and ||D (x) I|| = ||D||, so each
+    shell is taken on its own ball as K_r - I (x) K_{r-1} (x) I, where K_r
+    is the partial trace of K onto ball r divided by the dimension traced
+    out.  The largest ball is the whole chain; each K_{r-1} is traced from
+    K_r.
     """
     n = spec.n_sites
     if not (0 <= center < n):
         raise ValueError(f"center = {center} out of range 0..{n-1}")
-    dim = 2**n
     r_max = max(center, n - 1 - center)
-    prev = (np.trace(K.mat) / dim) * np.eye(dim)
     radii = np.arange(r_max + 1)
     strengths = np.zeros(r_max + 1)
-    for r in radii:
-        cur = _compress(K.mat, _ball_sites(center, int(r), n), n)
-        shell = cur - prev
-        w = np.linalg.eigvalsh(0.5 * (shell + shell.conj().T))
+    cur, lo, hi = K.mat, 0, n - 1
+    for r in radii[::-1]:
+        # sites in_lo..in_hi of ball r - 1; the empty ball below r = 0 keeps
+        # one 1 x 1 block, Tr K / dim
+        in_lo, in_hi = (max(0, center - r + 1), min(n - 1, center + r - 1)) if r else (center, center - 1)
+        dims = (2 ** (in_lo - lo), 2 ** (in_hi - in_lo + 1), 2 ** (hi - in_hi))
+        inner = partial_trace_matrix(cur, dims, [1]) / (dims[0] * dims[2])
+        shell = cur - np.kron(np.kron(np.eye(dims[0]), inner), np.eye(dims[2]))
+        w = np.linalg.eigvalsh(shell)
         strengths[r] = max(abs(w[0]), abs(w[-1]))
-        prev = cur
+        cur, lo, hi = inner, in_lo, in_hi
     return LocalityProfile(center=center, radii=radii, strengths=strengths)
 
 
@@ -396,11 +385,9 @@ def _cut_entropy_and_rate(psi: np.ndarray, dpsi: np.ndarray, cut: int) -> tuple[
     M = psi.reshape(2**cut, -1)
     dM = dpsi.reshape(2**cut, -1)
     w, u = np.linalg.eigh(M @ M.conj().T)
-    on = w > 1e-12 * max(w[-1], 0.0)
-    lw = np.zeros_like(w)
-    lw[on] = np.log(w[on])
+    on, lw = log_on_support(w)
     entropy = float(-np.sum(w[on] * lw[on]))
-    log_rho = (u * lw) @ u.conj().T
+    log_rho = spectral_rebuild(u, lw)
     # Tr(dM M^dag log rho_L) = <log rho_L M, dM>
     return entropy, float(-2.0 * np.vdot(log_rho @ M, dM).real)
 

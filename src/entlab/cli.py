@@ -7,9 +7,10 @@ byte for byte (worker count included: parallel cells are seeded per cell and
 aggregated in grid order).
 
 Exit codes: 0 success; 1 input error, including a chain path whose gap
-closes; 2 proved-bound violation or failed transport identity (a bug —
-reproduction bundle written); 3 conjectured-bound violation (a scientific
-event, bundle written).
+closes and a sampler that exhausts its trial budget (one line on stderr);
+2 proved-bound violation, failed transport identity or other failed theory
+identity (a bug — reproduction bundle written); 3 conjectured-bound
+violation (a scientific event, bundle written).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .operators import HermitianOperator, PSD_TOL, TRACE_TOL
 from .rates import (
     AdmissiblePair,
     BipartiteState,
+    NumericalConsistencyError,
     entanglement_rate,
     maximize_over_hamiltonian,
     proof_decomposition,
@@ -35,6 +37,7 @@ from .rates import (
 )
 from .search import (
     P_SIE_MAX,
+    GeneratorFailure,
     ProvedBoundViolation,
     TrialBudget,
     conjecture_scan,
@@ -188,14 +191,7 @@ def _cmd_sim_scan(args) -> int:
         "iters": budget.iters,
         "seed": seed,
     }
-    try:
-        records, events = conjecture_scan(
-            dims, p_grid, budget, seed, workers=args.workers
-        )
-    except ProvedBoundViolation as exc:
-        path = _write_bundle(args.out, exc.bundle)
-        sys.stderr.write(f"{exc}; bundle at {path}\n")
-        return EXIT_PROVED_VIOLATION
+    records, events = conjecture_scan(dims, p_grid, budget, seed, workers=args.workers)
     lines = _header_lines(config, seed)
     lines.append("dim,p,best,sim_bound,sie_bound,ratio_sim,ratio_sie,seed,trials")
     for row in scan_rows(records):
@@ -309,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("bounds", help="evaluate the closed-form bound functions")
     p.add_argument("--d", type=int, required=True)
@@ -340,6 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sim-scan", help="scan best functional value vs the envelopes")
     p.add_argument("--config", type=str, default=None)
+    p.add_argument("--workers", type=int, default=1)
     common(p)
     p.set_defaults(func=_cmd_sim_scan)
 
@@ -379,12 +375,16 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ProvedBoundViolation as exc:
-        path = _write_bundle(getattr(args, "out", None), exc.bundle)
+    except (ProvedBoundViolation, NumericalConsistencyError) as exc:
+        # a run is deterministic, so its arguments reproduce a failed identity
+        rerun = {k: v for k, v in vars(args).items() if k != "func"}
+        bundle = getattr(exc, "bundle", {"arguments": rerun, "error": str(exc)})
+        path = _write_bundle(args.out, bundle)
         sys.stderr.write(f"{exc}; bundle at {path}\n")
         return EXIT_PROVED_VIOLATION
     except (
-        OSError, ValueError, KeyError, json.JSONDecodeError, SystemExit, GapCollapseError
+        OSError, ValueError, KeyError, json.JSONDecodeError, SystemExit, GapCollapseError,
+        GeneratorFailure,
     ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

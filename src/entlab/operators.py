@@ -6,6 +6,11 @@ eigendecomposition, matrix log restricted to the support, partial trace,
 Schatten norms and the von Neumann entropy.  All logs are natural logs;
 entropies are reported in nats.
 
+Spectral functions share one kernel: a ``HermitianOperator`` is diagonalised
+at most once (``HermitianOperator.eigh``), ``support_mask`` is the one
+support rule (eigenvalues above ``SUPPORT_RTOL`` times the largest), and
+``spectral_rebuild`` forms V f(w) V^dag for one matrix or a stack.
+
 Operations are pure functions of their inputs and hold no shared state.
 """
 
@@ -19,16 +24,21 @@ import numpy as np
 HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
+# an eigenvalue is on the support when it exceeds this times the largest one
+SUPPORT_RTOL = 1e-12
 
 __all__ = [
     "HERMITICITY_TOL",
     "PSD_TOL",
     "TRACE_TOL",
+    "SUPPORT_RTOL",
     "HermitianOperator",
     "DensityMatrix",
     "Spectrum",
     "real_if_exact",
-    "hermitian_spectrum",
+    "support_mask",
+    "log_on_support",
+    "spectral_rebuild",
     "matrix_log_on_support",
     "partial_trace",
     "partial_trace_matrix",
@@ -162,34 +172,35 @@ def real_if_exact(m: np.ndarray) -> np.ndarray:
     return m if m.imag.any() else m.real
 
 
-def hermitian_spectrum(M: HermitianOperator) -> Spectrum:
-    """Full eigendecomposition, eigenvalues descending.
-
-    Deterministic up to eigenvector phase and the gauge freedom inside
-    degenerate subspaces (neither is observable in any quantity computed
-    from the spectrum downstream).
-    """
-    w, v = np.linalg.eigh(M.mat)
-    return Spectrum(w[::-1].copy(), v[:, ::-1].copy())
+def support_mask(w: np.ndarray) -> np.ndarray:
+    """True where an eigenvalue lies on the support: above SUPPORT_RTOL
+    times the largest one.  ``w`` is ascending along its last axis, as eigh
+    returns it, one row per matrix of a stack."""
+    return w > SUPPORT_RTOL * np.maximum(w[..., -1:], 0.0)
 
 
-def matrix_log_on_support(Y: HermitianOperator, support_tol: float | None = None) -> HermitianOperator:
-    """Natural matrix log restricted to the support of a PSD operator.
+def log_on_support(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(on, f)``: the support mask of ``w`` and ln w on it, 0 off it."""
+    on = support_mask(w)
+    f = np.zeros_like(w)
+    f[on] = np.log(w[on])
+    return on, f
 
-    Eigenvalues above ``support_tol`` map to their log; eigenvalues at or
-    below it map to 0.  Default cutoff: 1e-12 times the largest eigenvalue.
-    """
-    w, v = np.linalg.eigh(Y.mat)
+
+def spectral_rebuild(v: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """V diag(f) V^dag from eigenvector columns ``v`` and values ``f``; one
+    matrix, or a stack of them along the leading axes."""
+    return (v * f[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def matrix_log_on_support(Y: HermitianOperator) -> HermitianOperator:
+    """Natural matrix log restricted to the support of a PSD operator:
+    eigenvalues on the support (``support_mask``) map to their log, the
+    others to 0."""
+    w, v = Y.eigh
     if w[0] < -PSD_TOL:
         raise NotPositiveError(f"operator has eigenvalue {w[0]:.3e}, not PSD")
-    if support_tol is None:
-        support_tol = 1e-12 * max(float(w[-1]), 0.0)
-    elif support_tol <= 0:
-        raise ValueError("support_tol must be positive")
-    f = np.zeros_like(w)
-    on = w > support_tol
-    f[on] = np.log(w[on])
-    return HermitianOperator((v * f) @ v.conj().T)
+    return HermitianOperator(spectral_rebuild(v, log_on_support(w)[1]))
 
 
 def partial_trace(rho: DensityMatrix, dims: list[int], keep: list[int]) -> DensityMatrix:
@@ -232,13 +243,11 @@ def operator_norm(M: HermitianOperator) -> float:
     return float(max(abs(w[0]), abs(w[-1])))
 
 
-def von_neumann_entropy(rho: DensityMatrix, support_tol: float | None = None) -> float:
-    """-sum lambda ln(lambda) over eigenvalues above the support cutoff; nats."""
-    w = np.linalg.eigvalsh(rho.mat)
-    if support_tol is None:
-        support_tol = 1e-12 * max(float(w[-1]), 0.0)
-    lam = w[w > support_tol]
-    return float(-np.sum(lam * np.log(lam)))
+def von_neumann_entropy(rho: DensityMatrix) -> float:
+    """-sum lambda ln(lambda) over the eigenvalues on the support; nats."""
+    w = rho.op.eigh[0]
+    on, f = log_on_support(w)
+    return float(-np.sum(w[on] * f[on]))
 
 
 def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -27,8 +27,12 @@ from .operators import (
     commutator,
     matrix_log_on_support,
     partial_trace_matrix,
+    spectral_rebuild,
+    support_mask,
 )
 
+# a part that theory makes zero may not exceed this times the summed
+# magnitude of the terms it is made of
 IMAG_RESIDUE_TOL = 1e-8
 
 __all__ = [
@@ -248,12 +252,30 @@ def sim_bound(p: float) -> float:
 # functionals
 
 
-def _real_with_check(z: complex, context: str) -> float:
-    if abs(z.imag) > IMAG_RESIDUE_TOL:
-        raise NumericalConsistencyError(
-            f"{context}: imaginary residue {z.imag:.3e} exceeds {IMAG_RESIDUE_TOL}"
-        )
-    return float(z.real)
+def _checked_part(z: complex, scale, context: str, imaginary: bool = False) -> float:
+    """The real part of ``z`` (the imaginary part if ``imaginary``) after
+    checking that the other part, zero by theory, is a rounding residue: at
+    most IMAG_RESIDUE_TOL times ``scale()``, the summed magnitude of the
+    terms that make up ``z``.  That sum is at least |z|, so ``scale`` is
+    called only when the residue exceeds IMAG_RESIDUE_TOL |z|."""
+    kept, residue = (z.imag, z.real) if imaginary else (z.real, z.imag)
+    if abs(residue) > IMAG_RESIDUE_TOL * abs(z):
+        tol = IMAG_RESIDUE_TOL * scale()
+        if abs(residue) > tol:
+            raise NumericalConsistencyError(
+                f"{context}: {'real' if imaginary else 'imaginary'} residue "
+                f"{residue:.3e} exceeds {tol:.3e}"
+            )
+    return float(kept)
+
+
+def _commutator_functional(H: np.ndarray, X: np.ndarray, L: np.ndarray, context: str) -> float:
+    """-i Tr(H [X, L]), real for Hermitian H, X and L.  Its terms
+    H_ij X_jk L_ki and H_ij L_jk X_ki add up to at most
+    2 ||H||_F ||X||_F ||L||_F in magnitude, the scale of the residue check."""
+    val = -1j * np.trace(H @ commutator(X, L))
+    scale = lambda: 2.0 * float(np.linalg.norm(H) * np.linalg.norm(X) * np.linalg.norm(L))
+    return _checked_part(complex(val), scale, context)
 
 
 def entanglement_rate(state: BipartiteState, H_AB: HermitianOperator) -> float:
@@ -271,9 +293,8 @@ def entanglement_rate(state: BipartiteState, H_AB: HermitianOperator) -> float:
     rho_aA = partial_trace_matrix(rho_aAB, [d_a * d_A, d_B], [0])
     logr = matrix_log_on_support(HermitianOperator(rho_aA)).mat
     L = np.kron(logr, np.eye(d_B))
-    Ht = np.kron(np.eye(d_a), H_AB.mat)
-    val = -1j * np.trace(Ht @ commutator(rho_aAB, L))
-    return _real_with_check(complex(val), "entanglement_rate")
+    Ht = H_AB.mat if d_a == 1 else np.kron(np.eye(d_a), H_AB.mat)
+    return _commutator_functional(Ht, rho_aAB, L, "entanglement_rate")
 
 
 def admissible_from_state(rho_AB: DensityMatrix, d_A: int, d_B: int) -> AdmissiblePair:
@@ -303,8 +324,7 @@ def lambda_functional(H: HermitianOperator, pair: AdmissiblePair) -> float:
     if H.dim != pair.dim:
         raise ValueError(f"H dim {H.dim} != pair dim {pair.dim}")
     logY = matrix_log_on_support(pair.Y).mat
-    val = -1j * np.trace(H.mat @ commutator(pair.X.mat, logY))
-    return _real_with_check(complex(val), "lambda_functional")
+    return _commutator_functional(H.mat, pair.X.mat, logY, "lambda_functional")
 
 
 def lambda_eigenbasis(P: HermitianOperator, pair: AdmissiblePair) -> float:
@@ -313,38 +333,27 @@ def lambda_eigenbasis(P: HermitianOperator, pair: AdmissiblePair) -> float:
     Evaluated in the eigenbasis of Y over its support; P must satisfy
     0 <= P <= I.  Equals 2|Tr(P [X, log Y])| for the same support convention.
     """
+    # each term c_ij - conj(c_ij) is purely imaginary; the value is 2|Im|
+    T = np.triu(_eigenbasis_terms(pair, P)[2], k=1)
+    s = complex(np.sum(T))
+    return 2.0 * abs(_checked_part(s, lambda: float(np.sum(np.abs(T))), "eigenbasis sum", imaginary=True))
+
+
+def _eigenbasis_terms(pair: AdmissiblePair, P: HermitianOperator):
+    """Check 0 <= P <= I; return Y's support eigenvalues (descending), their
+    eigenvector columns and the signed terms
+    T_ij = ln(y_i/y_j)(X_ij P_ji - X_ji P_ij) in that basis."""
     wp = np.linalg.eigvalsh(P.mat)
     if wp[0] < -PSD_TOL or wp[-1] > 1.0 + PSD_TOL:
         raise ValueError(f"P eigenvalues [{wp[0]:.3e}, {wp[-1]:.3e}] outside [0, 1]")
-    y, Xb, Pb = _support_eigenbasis(pair, pair.X.mat, P.mat)
+    w, v = pair.Y.eigh
+    n = int(np.sum(support_mask(w)))
+    y, vs = w[::-1][:n], v[:, ::-1][:, :n]
+    Xb = vs.conj().T @ pair.X.mat @ vs
+    Pb = vs.conj().T @ P.mat @ vs
     logy = np.log(y)
     L = logy[:, None] - logy[None, :]  # L[i,j] = ln(y_i / y_j)
-    s = np.sum(np.triu(L * (Xb * Pb.T - Xb.conj() * Pb.conj().T), k=1))
-    return 2.0 * abs(_real_with_check_imagfree(s))
-
-
-def _real_with_check_imagfree(z: complex) -> float:
-    # sum_{i<j} c_{ij} - conj(c_{ij}) is purely imaginary; the functional
-    # value is 2|Im part|, carried here as |z| after a realness sanity check
-    if abs(z.real) > IMAG_RESIDUE_TOL:
-        raise NumericalConsistencyError(
-            f"eigenbasis sum has real residue {z.real:.3e}"
-        )
-    return float(z.imag)
-
-
-def _support_eigenbasis(pair: AdmissiblePair, *mats: np.ndarray, support_tol: float | None = None):
-    """Descending support eigenvalues of Y and the given matrices rotated
-    into that basis (support block only)."""
-    w, v = np.linalg.eigh(pair.Y.mat)
-    w = w[::-1]
-    v = v[:, ::-1]
-    if support_tol is None:
-        support_tol = 1e-12 * max(float(w[0]), 0.0)
-    n = int(np.sum(w > support_tol))
-    vs = v[:, :n]
-    rotated = tuple(vs.conj().T @ m @ vs for m in mats)
-    return (w[:n],) + rotated
+    return y, vs, L * (Xb * Pb.T - Xb.conj() * Pb.conj().T)
 
 
 def maximize_over_hamiltonian(pair: AdmissiblePair) -> tuple[float, HermitianOperator]:
@@ -355,17 +364,14 @@ def maximize_over_hamiltonian(pair: AdmissiblePair) -> tuple[float, HermitianOpe
     and H_opt = I by convention (any unit-norm H attains it).
     """
     logY = matrix_log_on_support(pair.Y).mat
-    C = 1j * commutator(pair.X.mat, logY)
-    C = HermitianOperator(C)
-    w, v = np.linalg.eigh(C.mat)
+    w, v = HermitianOperator(1j * commutator(pair.X.mat, logY)).eigh
     lam_max = float(np.sum(np.abs(w)))
     if lam_max <= 1e-15:
         return 0.0, HermitianOperator.identity(pair.dim)
     # lam(H) = -Tr(H C); maximized by H = -sign(C)
     s = -np.sign(w)
     s[s == 0] = 1.0
-    H_opt = HermitianOperator((v * s) @ v.conj().T)
-    return lam_max, H_opt
+    return lam_max, HermitianOperator(spectral_rebuild(v, s))
 
 
 def extract_contraction(pair: AdmissiblePair) -> HermitianOperator:
@@ -374,9 +380,8 @@ def extract_contraction(pair: AdmissiblePair) -> HermitianOperator:
     Uses pseudo-inverse square roots on the support; rejects X with weight
     off the support beyond tolerance (that would break admissibility).
     """
-    w, v = np.linalg.eigh(pair.Y.mat)
-    support_tol = 1e-12 * max(float(w[-1]), 0.0)
-    on = w > support_tol
+    w, v = pair.Y.eigh
+    on = support_mask(w)
     inv_sqrt = np.zeros_like(w)
     inv_sqrt[on] = 1.0 / np.sqrt(w[on])
     Xb = v.conj().T @ pair.X.mat @ v
@@ -453,16 +458,10 @@ def proof_decomposition(pair: AdmissiblePair, P: HermitianOperator) -> Decomposi
     """
     if pair.p > np.exp(-2.0) + 1e-15:
         raise ValueError(f"p = {pair.p} > 1/e^2; decomposition bound regime violated")
-    wp = np.linalg.eigvalsh(P.mat)
-    if wp[0] < -PSD_TOL or wp[-1] > 1.0 + PSD_TOL:
-        raise ValueError(f"P eigenvalues [{wp[0]:.3e}, {wp[-1]:.3e}] outside [0, 1]")
     p = pair.p
-    y, Xb, Pb = _support_eigenbasis(pair, pair.X.mat, P.mat)
-    logy = np.log(y)
-    L = logy[:, None] - logy[None, :]
     # signed term matrix: t[i,j] contributes for i<j; total = sum_{i<j} t[i,j]
-    T = L * (Xb * Pb.T - Xb.conj() * Pb.conj().T)
-    iu = np.triu(np.ones_like(L, dtype=bool), k=1)
+    y, vs, T = _eigenbasis_terms(pair, P)
+    iu = np.triu(np.ones(T.shape, dtype=bool), k=1)
 
     def part(rows: slice, cols: slice) -> complex:
         mask = np.zeros_like(iu)
@@ -471,12 +470,7 @@ def proof_decomposition(pair: AdmissiblePair, P: HermitianOperator) -> Decomposi
         return complex(np.sum(T[mask]))
 
     ln1p = np.log(1.0 / p)
-    w_full, v_full = np.linalg.eigh(pair.Y.mat)
-    w_full = w_full[::-1]
-    v_full = v_full[:, ::-1]
-    n = y.size
-    support_spec = Spectrum(w_full[:n].copy(), v_full[:, :n].copy())
-    buckets = bucket_eigenvalues(support_spec, pair.X, p)
+    buckets = bucket_eigenvalues(Spectrum(y.copy(), vs.copy()), pair.X, p)
     ranges = buckets.index_ranges
     pk = buckets.weights
     K = len(ranges)
@@ -512,8 +506,9 @@ def proof_decomposition(pair: AdmissiblePair, P: HermitianOperator) -> Decomposi
 
     direct_signed = complex(np.sum(T[iu]))
     reassembled_signed = line1_signed - line3_signed + sep_signed
-    direct = 2.0 * abs(_imag_of(direct_signed))
-    reassembled = 2.0 * abs(_imag_of(reassembled_signed))
+    scale = lambda: float(np.sum(np.abs(T[iu])))
+    direct = 2.0 * abs(_checked_part(direct_signed, scale, "signed sum", imaginary=True))
+    reassembled = 2.0 * abs(_checked_part(reassembled_signed, scale, "signed sum", imaginary=True))
     if abs(reassembled_signed - direct_signed) > 1e-9 * max(1.0, abs(direct_signed)):
         raise NumericalConsistencyError(
             f"rearrangement identity failed: |{reassembled_signed} - {direct_signed}|"
@@ -540,8 +535,3 @@ def proof_decomposition(pair: AdmissiblePair, P: HermitianOperator) -> Decomposi
         dim=pair.dim,
     )
 
-
-def _imag_of(z: complex) -> float:
-    if abs(z.real) > IMAG_RESIDUE_TOL:
-        raise NumericalConsistencyError(f"real residue {z.real:.3e} in signed sum")
-    return z.imag

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import HermitianOperator, PSD_TOL
+from .operators import HermitianOperator, log_on_support, operator_norm, spectral_rebuild
 from .rates import (
     AdmissiblePair,
     BipartiteState,
@@ -149,7 +149,7 @@ def _draw_pair(rng: np.random.Generator, dim: int, p: float):
     U = _haar_unitary(rng, dim)
     Zm = (U * z_ev) @ U.conj().T
     wy, vy = np.linalg.eigh(Ym)
-    sq = (vy * np.sqrt(np.clip(wy, 0, None))) @ vy.conj().T
+    sq = spectral_rebuild(vy, np.sqrt(np.clip(wy, 0, None)))
     W = sq @ Zm @ sq
     t = float(np.trace(W).real)
     if t <= 0:
@@ -224,10 +224,6 @@ def _vec_to_herm(v: np.ndarray, d: int) -> np.ndarray:
     return m.reshape(v.shape[:-1] + (d, d))
 
 
-def _dag(m: np.ndarray) -> np.ndarray:
-    return m.conj().swapaxes(-1, -2)
-
-
 def _eval_pair_params(theta: np.ndarray, d: int, p: float):
     """Project rows of raw Hermitian parameters (Y's, then Z's) onto the
     admissible set.  Returns (values, Ym, Xm) stacked over the rows; an
@@ -245,8 +241,8 @@ def _eval_pair_params(theta: np.ndarray, d: int, p: float):
     wy, uy = wy[rows] / t[rows, None], uy[rows]
     wz, uz = np.linalg.eigh(_vec_to_herm(theta[rows, n:], d))
     wz = np.clip(wz, 0.0, 1.0)
-    Zm = (uz * wz[:, None, :]) @ _dag(uz)
-    sq = (uy * np.sqrt(wy)[:, None, :]) @ _dag(uy)
+    Zm = spectral_rebuild(uz, wz)
+    sq = spectral_rebuild(uy, np.sqrt(wy))
     W = sq @ Zm @ sq
     tw = np.trace(W, axis1=1, axis2=2).real
     ok = tw > 1e-300
@@ -254,13 +250,10 @@ def _eval_pair_params(theta: np.ndarray, d: int, p: float):
     ok &= ~(c * wz.max(axis=-1) > 1.0 + 1e-12)
     rows, wy, uy = rows[ok], wy[ok], uy[ok]
     X = c[ok, None, None] * W[ok]
-    on = wy > 1e-12 * wy.max(axis=-1, keepdims=True)
-    lw = np.zeros_like(wy)
-    lw[on] = np.log(wy[on])
-    logY = (uy * lw[:, None, :]) @ _dag(uy)
+    logY = spectral_rebuild(uy, log_on_support(wy)[1])
     C = 1j * (X @ logY - logY @ X)
     vals[rows] = np.abs(np.linalg.eigvalsh(C)).sum(axis=-1)
-    Ym[rows] = (uy * wy[:, None, :]) @ _dag(uy)
+    Ym[rows] = spectral_rebuild(uy, wy)
     Xm[rows] = X
     return vals, Ym, Xm
 
@@ -396,15 +389,21 @@ def _as_int_seed(seed) -> int:
 
 
 def _check_proved_bound(record: SearchRecord) -> None:
-    """Abort with a reproduction bundle if a proved bound is exceeded."""
+    """Abort with a reproduction bundle if a pair record exceeds 9 p ln(1/p)."""
     if record.p <= P_SIE_MAX:
         sie = sie_lambda_bound(record.p)
-        if record.best_value > sie * (1.0 + SIE_VIOLATION_RTOL):
-            raise ProvedBoundViolation(
-                f"proved bound exceeded: value {record.best_value} > "
-                f"9 p ln(1/p) = {sie} at dim={record.dim}, p={record.p}",
-                bundle=record.to_json(),
-            )
+        _raise_above(record, sie, "9 p ln(1/p)", sie)
+
+
+def _raise_above(record: SearchRecord, bound: float, formula: str, scale: float) -> None:
+    """Raise ProvedBoundViolation, with the record as its bundle, if the
+    record exceeds a proved bound by more than SIE_VIOLATION_RTOL * scale."""
+    if record.best_value > bound + SIE_VIOLATION_RTOL * scale:
+        raise ProvedBoundViolation(
+            f"proved bound exceeded: value {record.best_value} > "
+            f"{formula} = {bound} at dim={record.dim}, p={record.p}",
+            bundle=record.to_json(),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -428,13 +427,12 @@ def maximize_rate_over_states(
     entropy, so restarts are what escape it).
 
     The reference bound is beta ||H|| for the plain two-qubit case
-    (1, 2, 2, 1) and 18 ||H|| ln min(d_A, d_B) otherwise.
+    (1, 2, 2, 1) and 18 ||H|| ln min(d_A, d_B) otherwise.  A record above
+    the proved 18 ||H|| ln min(d_A, d_B) raises ProvedBoundViolation.
     """
     dims = tuple(int(d) for d in dims)
     d_a, d_A, d_B, d_b = dims
     n = int(np.prod(dims))
-    from .operators import operator_norm
-
     h_norm = operator_norm(H_AB)
     if dims == (1, 2, 2, 1):
         # beta is a base-2 constant (entropy in bits); rates here are in nats
@@ -490,7 +488,7 @@ def maximize_rate_over_states(
             best_params = theta
     amp = best_params[: n] + 1j * best_params[n:]
     amp /= np.linalg.norm(amp)
-    return SearchRecord(
+    record = SearchRecord(
         dim=min(d_A, d_B),
         p=1.0 / min(d_A, d_B) ** 2,
         best_value=float(best),
@@ -502,6 +500,10 @@ def maximize_rate_over_states(
         method="hybrid",
         restarts_used=budget.restarts,
     )
+    # at min(d_A, d_B) = 1 the bound is 0, so the slack scales with ||H||
+    sie = sie_rate_bound(min(d_A, d_B), h_norm)
+    _raise_above(record, sie, "18 ||H|| ln min(d_A, d_B)", max(sie, h_norm))
+    return record
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from entlab.chains import (
     locality_profile,
     transport_residual,
 )
-from entlab.operators import HermitianOperator
+from entlab.operators import HermitianOperator, partial_trace_matrix
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -180,6 +180,29 @@ class TestAdiabaticGenerator:
             adiabatic_generator(H, chain_hprime(spec, 0.0))
 
 
+def full_chain_locality(K, n, center):
+    """Reference shell strengths: each compression Pi_r K is embedded back
+    into the 2^n space (partial trace, kron with the identity, reordering of
+    the sites) and each shell norm is taken there."""
+    dim = 2**n
+    prev = np.trace(K) / dim * np.eye(dim)
+    strengths = []
+    for r in range(max(center, n - 1 - center) + 1):
+        ball = [i for i in range(n) if abs(i - center) <= r]
+        outside = [i for i in range(n) if i not in ball]
+        if outside:
+            kb = partial_trace_matrix(K, [2] * n, ball) / 2 ** len(outside)
+            t = np.kron(kb, np.eye(2 ** len(outside))).reshape([2] * (2 * n))
+            perm = list(np.argsort(ball + outside))
+            cur = np.transpose(t, perm + [n + q for q in perm]).reshape(dim, dim)
+        else:
+            cur = K
+        w = np.linalg.eigvalsh(cur - prev)
+        strengths.append(max(abs(w[0]), abs(w[-1])))
+        prev = cur
+    return np.array(strengths)
+
+
 class TestLocality:
     def test_shells_reassemble(self):
         spec = ramp_spec(n=5)
@@ -199,6 +222,17 @@ class TestLocality:
         prof = locality_profile(HermitianOperator(m), spec, 2)
         assert prof.strengths[0] == pytest.approx(1.0)
         assert np.all(prof.strengths[1:] < 1e-12)
+
+    @pytest.mark.parametrize("n, center", [(5, 2), (6, 0), (6, 4), (7, 3)])
+    def test_matches_full_chain_reference(self, n, center):
+        # shells taken on their balls agree with shells embedded back into
+        # the whole chain
+        spec = ramp_spec(n=n)
+        K = centered_generator_term(spec, 0.5, center)
+        prof = locality_profile(K, spec, center)
+        ref = full_chain_locality(K.mat, n, center)
+        assert prof.strengths.shape == ref.shape
+        assert np.max(np.abs(prof.strengths - ref)) < 1e-12 * max(1.0, ref.max())
 
     def test_centered_terms_sum_to_full_generator(self):
         spec = ramp_spec(n=4)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from entlab import cli
 from entlab.cli import (
     EXIT_CONJECTURE_VIOLATION,
     EXIT_INPUT,
@@ -12,7 +13,13 @@ from entlab.cli import (
     main,
 )
 from entlab.operators import HermitianOperator
-from entlab.rates import BipartiteState, entanglement_rate, sim_bound, sie_rate_bound
+from entlab.rates import (
+    BipartiteState,
+    NumericalConsistencyError,
+    entanglement_rate,
+    sie_rate_bound,
+    sim_bound,
+)
 from entlab.search import sample_bipartite_state
 
 
@@ -206,6 +213,33 @@ class TestErrors:
         assert bundle["path"]["n_sites"] == 4
         assert 0.0 < bundle["s"] < 1.0
         assert abs(bundle["rate_commutator"] - bundle["rate_entropy"]) > bundle["tol"]
+
+
+class TestFailureTaxonomy:
+    def test_generator_failure_exits_1_with_one_line(self, capsys):
+        # at p = 1 no rescaled contraction stays below the identity
+        assert main(["lambda-max", "--dim", "2", "--p", "1.0"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: no admissible sample") and err.count("\n") == 1
+
+    def test_numerical_consistency_error_exits_2_with_bundle(self, tmp_path, monkeypatch, capsys):
+        def fail(pair):
+            raise NumericalConsistencyError("lambda_functional: imaginary residue 1e-3")
+
+        monkeypatch.setattr(cli, "maximize_over_hamiltonian", fail)
+        out = str(tmp_path / "l.txt")
+        rc = main(["lambda-max", "--dim", "3", "--p", "0.1", "--seed", "4", "--out", out])
+        assert rc == EXIT_PROVED_VIOLATION
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "imaginary residue" in err
+        with open(out + ".falsification.json") as fh:
+            bundle = json.load(fh)
+        assert bundle["arguments"]["command"] == "lambda-max"
+        assert bundle["arguments"]["dim"] == 3 and bundle["arguments"]["seed"] == 4
+        assert "imaginary residue" in bundle["error"]
+
+    def test_workers_only_on_sim_scan(self, capsys):
+        assert main(["bounds", "--d", "3", "--workers", "2"]) == EXIT_INPUT
 
 
 class TestDeterminism:

@@ -8,7 +8,6 @@ from entlab.operators import (
     HermitianOperator,
     NonHermitianError,
     NotPositiveError,
-    hermitian_spectrum,
     matrix_log_on_support,
     operator_norm,
     partial_trace,
@@ -71,20 +70,23 @@ class TestCachedEigh:
 
 
 class TestSpectrum:
+    # HermitianOperator.eigh is the one diagonalisation path: ascending
+    # eigenvalues, eigenvector columns
     def test_diagonal_sorted_descending(self):
-        spec = hermitian_spectrum(HermitianOperator(np.diag([0.2, 0.8])))
-        assert np.allclose(spec.eigenvalues, [0.8, 0.2])
+        w, v = HermitianOperator(np.diag([0.8, 0.2])).eigh
+        assert np.allclose(w[::-1], [0.8, 0.2])
+        assert np.allclose(np.abs(v[:, ::-1]), np.eye(2))
 
     def test_identity(self):
-        spec = hermitian_spectrum(HermitianOperator.identity(4))
-        assert np.allclose(spec.eigenvalues, 1.0)
+        w, _ = HermitianOperator.identity(4).eigh
+        assert np.allclose(w, 1.0)
 
     def test_reconstruction(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             m = rand_herm(rng, 6)
-            spec = hermitian_spectrum(HermitianOperator(m))
-            rec = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
+            w, v = HermitianOperator(m).eigh
+            rec = (v * w) @ v.conj().T
             assert np.linalg.norm(rec - m) <= 1e-10 * np.linalg.norm(m)
 
 

@@ -1,0 +1,43 @@
+"""Property tests: symmetries that hold whatever the kernel computes."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from entlab.operators import HermitianOperator
+from entlab.rates import AdmissiblePair, maximize_over_hamiltonian
+from entlab.search import sample_admissible_pair
+
+
+def haar_unitary(rng, d):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    d_ = np.diag(r)
+    return q * (d_ / np.abs(d_))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    dim=st.integers(2, 8),
+    p=st.floats(0.01, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_max_over_hamiltonian_is_unitarily_covariant(dim, p, seed):
+    # lambda(U H U^dag; U X U^dag, U Y U^dag) = lambda(H; X, Y), so the
+    # maximum is invariant and the maximiser rotates with the pair
+    pair = sample_admissible_pair(dim, p, seed)
+    U = haar_unitary(np.random.default_rng([seed, 1]), dim)
+    rotated = AdmissiblePair(
+        HermitianOperator(U @ pair.X.mat @ U.conj().T),
+        HermitianOperator(U @ pair.Y.mat @ U.conj().T),
+        p,
+    )
+    lam, H = maximize_over_hamiltonian(pair)
+    lam_u, H_u = maximize_over_hamiltonian(rotated)
+    assert abs(lam_u - lam) <= 1e-9 * max(lam, 1e-12)
+    # H_opt = -sign(C) is unique when no eigenvalue of C = i[X, log Y] is
+    # near zero; rounding can flip the sign of such an eigenvalue
+    wy, vy = np.linalg.eigh(pair.Y.mat)  # sampled Y has full rank
+    L = (vy * np.log(wy)) @ vy.conj().T
+    C = 1j * (pair.X.mat @ L - L @ pair.X.mat)
+    w = np.linalg.eigvalsh(C)
+    if np.min(np.abs(w)) > 1e-6 * np.max(np.abs(w)):
+        assert np.max(np.abs(H_u.mat - U @ H.mat @ U.conj().T)) < 1e-6

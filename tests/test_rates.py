@@ -23,8 +23,8 @@ from entlab.rates import (
     sie_rate_bound,
     sim_bound,
 )
-from entlab.rates import AdmissibilityError, _bucket_index
-from entlab.search import sample_admissible_pair
+from entlab.rates import AdmissibilityError, NumericalConsistencyError, _bucket_index
+from entlab.search import sample_admissible_pair, sample_bipartite_state
 
 
 def rand_unit_herm(rng, d):
@@ -218,6 +218,29 @@ class TestEntanglementRate:
         state = BipartiteState((1, 2, 2, 1), np.array([1.0, 0, 0, 0]))
         with pytest.raises(ValueError):
             entanglement_rate(state, HermitianOperator(np.eye(6)))
+
+    def test_large_norm_scales_exactly(self):
+        # the residue tolerance is relative: at ||H|| = 1e10 the rate is
+        # 1e10 times the unit-norm rate, not a realness failure
+        # (an absolute 1e-8 on the residue rejects this state: 5.6e-7)
+        state = sample_bipartite_state((1, 2, 2, 1), 3)
+        sz = np.diag([1.0, -1.0])
+        h = np.kron(sz, sz)
+        unit = entanglement_rate(state, HermitianOperator(h))
+        big = entanglement_rate(state, HermitianOperator(1e10 * h))
+        assert big == pytest.approx(1e10 * unit, rel=1e-12)
+
+    def test_genuine_imaginary_residue_raises(self):
+        # an operator with an anti-Hermitian part (built past the validator)
+        # gives -i Tr(H [rho, L]) an imaginary part of its own size
+        rng = np.random.default_rng(34)
+        amp = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        state = BipartiteState((1, 2, 2, 1), amp / np.linalg.norm(amp))
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        H = object.__new__(HermitianOperator)
+        object.__setattr__(H, "mat", (g + g.conj().T) / 2 + 1j * (g + g.conj().T) / 2)
+        with pytest.raises(NumericalConsistencyError):
+            entanglement_rate(state, H)
 
 
 class TestAdmissibleFromState:

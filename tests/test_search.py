@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from entlab import search
 from entlab.operators import HermitianOperator
 from entlab.rates import sie_lambda_bound, sim_bound
 from entlab.search import (
@@ -139,6 +140,17 @@ class TestMaximizeRate:
         assert np.isfinite(rec.best_value)
         assert rec.best_value > 0.5  # even a short ascent clears this easily
         assert rec.best_value <= rec.bound_value * (1 + 1e-9)
+
+    def test_proved_rate_bound_violation_raises(self, monkeypatch):
+        # a rate above 18 ||H|| ln 2 is a bug; force one through the objective
+        monkeypatch.setattr(search, "entanglement_rate", lambda state, H: 100.0)
+        sz = np.diag([1.0, -1.0])
+        H = HermitianOperator(np.kron(sz, sz))
+        with pytest.raises(ProvedBoundViolation) as exc:
+            maximize_rate_over_states((1, 2, 2, 1), H, TrialBudget(1, 2), 3)
+        assert "18 ||H|| ln min(d_A, d_B)" in str(exc.value)
+        assert exc.value.bundle["best_value"] == 100.0
+        assert exc.value.bundle["argmax"]["dims"] == [1, 2, 2, 1]
 
     def test_deterministic(self):
         H = HermitianOperator(np.kron(np.diag([1.0, -1.0]), np.diag([1.0, -1.0])))
