@@ -215,21 +215,23 @@ def partial_trace(rho: DensityMatrix, dims: list[int], keep: list[int]) -> Densi
 
 
 def partial_trace_matrix(mat: np.ndarray, dims: list[int], keep: list[int]) -> np.ndarray:
-    """Partial trace on a raw square matrix (not necessarily unit trace)."""
+    """Partial trace on a raw square matrix (not necessarily unit trace), or
+    on each matrix of a stack along the leading axes."""
     dims = [int(d) for d in dims]
     n = len(dims)
-    if int(np.prod(dims)) != mat.shape[0]:
-        raise ValueError(f"product of dims {dims} != matrix dimension {mat.shape[0]}")
+    if int(np.prod(dims)) != mat.shape[-1]:
+        raise ValueError(f"product of dims {dims} != matrix dimension {mat.shape[-1]}")
     keep = sorted(set(int(k) for k in keep))
     if not keep or len(keep) >= n or any(k < 0 or k >= n for k in keep):
         raise ValueError(f"keep={keep} must be a nonempty strict subset of 0..{n-1}")
-    t = mat.reshape(dims + dims)
+    lead = mat.shape[:-2]
+    t = mat.reshape(lead + tuple(dims + dims))
     traced = [i for i in range(n) if i not in keep]
     for off, i in enumerate(traced):
-        ax = i - off
-        t = np.trace(t, axis1=ax, axis2=ax + t.ndim // 2)
+        ax = len(lead) + i - off
+        t = np.trace(t, axis1=ax, axis2=ax + (t.ndim - len(lead)) // 2)
     d_keep = int(np.prod([dims[k] for k in keep]))
-    return t.reshape(d_keep, d_keep)
+    return t.reshape(lead + (d_keep, d_keep))
 
 
 def trace_norm(M: HermitianOperator) -> float:

@@ -25,8 +25,10 @@ from .operators import (
     HermitianOperator,
     Spectrum,
     commutator,
+    log_on_support,
     matrix_log_on_support,
     partial_trace_matrix,
+    real_if_exact,
     spectral_rebuild,
     support_mask,
 )
@@ -269,13 +271,43 @@ def _checked_part(z: complex, scale, context: str, imaginary: bool = False) -> f
     return float(kept)
 
 
-def _commutator_functional(H: np.ndarray, X: np.ndarray, L: np.ndarray, context: str) -> float:
-    """-i Tr(H [X, L]), real for Hermitian H, X and L.  Its terms
-    H_ij X_jk L_ki and H_ij L_jk X_ki add up to at most
-    2 ||H||_F ||X||_F ||L||_F in magnitude, the scale of the residue check."""
-    val = -1j * np.trace(H @ commutator(X, L))
-    scale = lambda: 2.0 * float(np.linalg.norm(H) * np.linalg.norm(X) * np.linalg.norm(L))
-    return _checked_part(complex(val), scale, context)
+def _commutator_functional(H: np.ndarray, X: np.ndarray, L: np.ndarray, context: str) -> np.ndarray:
+    """-i Tr(H [X, L]) for each matrix of the stacks X and L, real for
+    Hermitian H, X and L and checked row by row.  Its terms H_ij X_jk L_ki
+    and H_ij L_jk X_ki add up to at most 2 ||H||_F ||X||_F ||L||_F in
+    magnitude, the scale of the residue check."""
+    z = -1j * np.trace(H @ commutator(X, L), axis1=-2, axis2=-1)
+    out = np.empty(z.size)
+    for k in range(z.size):
+        scale = lambda: 2.0 * float(np.linalg.norm(H) * np.linalg.norm(X[k]) * np.linalg.norm(L[k]))
+        out[k] = _checked_part(complex(z[k]), scale, context)
+    return out
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron(a, b)`` of two matrices, or of two stacks of them matrix by
+    matrix, by broadcasting: the same products, bit for bit."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
+
+
+def _entanglement_rates(amps: np.ndarray, dims, H: np.ndarray) -> np.ndarray:
+    """The rate of ``entanglement_rate`` for each row of a stack of unit
+    amplitude rows, with H the H_AB matrix.  Every row goes through the same
+    LAPACK and BLAS calls as it would on its own, so a row's rate does not
+    depend on its batch (given that the batch's reduced states are either
+    all exactly real or not: ``real_if_exact`` acts on the whole stack)."""
+    d_a, d_A, d_B, d_b = dims
+    # symmetrised in complex arithmetic, as HermitianOperator stores a matrix
+    herm = lambda m: 0.5 * (m + m.conj().swapaxes(-1, -2))
+    rho = amps[:, :, None] * amps.conj()[:, None, :]
+    rho_aAB = partial_trace_matrix(rho, [d_a, d_A, d_B, d_b], [0, 1, 2])
+    rho_aA = partial_trace_matrix(rho_aAB, [d_a * d_A, d_B], [0])
+    w, v = np.linalg.eigh(real_if_exact(herm(rho_aA)))
+    logr = herm(np.asarray(spectral_rebuild(v, log_on_support(w)[1]), dtype=complex))
+    L = _kron(logr, np.eye(d_B))
+    Ht = H if d_a == 1 else _kron(np.eye(d_a), H)
+    return _commutator_functional(Ht, rho_aAB, L, "entanglement_rate")
 
 
 def entanglement_rate(state: BipartiteState, H_AB: HermitianOperator) -> float:
@@ -288,13 +320,7 @@ def entanglement_rate(state: BipartiteState, H_AB: HermitianOperator) -> float:
     d_a, d_A, d_B, d_b = state.dims
     if H_AB.dim != d_A * d_B:
         raise ValueError(f"H_AB dim {H_AB.dim} != d_A*d_B = {d_A * d_B}")
-    rho_full = np.outer(state.amplitudes, state.amplitudes.conj())
-    rho_aAB = partial_trace_matrix(rho_full, [d_a, d_A, d_B, d_b], [0, 1, 2])
-    rho_aA = partial_trace_matrix(rho_aAB, [d_a * d_A, d_B], [0])
-    logr = matrix_log_on_support(HermitianOperator(rho_aA)).mat
-    L = np.kron(logr, np.eye(d_B))
-    Ht = H_AB.mat if d_a == 1 else np.kron(np.eye(d_a), H_AB.mat)
-    return _commutator_functional(Ht, rho_aAB, L, "entanglement_rate")
+    return float(_entanglement_rates(state.amplitudes[None], state.dims, H_AB.mat)[0])
 
 
 def admissible_from_state(rho_AB: DensityMatrix, d_A: int, d_B: int) -> AdmissiblePair:
@@ -309,7 +335,7 @@ def admissible_from_state(rho_AB: DensityMatrix, d_A: int, d_B: int) -> Admissib
     rho_A = partial_trace_matrix(rho_AB.mat, [d_A, d_B], [0])
     p = 1.0 / d_B**2
     X = HermitianOperator(rho_AB.mat * p)
-    Y = HermitianOperator(np.kron(rho_A, np.eye(d_B)) / d_B)
+    Y = HermitianOperator(_kron(rho_A, np.eye(d_B)) / d_B)
     try:
         return AdmissiblePair(X, Y, p)
     except AdmissibilityError as exc:
@@ -324,7 +350,7 @@ def lambda_functional(H: HermitianOperator, pair: AdmissiblePair) -> float:
     if H.dim != pair.dim:
         raise ValueError(f"H dim {H.dim} != pair dim {pair.dim}")
     logY = matrix_log_on_support(pair.Y).mat
-    return _commutator_functional(H.mat, pair.X.mat, logY, "lambda_functional")
+    return float(_commutator_functional(H.mat, pair.X.mat[None], logY[None], "lambda_functional")[0])
 
 
 def lambda_eigenbasis(P: HermitianOperator, pair: AdmissiblePair) -> float:

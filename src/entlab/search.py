@@ -2,8 +2,11 @@
 commutator functional and the entanglement rate.
 
 Search is hybrid: random restarts over admissible pairs (or states), each
-refined by projected-gradient ascent with numerically differenced gradients;
-the inner optimization over the Hamiltonian is always the closed form.
+refined by gradient ascent.  One driver, ``_ascend``, runs both searches: it
+takes central differences and a backtracking line search over an objective
+that evaluates a stack of parameter rows at once (``_eval_pair_params`` for
+pairs, the stacked rate ``rates._entanglement_rates`` for states).  The inner
+optimization over the Hamiltonian is always the closed form.
 Every record is reproducible from (config, seed): per-restart generators are
 derived from the base seed, and aggregation is a max-reduction, so results do
 not depend on scheduling.
@@ -17,12 +20,12 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import rates
 from .operators import HermitianOperator, log_on_support, operator_norm, spectral_rebuild
 from .rates import (
     AdmissiblePair,
     BipartiteState,
     BOUND_CONSTANTS,
-    entanglement_rate,
     maximize_over_hamiltonian,
     sie_lambda_bound,
     sie_rate_bound,
@@ -32,6 +35,8 @@ from .rates import (
 P_SIE_MAX = float(np.exp(-2.0))
 SIM_VIOLATION_RTOL = 1e-6
 SIE_VIOLATION_RTOL = 1e-9
+# rejection sampling gives up after this many draws in a row
+_MAX_DRAWS = 10_000
 
 __all__ = [
     "TrialBudget",
@@ -65,6 +70,12 @@ class ProvedBoundViolation(RuntimeError):
 class TrialBudget:
     restarts: int = 20
     iters: int = 100
+
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ValueError(f"restarts = {self.restarts} must be >= 1")
+        if self.iters < 0:
+            raise ValueError(f"iters = {self.iters} must be >= 0")
 
 
 @dataclass
@@ -140,29 +151,30 @@ def _haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def _draw_pair(rng: np.random.Generator, dim: int, p: float):
-    """One attempt at (Y, Z, X); returns None when rescaling would push the
-    effective contraction above the identity."""
-    G = _ginibre(rng, dim)
-    Ym = G @ G.conj().T
-    Ym /= np.trace(Ym).real
-    z_ev = rng.uniform(0.0, 1.0, size=dim)
-    U = _haar_unitary(rng, dim)
-    Zm = (U * z_ev) @ U.conj().T
-    wy, vy = np.linalg.eigh(Ym)
-    sq = spectral_rebuild(vy, np.sqrt(np.clip(wy, 0, None)))
-    W = sq @ Zm @ sq
-    t = float(np.trace(W).real)
-    if t <= 0:
-        return None
-    c = p / t
-    if c * float(z_ev.max()) > 1.0:
-        return None
-    return Ym, Zm, c * W
+    """Draw (Y, Z, X) until rescaling keeps the effective contraction below
+    the identity, at most _MAX_DRAWS times.  Returns ((Ym, Zm, Xm), the
+    number of rejected draws)."""
+    for rejections in range(_MAX_DRAWS):
+        G = _ginibre(rng, dim)
+        Ym = G @ G.conj().T
+        Ym /= np.trace(Ym).real
+        z_ev = rng.uniform(0.0, 1.0, size=dim)
+        U = _haar_unitary(rng, dim)
+        Zm = (U * z_ev) @ U.conj().T
+        wy, vy = np.linalg.eigh(Ym)
+        sq = spectral_rebuild(vy, np.sqrt(np.clip(wy, 0, None)))
+        W = sq @ Zm @ sq
+        t = float(np.trace(W).real)
+        if t <= 0:
+            continue
+        c = p / t
+        if c * float(z_ev.max()) > 1.0:
+            continue
+        return (Ym, Zm, c * W), rejections
+    raise GeneratorFailure(f"no admissible sample in {_MAX_DRAWS} tries (dim={dim}, p={p})")
 
 
-def sample_admissible_pair(
-    dim: int, p: float, seed, max_tries: int = 10_000
-) -> AdmissiblePair:
+def sample_admissible_pair(dim: int, p: float, seed) -> AdmissiblePair:
     """Random admissible pair: Y from the trace-normalized Wishart ensemble,
     X = (p / Tr(Y^{1/2} Z Y^{1/2})) Y^{1/2} Z Y^{1/2} with Z uniform-spectrum
     in a Haar basis; samples whose rescaling breaks Z <= I are rejected.
@@ -173,15 +185,8 @@ def sample_admissible_pair(
         raise ValueError(f"dim = {dim} must be >= 2")
     if not (0.0 < p <= 1.0):
         raise ValueError(f"p = {p} outside (0, 1]")
-    rng = _rng(seed)
-    for _ in range(max_tries):
-        drawn = _draw_pair(rng, dim, p)
-        if drawn is not None:
-            Ym, _, Xm = drawn
-            return AdmissiblePair(HermitianOperator(Xm), HermitianOperator(Ym), p)
-    raise GeneratorFailure(
-        f"no admissible sample in {max_tries} tries (dim={dim}, p={p})"
-    )
+    (Ym, _, Xm), _ = _draw_pair(_rng(seed), dim, p)
+    return AdmissiblePair(HermitianOperator(Xm), HermitianOperator(Ym), p)
 
 
 def sample_bipartite_state(dims, seed) -> BipartiteState:
@@ -258,31 +263,36 @@ def _eval_pair_params(theta: np.ndarray, d: int, p: float):
     return vals, Ym, Xm
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row, bit for bit: matmul takes the same
+    BLAS dot of the same (real and imaginary) views, one row at a time."""
+    dot = lambda x: (x[:, None, :] @ x[:, :, None])[:, 0, 0]
+    if np.iscomplexobj(rows):
+        return np.sqrt(dot(rows.real) + dot(rows.imag))
+    return np.sqrt(dot(rows))
+
+
 # backtracking line-search steps: 0.1, halved down to the floor 1e-8
 _LINE_STEPS = 0.1 / 2.0 ** np.arange(24)
 
 
-def _ascend_pair(rng, dim, p, iters, fd_step=1e-5, patience=5):
-    """One restart: random feasible start, then gradient ascent with central
-    differences and a backtracking line search (start 0.1, floor 1e-8).
-    The 2 x (number of parameters) differenced points of a step are
-    evaluated in one batch, and so are all the line-search steps; ``evals``
-    counts the line search up to its first gain, as a sequential search
-    would.  Returns (best value, Ym, Xm, evals, rejections)."""
-    rejections = 0
-    while True:
-        drawn = _draw_pair(rng, dim, p)
-        if drawn is not None:
-            break
-        rejections += 1
-        if rejections > 10_000:
-            raise GeneratorFailure(f"no feasible restart (dim={dim}, p={p})")
-    Ym0, Zm0, Xm0 = drawn
-    theta = np.concatenate([_herm_to_vec(Ym0), _herm_to_vec(Zm0)])
+def _ascend(evaluate, theta, start, iters, fd_step, retract=lambda rows: rows):
+    """Gradient ascent from ``theta``: central differences with step
+    ``fd_step`` and a backtracking line search (0.1 halved down to 1e-8),
+    ``retract`` mapping its rows back onto the parameter set.  It stops
+    after ``iters`` steps, at a zero gradient, or after 5 line searches in a
+    row without a gain above 1e-14.
+
+    ``evaluate`` maps a stack of parameter rows to a tuple of stacks over
+    the rows: their values, nan where a row is infeasible, then whatever
+    else the caller keeps of the point the ascent ends at.  ``start`` is
+    that tuple's row for ``theta``.  The 2 x (number of parameters)
+    differenced points of a step go to ``evaluate`` as one stack, and so do
+    all the line-search steps; ``evals`` counts the start point, and the
+    line search up to its first gain, as a sequential search would.
+    Returns (theta, its row, evals)."""
     m = theta.size
-    vals, Ym, Xm = _eval_pair_params(theta[None], dim, p)
-    assert not np.isnan(vals[0])
-    f, Ym, Xm = float(vals[0]), Ym[0], Xm[0]
+    f = float(start[0])
     evals = 1
     stall = 0
     diag = np.arange(m)
@@ -290,72 +300,65 @@ def _ascend_pair(rng, dim, p, iters, fd_step=1e-5, patience=5):
         shifted = np.tile(theta, (2 * m, 1))
         shifted[diag, diag] += fd_step
         shifted[m + diag, diag] -= fd_step
-        vals = _eval_pair_params(shifted, dim, p)[0]
+        vals = evaluate(shifted)[0]
         evals += 2 * m
         vals[np.isnan(vals)] = f
         g = (vals[:m] - vals[m:]) / (2.0 * fd_step)
         gn = float(np.linalg.norm(g))
         if gn < 1e-12:
             break
-        trial = theta + _LINE_STEPS[:, None] * g / gn
-        vals, Yn, Xn = _eval_pair_params(trial, dim, p)
-        up = np.flatnonzero(vals > f + 1e-14)
+        trial = retract(theta + _LINE_STEPS[:, None] * g / gn)
+        out = evaluate(trial)
+        up = np.flatnonzero(out[0] > f + 1e-14)
         if up.size:
             # the backtracking search stops at the first (largest) step that gains
             j = int(up[0])
             evals += j + 1
-            theta = trial[j]
-            f, Ym, Xm = float(vals[j]), Yn[j], Xn[j]
+            theta, start = trial[j], tuple(a[j] for a in out)
+            f = float(start[0])
             stall = 0
         else:
             evals += _LINE_STEPS.size
             stall += 1
-            if stall >= patience:
+            if stall >= 5:
                 break
-    return f, Ym, Xm, evals, rejections
+    return theta, start, evals
 
 
-def maximize_lambda_over_pairs(
-    dim: int, p: float, budget: TrialBudget, seed, method: str = "hybrid"
-) -> SearchRecord:
+def maximize_lambda_over_pairs(dim: int, p: float, budget: TrialBudget, seed) -> SearchRecord:
     """Hunt for the largest closed-form maximum of the functional over
     admissible pairs at fixed (dim, p).
 
-    ``method``: "random" draws ``restarts`` samples; "hybrid" (default)
-    additionally refines each sample by projected-gradient ascent for up to
-    ``iters`` steps (early-stopped once the line search stalls).  The ratio
-    is reported against the binary-entropy envelope.
+    Each of ``restarts`` random samples is refined by gradient ascent for up
+    to ``iters`` steps (early-stopped once the line search stalls); with
+    ``iters`` = 0 the samples are kept as drawn (method "random").  The
+    ratio is reported against the binary-entropy envelope.
     """
     if dim < 2:
         raise ValueError(f"dim = {dim} must be >= 2")
     if not (0.0 < p < 1.0):
         raise ValueError(f"p = {p} outside (0, 1)")
     bound = sim_bound(p)
+    # the ascent runs over the raw Hermitian parameters of Y and Z
+    evaluate = lambda rows: _eval_pair_params(rows, dim, p)
     best = -1.0
     best_pair = None
     trials = 0
     rejections = 0
-    restarts_used = 0
     for r in range(budget.restarts):
-        rng = _rng([_as_int_seed(seed), r])
-        restarts_used += 1
-        if method == "random" or budget.iters == 0:
-            drawn = None
-            for _ in range(10_000):
-                trials += 1
-                drawn = _draw_pair(rng, dim, p)
-                if drawn is not None:
-                    break
-                rejections += 1
-            if drawn is None:
-                raise GeneratorFailure(f"no sample (dim={dim}, p={p})")
-            Ym, _, Xm = drawn
+        (Ym, Zm, Xm), rej = _draw_pair(_rng([_as_int_seed(seed), r]), dim, p)
+        rejections += rej
+        if budget.iters == 0:
+            trials += rej + 1
             pair = AdmissiblePair(HermitianOperator(Xm), HermitianOperator(Ym), p)
             val, _ = maximize_over_hamiltonian(pair)
         else:
-            val, Ym, Xm, evals, rej = _ascend_pair(rng, dim, p, budget.iters)
+            theta = np.concatenate([_herm_to_vec(Ym), _herm_to_vec(Zm)])
+            start = tuple(a[0] for a in evaluate(theta[None]))
+            assert not np.isnan(start[0])
+            _, (val, Ym, Xm), evals = _ascend(evaluate, theta, start, budget.iters, 1e-5)
+            val = float(val)
             trials += evals
-            rejections += rej
         if val > best:
             best = val
             best_pair = AdmissiblePair(
@@ -370,8 +373,8 @@ def maximize_lambda_over_pairs(
         argmax=best_pair.to_json(),
         seed=_as_int_seed(seed),
         trials=trials,
-        method=method if budget.iters > 0 else "random",
-        restarts_used=restarts_used,
+        method="hybrid" if budget.iters > 0 else "random",
+        restarts_used=budget.restarts,
         rejections=rejections,
     )
     _check_proved_bound(record)
@@ -410,21 +413,15 @@ def _raise_above(record: SearchRecord, bound: float, formula: str, scale: float)
 # entanglement-rate search over states
 
 
-def _eval_state(params: np.ndarray, dims, H_AB) -> float:
-    n = params.size // 2
-    amp = params[:n] + 1j * params[n:]
-    nrm = np.linalg.norm(amp)
-    if nrm <= 0:
-        return -np.inf
-    return entanglement_rate(BipartiteState(dims, amp / nrm), H_AB)
-
-
 def maximize_rate_over_states(
     dims, H_AB: HermitianOperator, budget: TrialBudget, seed
 ) -> SearchRecord:
     """Gradient ascent of the entanglement rate on the unit sphere of states,
     with random restarts (a pure product start is a stationary point of the
-    entropy, so restarts are what escape it).
+    entropy, so restarts are what escape it).  Each restart's start point
+    goes through ``rates.entanglement_rate``; the ascent evaluates stacks
+    of parameter rows (real parts, then imaginary parts) through the same
+    kernel, normalising every row.
 
     The reference bound is beta ||H|| for the plain two-qubit case
     (1, 2, 2, 1) and 18 ||H|| ln min(d_A, d_B) otherwise.  A record above
@@ -439,62 +436,34 @@ def maximize_rate_over_states(
         bound = BOUND_CONSTANTS.beta * np.log(2.0) * h_norm
     else:
         bound = sie_rate_bound(min(d_A, d_B), h_norm)
+
+    def amplitudes(rows):
+        amp = rows[:, :n] + 1j * rows[:, n:]
+        return amp / _row_norms(amp)[:, None]
+
+    evaluate = lambda rows: (rates._entanglement_rates(amplitudes(rows), dims, H_AB.mat),)
+    normalise = lambda rows: rows / _row_norms(rows)[:, None]
     best = -np.inf
     best_params = None
     trials = 0
-    fd_step = 1e-6
     for r in range(budget.restarts):
         rng = _rng([_as_int_seed(seed), r])
         amp = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         amp /= np.linalg.norm(amp)
         theta = np.concatenate([amp.real, amp.imag])
-        f = _eval_state(theta, dims, H_AB)
-        trials += 1
-        stall = 0
-        for _ in range(budget.iters):
-            g = np.zeros_like(theta)
-            for i in range(theta.size):
-                tp = theta.copy()
-                tp[i] += fd_step
-                tm = theta.copy()
-                tm[i] -= fd_step
-                g[i] = (_eval_state(tp, dims, H_AB) - _eval_state(tm, dims, H_AB)) / (
-                    2.0 * fd_step
-                )
-                trials += 2
-            gn = float(np.linalg.norm(g))
-            if gn < 1e-12:
-                break
-            alpha = 0.1
-            accepted = False
-            while alpha >= 1e-8:
-                tn = theta + alpha * g / gn
-                tn /= np.linalg.norm(tn)
-                fn = _eval_state(tn, dims, H_AB)
-                trials += 1
-                if fn > f + 1e-14:
-                    theta, f = tn, fn
-                    accepted = True
-                    break
-                alpha /= 2.0
-            if not accepted:
-                stall += 1
-                if stall >= 5:
-                    break
-            else:
-                stall = 0
+        f = rates.entanglement_rate(BipartiteState(dims, amplitudes(theta[None])[0]), H_AB)
+        theta, (f,), evals = _ascend(evaluate, theta, (f,), budget.iters, 1e-6, normalise)
+        trials += evals
         if f > best:
             best = f
             best_params = theta
-    amp = best_params[: n] + 1j * best_params[n:]
-    amp /= np.linalg.norm(amp)
     record = SearchRecord(
         dim=min(d_A, d_B),
         p=1.0 / min(d_A, d_B) ** 2,
         best_value=float(best),
         bound_value=float(bound),
         ratio=float(best / bound),
-        argmax=BipartiteState(dims, amp).to_json(),
+        argmax=BipartiteState(dims, amplitudes(best_params[None])[0]).to_json(),
         seed=_as_int_seed(seed),
         trials=trials,
         method="hybrid",

@@ -238,6 +238,19 @@ class TestFailureTaxonomy:
         assert bundle["arguments"]["dim"] == 3 and bundle["arguments"]["seed"] == 4
         assert "imaginary residue" in bundle["error"]
 
+    @pytest.mark.parametrize("flags", [["--restarts", "0"], ["--iters", "-3"]])
+    def test_bad_beta_search_budget_exits_1_with_one_line(self, flags, capsys):
+        assert main(["beta-search"] + flags) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert flags[0][2:] in err
+
+    def test_zero_restart_scan_exits_1_with_one_line(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", {"dims": [2], "p_grid": [0.1], "restarts": 0})
+        assert main(["sim-scan", "--config", cfg]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: restarts") and err.count("\n") == 1
+
     def test_workers_only_on_sim_scan(self, capsys):
         assert main(["bounds", "--d", "3", "--workers", "2"]) == EXIT_INPUT
 

@@ -23,7 +23,12 @@ from entlab.rates import (
     sie_rate_bound,
     sim_bound,
 )
-from entlab.rates import AdmissibilityError, NumericalConsistencyError, _bucket_index
+from entlab.rates import (
+    AdmissibilityError,
+    NumericalConsistencyError,
+    _bucket_index,
+    _entanglement_rates,
+)
 from entlab.search import sample_admissible_pair, sample_bipartite_state
 
 
@@ -243,7 +248,53 @@ class TestEntanglementRate:
             entanglement_rate(state, H)
 
 
+    def test_stacked_rows_match_one_by_one(self):
+        # a row's rate does not depend on its batch, bit for bit, and is
+        # the rate of that state
+        rng = np.random.default_rng(35)
+        for dims in ((1, 2, 2, 1), (2, 2, 3, 1), (1, 3, 2, 2)):
+            n = int(np.prod(dims))
+            amps = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+            amps /= np.linalg.norm(amps, axis=1)[:, None]
+            dAB = dims[1] * dims[2]
+            g = rng.standard_normal((dAB, dAB)) + 1j * rng.standard_normal((dAB, dAB))
+            H = HermitianOperator((g + g.conj().T) / 2)
+            stacked = _entanglement_rates(amps, dims, H.mat)
+            for k in range(len(amps)):
+                one = _entanglement_rates(amps[k : k + 1], dims, H.mat)
+                assert one.tobytes() == stacked[k : k + 1].tobytes()
+                assert entanglement_rate(BipartiteState(dims, amps[k]), H) == stacked[k]
+
+    def test_one_bad_row_in_a_stack_raises(self):
+        # with an anti-Hermitian part in H (built past the validator) only
+        # the generic state has a residue: the basis state has log rho_aA = 0
+        rng = np.random.default_rng(36)
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        H = (g + g.conj().T) / 2 + 1j * (g + g.conj().T) / 2
+        basis = np.eye(4, dtype=complex)[0]
+        generic = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        generic /= np.linalg.norm(generic)
+        dims = (1, 2, 2, 1)
+        assert (_entanglement_rates(np.stack([basis, basis]), dims, H) == 0.0).all()
+        with pytest.raises(NumericalConsistencyError):
+            _entanglement_rates(np.stack([basis, generic, basis]), dims, H)
+
+
 class TestAdmissibleFromState:
+    def test_y_matches_kron_reference(self):
+        # Y = rho_A (x) I_B / d_B, built by broadcasting, has the bits of np.kron
+        from entlab.operators import partial_trace_matrix
+
+        rng = np.random.default_rng(43)
+        for dA, dB in ((2, 2), (3, 2), (2, 4)):
+            d = dA * dB
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            m = g @ g.conj().T
+            rho = DensityMatrix(HermitianOperator(m / np.trace(m).real))
+            rho_A = partial_trace_matrix(rho.mat, [dA, dB], [0])
+            ref = HermitianOperator(np.kron(rho_A, np.eye(dB)) / dB)
+            assert admissible_from_state(rho, dA, dB).Y.mat.tobytes() == ref.mat.tobytes()
+
     def test_pair_shape(self):
         rng = np.random.default_rng(41)
         g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))

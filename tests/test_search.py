@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from entlab import search
 from entlab.operators import HermitianOperator
 from entlab.rates import sie_lambda_bound, sim_bound
 from entlab.search import (
@@ -17,7 +16,15 @@ from entlab.search import (
     sample_bipartite_state,
     scan_rows,
 )
-from entlab.search import _as_int_seed, _check_proved_bound, _eval_pair_params, _herm_to_vec
+from entlab import rates
+from entlab.rates import BipartiteState, entanglement_rate
+from entlab.search import (
+    _as_int_seed,
+    _check_proved_bound,
+    _eval_pair_params,
+    _herm_to_vec,
+    _row_norms,
+)
 
 
 class TestSampling:
@@ -56,7 +63,7 @@ class TestSampling:
 
 class TestMaximizeLambda:
     def test_record_fields(self):
-        rec = maximize_lambda_over_pairs(2, 0.1, TrialBudget(3, 0), 5, method="random")
+        rec = maximize_lambda_over_pairs(2, 0.1, TrialBudget(3, 0), 5)
         assert rec.dim == 2
         assert rec.p == 0.1
         assert rec.bound_value == pytest.approx(sim_bound(0.1))
@@ -73,7 +80,7 @@ class TestMaximizeLambda:
         assert a.to_json() == b.to_json()
 
     def test_hybrid_beats_or_matches_random(self):
-        rnd = maximize_lambda_over_pairs(2, 0.1, TrialBudget(5, 0), 1, method="random")
+        rnd = maximize_lambda_over_pairs(2, 0.1, TrialBudget(5, 0), 1)
         hyb = maximize_lambda_over_pairs(2, 0.1, TrialBudget(5, 30), 1)
         assert hyb.best_value >= rnd.best_value - 1e-12
 
@@ -143,7 +150,10 @@ class TestMaximizeRate:
 
     def test_proved_rate_bound_violation_raises(self, monkeypatch):
         # a rate above 18 ||H|| ln 2 is a bug; force one through the objective
-        monkeypatch.setattr(search, "entanglement_rate", lambda state, H: 100.0)
+        # (the kernel behind both the start point and the stacked ascent)
+        monkeypatch.setattr(
+            rates, "_entanglement_rates", lambda amps, dims, H: np.full(len(amps), 100.0)
+        )
         sz = np.diag([1.0, -1.0])
         H = HermitianOperator(np.kron(sz, sz))
         with pytest.raises(ProvedBoundViolation) as exc:
@@ -157,6 +167,85 @@ class TestMaximizeRate:
         a = maximize_rate_over_states((1, 2, 2, 1), H, TrialBudget(2, 10), 8)
         b = maximize_rate_over_states((1, 2, 2, 1), H, TrialBudget(2, 10), 8)
         assert a.best_value == b.best_value
+
+    @staticmethod
+    def _sequential_search(dims, H, budget, seed):
+        """Reference: the ascent one point at a time, each through
+        entanglement_rate, every coordinate differenced on its own."""
+        n = int(np.prod(dims))
+
+        def rate(theta):
+            amp = theta[:n] + 1j * theta[n:]
+            return entanglement_rate(BipartiteState(dims, amp / np.linalg.norm(amp)), H)
+
+        best, best_theta, trials = -np.inf, None, 0
+        for r in range(budget.restarts):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, r]))
+            amp = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            amp /= np.linalg.norm(amp)
+            theta = np.concatenate([amp.real, amp.imag])
+            f, trials, stall = rate(theta), trials + 1, 0
+            for _ in range(budget.iters):
+                g = np.zeros_like(theta)
+                for i in range(theta.size):
+                    tp, tm = theta.copy(), theta.copy()
+                    tp[i] += 1e-6
+                    tm[i] -= 1e-6
+                    g[i] = (rate(tp) - rate(tm)) / 2e-6
+                    trials += 2
+                gn = float(np.linalg.norm(g))
+                if gn < 1e-12:
+                    break
+                alpha, accepted = 0.1, False
+                while alpha >= 1e-8:
+                    tn = theta + alpha * g / gn
+                    tn /= np.linalg.norm(tn)
+                    fn = rate(tn)
+                    trials += 1
+                    if fn > f + 1e-14:
+                        theta, f, accepted = tn, fn, True
+                        break
+                    alpha /= 2.0
+                stall = 0 if accepted else stall + 1
+                if stall >= 5:
+                    break
+            if f > best:
+                best, best_theta = f, theta
+        return best, best_theta, trials
+
+    @pytest.mark.parametrize("dims", [(1, 2, 2, 1), (1, 2, 3, 1)])
+    def test_matches_sequential_ascent_bit_for_bit(self, dims):
+        # the stacked ascent takes the same steps as a point-by-point one
+        rng = np.random.default_rng(5)
+        d = dims[1] * dims[2]
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        H = HermitianOperator((g + g.conj().T) / 2)
+        budget = TrialBudget(2, 12)
+        rec = maximize_rate_over_states(dims, H, budget, 4)
+        best, theta, trials = self._sequential_search(dims, H, budget, 4)
+        n = theta.size // 2
+        amp = theta[:n] + 1j * theta[n:]
+        amp /= np.linalg.norm(amp)
+        assert rec.best_value == best
+        assert rec.trials == trials
+        assert rec.argmax == BipartiteState(dims, amp).to_json()
+
+    def test_budget_validation(self):
+        with pytest.raises(ValueError, match="restarts"):
+            TrialBudget(0, 10)
+        with pytest.raises(ValueError, match="iters"):
+            TrialBudget(2, -3)
+        assert TrialBudget(1, 0).iters == 0
+
+
+def test_row_norms_match_numpy_norm_bit_for_bit():
+    rng = np.random.default_rng(9)
+    for n in (4, 8, 12, 40):
+        rows = rng.standard_normal((5, 2 * n))
+        amps = rows[:, :n] + 1j * rows[:, n:]
+        for stack in (rows, amps):
+            ref = np.array([np.linalg.norm(r) for r in stack])
+            assert _row_norms(stack).tobytes() == ref.tobytes()
 
 
 class TestScan:
