@@ -3,10 +3,10 @@ tracking across a cut.
 
 The chain is a transverse-field Ising model on an open chain,
 H(s) = -J(s) sum sigma^z_i sigma^z_{i+1} - g(s) sum sigma^x_i, with J and g
-polynomial (or tabulated) functions of s in [0, 1].  Its matrices are real
-and written straight from bit patterns: the ZZ bonds are diagonal and each
-field is a single-bit flip.  Each operator is diagonalised at most once, in
-real arithmetic (``HermitianOperator.eigh``).
+polynomials in s in [0, 1].  Its matrices are real and written straight from
+bit patterns: the ZZ bonds are diagonal and each field is a single-bit flip.
+Each operator is diagonalised at most once, in real arithmetic
+(``HermitianOperator.eigh``).
 
 Along a path each grid point does one eigendecomposition of H(s).  The
 ground state, the gap and the tangent vector
@@ -31,7 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as _poly
 
+from .operators import DEGENERACY_TOL, GAP_FLOOR, GAUGE_TOL, RATE_CHECK_ATOL, RATE_CHECK_RTOL
 from .operators import (
     HermitianOperator,
     log_on_support,
@@ -41,8 +43,6 @@ from .operators import (
 )
 
 MAX_SITES = 12
-GAP_FLOOR = 1e-8
-TRANSPORT_TOL = 1e-4
 
 __all__ = [
     "ChainPathSpec",
@@ -74,68 +74,60 @@ class TransportConsistencyError(RuntimeError):
         self.bundle = bundle
 
 
-def _as_schedule(f):
-    """Accept polynomial coefficients (ascending order) or a callable."""
-    if callable(f):
-        return f
-    coeffs = np.asarray(f, dtype=float)
-    return lambda s: float(np.polynomial.polynomial.polyval(s, coeffs))
-
-
-def _schedule_derivative(f, s: float, ds: float = 1e-5) -> float:
-    if not callable(f):
-        coeffs = np.asarray(f, dtype=float)
-        dcoeffs = np.polynomial.polynomial.polyder(coeffs)
-        return float(np.polynomial.polynomial.polyval(s, dcoeffs))
-    lo, hi = s - ds, s + ds
-    return (f(hi) - f(lo)) / (hi - lo)
+def _floats(name: str, values, least: int = 1) -> tuple[float, ...]:
+    """``values`` as a tuple of at least ``least`` floats, or ValueError."""
+    try:
+        out = tuple(float(v) for v in values)
+    except TypeError:
+        raise ValueError(f"{name} must be a list of numbers, got {values!r}") from None
+    if len(out) < least:
+        raise ValueError(f"{name} has {len(out)} values, needs at least {least}")
+    return out
 
 
 @dataclass(frozen=True)
 class ChainPathSpec:
     """Open transverse-field Ising chain path with a cut splitting L|R.
 
-    ``J`` and ``g`` are either lists of polynomial coefficients in ascending
-    order or callables of s.  ``cut`` counts sites in L (1 <= cut < n_sites).
+    ``J`` and ``g`` are lists of polynomial coefficients in s, in ascending
+    order; a callable is rejected.  ``cut`` counts sites in L
+    (1 <= cut < n_sites).  ``s_grid`` holds at least two points, strictly
+    increasing in [0, 1].
     """
 
     n_sites: int
     cut: int
-    J: object = (1.0,)
-    g: object = (1.0,)
+    J: tuple = (1.0,)
+    g: tuple = (1.0,)
     s_grid: tuple = tuple(np.linspace(0.0, 1.0, 11))
 
     def __post_init__(self):
         if self.n_sites < 2:
             raise ValueError(f"n_sites = {self.n_sites} must be >= 2")
         if self.n_sites > MAX_SITES:
-            raise ValueError(
-                f"n_sites = {self.n_sites} beyond dense ceiling {MAX_SITES}"
-            )
+            raise ValueError(f"n_sites = {self.n_sites} beyond dense ceiling {MAX_SITES}")
         if not (1 <= self.cut < self.n_sites):
             raise ValueError(f"cut = {self.cut} must satisfy 1 <= cut < n_sites")
-        grid = tuple(float(s) for s in self.s_grid)
+        grid = _floats("s_grid", self.s_grid, least=2)
         if any(s < 0.0 or s > 1.0 for s in grid):
             raise ValueError("s_grid points must lie in [0, 1]")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("s_grid must be strictly increasing")
         object.__setattr__(self, "s_grid", grid)
+        object.__setattr__(self, "J", _floats("J", self.J))
+        object.__setattr__(self, "g", _floats("g", self.g))
 
     def couplings(self, s: float) -> tuple[float, float]:
-        return _as_schedule(self.J)(s), _as_schedule(self.g)(s)
+        return float(_poly.polyval(s, self.J)), float(_poly.polyval(s, self.g))
 
     def coupling_derivatives(self, s: float) -> tuple[float, float]:
-        return _schedule_derivative(self.J, s), _schedule_derivative(self.g, s)
+        return tuple(float(_poly.polyval(s, _poly.polyder(c))) for c in (self.J, self.g))
 
     @classmethod
     def from_json(cls, obj: dict) -> "ChainPathSpec":
-        return cls(
-            n_sites=int(obj["n_sites"]),
-            cut=int(obj["cut"]),
-            J=tuple(obj.get("J", [1.0])),
-            g=tuple(obj.get("g", [1.0])),
-            s_grid=tuple(obj.get("s_grid", np.linspace(0.0, 1.0, 11))),
-        )
+        # absent schedules and grid take the field defaults
+        optional = {k: obj[k] for k in ("J", "g", "s_grid") if k in obj}
+        return cls(n_sites=int(obj["n_sites"]), cut=int(obj["cut"]), **optional)
 
 
 @dataclass
@@ -226,7 +218,7 @@ def _tfim_matrix(n: int, bonds, fields) -> np.ndarray:
 
 
 def _uniform_chain(n: int, J: float, g: float) -> HermitianOperator:
-    return HermitianOperator(_tfim_matrix(n, np.full(n - 1, J), np.full(n, g)))
+    return HermitianOperator._built(_tfim_matrix(n, np.full(n - 1, J), np.full(n, g)))
 
 
 def build_chain_hamiltonian(spec: ChainPathSpec, s: float) -> HermitianOperator:
@@ -238,7 +230,7 @@ def build_chain_hamiltonian(spec: ChainPathSpec, s: float) -> HermitianOperator:
 
 def _fix_phase(psi: np.ndarray) -> np.ndarray:
     """Deterministic gauge: first amplitude above tolerance made real positive."""
-    idx = np.argmax(np.abs(psi) > 1e-10)
+    idx = np.argmax(np.abs(psi) > GAUGE_TOL)
     ph = psi[idx] / abs(psi[idx])
     return psi / ph
 
@@ -264,9 +256,6 @@ def chain_hprime(spec: ChainPathSpec, s: float) -> HermitianOperator:
 
 # ---------------------------------------------------------------------------
 # exact transport generator
-
-
-DEGENERACY_TOL = 1e-8
 
 
 def _divided_by_gaps(w: np.ndarray, v: np.ndarray, source: np.ndarray) -> np.ndarray:
@@ -295,7 +284,7 @@ def adiabatic_generator(H: HermitianOperator, Hprime: HermitianOperator) -> Herm
     w, v = H.eigh
     _checked_gap(w)
     B = _divided_by_gaps(w, v, Hprime.mat)
-    return HermitianOperator(1j * (v @ B @ v.conj().T))
+    return HermitianOperator._built(1j * (v @ B @ v.conj().T))
 
 
 def centered_generator_term(spec: ChainPathSpec, s: float, center: int) -> HermitianOperator:
@@ -315,24 +304,8 @@ def centered_generator_term(spec: ChainPathSpec, s: float, center: int) -> Hermi
     fields[center] = dg
     if center < n - 1:
         bonds[center] = dJ
-    source = HermitianOperator(_tfim_matrix(n, bonds, fields))
+    source = HermitianOperator._built(_tfim_matrix(n, bonds, fields))
     return adiabatic_generator(build_chain_hamiltonian(spec, s), source)
-
-
-def transport_residual(
-    spec: ChainPathSpec, s: float, ds: float = 1e-4
-) -> float:
-    """|| iK|psi> - d|psi>/ds || against a gauge-aligned central difference."""
-    H = build_chain_hamiltonian(spec, s)
-    K = adiabatic_generator(H, chain_hprime(spec, s))
-    _, psi, _ = ground_state(H)
-    _, psi_p, _ = ground_state(build_chain_hamiltonian(spec, s + ds))
-    _, psi_m, _ = ground_state(build_chain_hamiltonian(spec, s - ds))
-    # align phases to maximize real overlap with psi (parallel-transport gauge)
-    psi_p = psi_p * np.exp(-1j * np.angle(np.vdot(psi, psi_p)))
-    psi_m = psi_m * np.exp(-1j * np.angle(np.vdot(psi, psi_m)))
-    dpsi = (psi_p - psi_m) / (2.0 * ds)
-    return float(np.linalg.norm(1j * (K.mat @ psi) - dpsi))
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +397,7 @@ def _check_rates(grid, entropies, rates, rate_check_tol: tuple[float, float]) ->
 
 
 def entropy_along_path(
-    spec: ChainPathSpec, rate_check_tol: tuple[float, float] = (1e-4, 1e-2)
+    spec: ChainPathSpec, rate_check_tol: tuple[float, float] = (RATE_CHECK_ATOL, RATE_CHECK_RTOL)
 ) -> list[PathPoint]:
     """Ground state, gap, cut entropy, and its rate at every grid point.
 

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .operators import HermitianOperator, PSD_TOL, TRACE_TOL
+from .operators import RATE_CHECK_ATOL, RATE_CHECK_RTOL, TOLERANCES, HermitianOperator
 from .rates import (
     AdmissiblePair,
     BipartiteState,
@@ -76,7 +76,7 @@ def _header_lines(config: dict, seed: int) -> list[str]:
         f"# entlab {__version__}",
         f"# config_hash={_config_hash(config)}",
         f"# seed={seed}",
-        f"# tolerances psd={PSD_TOL:.1e} trace={TRACE_TOL:.1e}",
+        "# tolerances " + " ".join(f"{k}={v:.1e}" for k, (v, _) in TOLERANCES.items()),
     ]
 
 
@@ -157,7 +157,7 @@ def _cmd_proof_audit(args) -> int:
     for t in range(args.trials):
         pair = sample_admissible_pair(args.dim, args.p, [args.seed, t])
         _, H_opt = maximize_over_hamiltonian(pair)
-        P = HermitianOperator(0.5 * (np.eye(pair.dim) - H_opt.mat))
+        P = HermitianOperator._built(0.5 * (np.eye(pair.dim) - H_opt.mat))
         rep = proof_decomposition(pair, P)
         ok = rep.all_bounds_hold()
         min_margin = float(np.min(rep.margins))
@@ -227,7 +227,7 @@ def _cmd_beta_search(args) -> int:
         H = HermitianOperator.from_json(_load_json(args.ham))
     else:
         sz = np.diag([1.0, -1.0])
-        H = HermitianOperator(np.kron(sz, sz))
+        H = HermitianOperator._built(np.kron(sz, sz))
     budget = TrialBudget(restarts=args.restarts, iters=args.iters)
     rec = maximize_rate_over_states(dims, H, budget, args.seed)
     config = {
@@ -349,11 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("adiabatic", help="entropy and rates along a chain path")
     p.add_argument("--path", type=str, required=True)
-    p.add_argument("--rate-abs-tol", type=float, default=1e-4,
+    p.add_argument("--rate-abs-tol", type=float, default=RATE_CHECK_ATOL,
                    help="absolute tolerance for the check of each interior "
                         "commutator rate against the entropies on the grid "
                         "(a Simpson relation, accurate to O(h^4) in the step)")
-    p.add_argument("--rate-rel-tol", type=float, default=1e-2)
+    p.add_argument("--rate-rel-tol", type=float, default=RATE_CHECK_RTOL)
     common(p)
     p.set_defaults(func=_cmd_adiabatic)
 

@@ -11,6 +11,10 @@ at most once (``HermitianOperator.eigh``), ``support_mask`` is the one
 support rule (eigenvalues above ``SUPPORT_RTOL`` times the largest), and
 ``spectral_rebuild`` forms V f(w) V^dag for one matrix or a stack.
 
+Input from outside the program is checked once, where it enters; what the
+program builds is stored unchecked (``HermitianOperator._built``).  Every
+threshold is in one table, ``TOLERANCES``.
+
 Operations are pure functions of their inputs and hold no shared state.
 """
 
@@ -21,17 +25,42 @@ from functools import cached_property
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-12
-PSD_TOL = 1e-10
-TRACE_TOL = 1e-10
-# an eigenvalue is on the support when it exceeds this times the largest one
-SUPPORT_RTOL = 1e-12
+# Every threshold that decides a check, a support, a degeneracy, a bucket or
+# feasibility, by name: (value, what the value is relative to; "absolute"
+# names the quantity it bounds).  Every report header prints the table.
+TOLERANCES: dict[str, tuple[float, str]] = {}
+
+
+def _tol(name: str, value: float, relative_to: str) -> float:
+    TOLERANCES[name] = (value, relative_to)
+    return value
+
+
+HERMITICITY_TOL = _tol("HERMITICITY_TOL", 1e-12, "max(1, max |M_ij|) of an input matrix")
+PSD_TOL = _tol("PSD_TOL", 1e-10, "absolute: lowest eigenvalue of a unit-trace operator, P or I - P")
+TRACE_TOL = _tol("TRACE_TOL", 1e-10, "absolute: Tr rho - 1, Tr Y - 1 and Tr X - p")
+NORM_TOL = _tol("NORM_TOL", 1e-12, "absolute: |psi| - 1 for a state's amplitudes")
+SUPPORT_RTOL = _tol("SUPPORT_RTOL", 1e-12, "the largest eigenvalue of a PSD operator")
+IMAG_RESIDUE_TOL = _tol("IMAG_RESIDUE_TOL", 1e-8, "the summed magnitude of the terms of a real sum")
+ZERO_LAMBDA_TOL = _tol("ZERO_LAMBDA_TOL", 1e-15, "absolute: ||i[X, log Y]||_1, taken as 0 below it")
+OFF_SUPPORT_TOL = _tol("OFF_SUPPORT_TOL", 1e-9, "absolute: entries of X off Y's support")
+BUCKET_LOG_TOL = _tol("BUCKET_LOG_TOL", 1e-12, "absolute: the first guess ln y / ln p of a bucket")
+BUCKET_EDGE_RTOL = _tol("BUCKET_EDGE_RTOL", 1e-15, "the bucket edge p^k")
+P_REGIME_TOL = _tol("P_REGIME_TOL", 1e-15, "absolute: p against 1/e^2 in the decomposition audit")
+IDENTITY_RTOL = _tol("IDENTITY_RTOL", 1e-9, "max(1, |direct sum|) in the rearrangement identity")
+SIE_VIOLATION_RTOL = _tol("SIE_VIOLATION_RTOL", 1e-9, "the proved bound (at least 1 in the audit)")
+SIM_VIOLATION_RTOL = _tol("SIM_VIOLATION_RTOL", 1e-6, "the binary-entropy envelope")
+ROW_TRACE_FLOOR = _tol("ROW_TRACE_FLOOR", 1e-300, "absolute: Tr(Y^1/2 Z Y^1/2) of an ascent row")
+CONTRACTION_TOL = _tol("CONTRACTION_TOL", 1e-12, "absolute: c max z - 1 of an ascent row")
+GAP_FLOOR = _tol("GAP_FLOOR", 1e-8, "absolute: the gap E_1 - E_0 of H(s)")
+DEGENERACY_TOL = _tol("DEGENERACY_TOL", 1e-8, "absolute: an energy difference E_m - E_n")
+GAUGE_TOL = _tol("GAUGE_TOL", 1e-10, "absolute: an amplitude of the unit ground state")
+RATE_CHECK_ATOL = _tol("RATE_CHECK_ATOL", 1e-4, "absolute: an interior rate dS/ds")
+RATE_CHECK_RTOL = _tol("RATE_CHECK_RTOL", 1e-2, "|dS/ds| at the interior point")
 
 __all__ = [
-    "HERMITICITY_TOL",
-    "PSD_TOL",
-    "TRACE_TOL",
-    "SUPPORT_RTOL",
+    "TOLERANCES",
+    *TOLERANCES,
     "HermitianOperator",
     "DensityMatrix",
     "Spectrum",
@@ -61,27 +90,37 @@ class NotPositiveError(ValueError):
 class HermitianOperator:
     """Dense complex Hermitian matrix with certified Hermiticity.
 
-    The constructor symmetrizes ``(M + M^dag)/2`` after checking that the
-    deviation from Hermiticity is below ``HERMITICITY_TOL`` (max elementwise),
-    so ``mat`` is exactly Hermitian in storage.  The operator is immutable,
-    so its eigendecomposition (``eigh``) is computed at most once.
+    The constructor checks that the deviation from Hermiticity is below
+    ``HERMITICITY_TOL`` (max elementwise) and stores ``(M + M^dag)/2``, so
+    ``mat`` is exactly Hermitian.  That check is for input from outside the
+    program; a matrix the program builds goes through ``_built``, stored
+    alike.  The operator is immutable, so ``eigh`` is computed at most once.
     """
 
     mat: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.mat, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
+        self._store(m)
+        dev = np.max(np.abs(m - m.conj().T))
         scale = max(1.0, float(np.max(np.abs(m))))
         if dev > HERMITICITY_TOL * scale:
-            raise NonHermitianError(
-                f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e}"
-            )
+            raise NonHermitianError(f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e}")
+
+    def _store(self, m: np.ndarray) -> None:
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+            raise ValueError(f"expected a square matrix, got shape {m.shape}")
         m = 0.5 * (m + m.conj().T)
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
+
+    @classmethod
+    def _built(cls, m: np.ndarray) -> "HermitianOperator":
+        """The operator of a square matrix the program built as Hermitian,
+        stored as the constructor stores it, without the Hermiticity check."""
+        op = object.__new__(cls)
+        op._store(np.asarray(m, dtype=complex))
+        return op
 
     @property
     def dim(self) -> int:
@@ -116,7 +155,7 @@ class HermitianOperator:
 
     @classmethod
     def identity(cls, dim: int) -> "HermitianOperator":
-        return cls(np.eye(dim, dtype=complex))
+        return cls._built(np.eye(dim, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -200,7 +239,7 @@ def matrix_log_on_support(Y: HermitianOperator) -> HermitianOperator:
     w, v = Y.eigh
     if w[0] < -PSD_TOL:
         raise NotPositiveError(f"operator has eigenvalue {w[0]:.3e}, not PSD")
-    return HermitianOperator(spectral_rebuild(v, log_on_support(w)[1]))
+    return HermitianOperator._built(spectral_rebuild(v, log_on_support(w)[1]))
 
 
 def partial_trace(rho: DensityMatrix, dims: list[int], keep: list[int]) -> DensityMatrix:

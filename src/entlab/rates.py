@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import (
-    PSD_TOL,
-    TRACE_TOL,
+    BUCKET_EDGE_RTOL, BUCKET_LOG_TOL, IDENTITY_RTOL, IMAG_RESIDUE_TOL, NORM_TOL, OFF_SUPPORT_TOL,
+    P_REGIME_TOL, PSD_TOL, SIE_VIOLATION_RTOL, TRACE_TOL, ZERO_LAMBDA_TOL,
     DensityMatrix,
     HermitianOperator,
     Spectrum,
@@ -32,10 +32,6 @@ from .operators import (
     spectral_rebuild,
     support_mask,
 )
-
-# a part that theory makes zero may not exceed this times the summed
-# magnitude of the terms it is made of
-IMAG_RESIDUE_TOL = 1e-8
 
 __all__ = [
     "AdmissiblePair",
@@ -136,11 +132,9 @@ class BipartiteState:
             raise ValueError(f"dims must be four positive integers, got {dims}")
         amp = np.asarray(self.amplitudes, dtype=complex).ravel()
         if amp.size != int(np.prod(dims)):
-            raise ValueError(
-                f"amplitude length {amp.size} != product of dims {np.prod(dims)}"
-            )
+            raise ValueError(f"amplitude length {amp.size} != product of dims {np.prod(dims)}")
         nrm = float(np.linalg.norm(amp))
-        if abs(nrm - 1.0) > 1e-12:
+        if abs(nrm - 1.0) > NORM_TOL:
             raise ValueError(f"state norm {nrm} != 1")
         amp.setflags(write=False)
         object.__setattr__(self, "dims", dims)
@@ -198,7 +192,7 @@ class DecompositionReport:
     p: float = 0.0
     dim: int = 0
 
-    def all_bounds_hold(self, rtol: float = 1e-9) -> bool:
+    def all_bounds_hold(self, rtol: float = SIE_VIOLATION_RTOL) -> bool:
         """True when every per-bracket and aggregate bound holds."""
         slack = rtol * max(1.0, self.total_bound)
         for v, b in self.line1_brackets:
@@ -334,8 +328,8 @@ def admissible_from_state(rho_AB: DensityMatrix, d_A: int, d_B: int) -> Admissib
         raise ValueError(f"rho dim {rho_AB.dim} != d_A*d_B = {d_A * d_B}")
     rho_A = partial_trace_matrix(rho_AB.mat, [d_A, d_B], [0])
     p = 1.0 / d_B**2
-    X = HermitianOperator(rho_AB.mat * p)
-    Y = HermitianOperator(_kron(rho_A, np.eye(d_B)) / d_B)
+    X = HermitianOperator._built(rho_AB.mat * p)
+    Y = HermitianOperator._built(_kron(rho_A, np.eye(d_B)) / d_B)
     try:
         return AdmissiblePair(X, Y, p)
     except AdmissibilityError as exc:
@@ -390,14 +384,14 @@ def maximize_over_hamiltonian(pair: AdmissiblePair) -> tuple[float, HermitianOpe
     and H_opt = I by convention (any unit-norm H attains it).
     """
     logY = matrix_log_on_support(pair.Y).mat
-    w, v = HermitianOperator(1j * commutator(pair.X.mat, logY)).eigh
+    w, v = HermitianOperator._built(1j * commutator(pair.X.mat, logY)).eigh
     lam_max = float(np.sum(np.abs(w)))
-    if lam_max <= 1e-15:
+    if lam_max <= ZERO_LAMBDA_TOL:
         return 0.0, HermitianOperator.identity(pair.dim)
     # lam(H) = -Tr(H C); maximized by H = -sign(C)
     s = -np.sign(w)
     s[s == 0] = 1.0
-    return lam_max, HermitianOperator(spectral_rebuild(v, s))
+    return lam_max, HermitianOperator._built(spectral_rebuild(v, s))
 
 
 def extract_contraction(pair: AdmissiblePair) -> HermitianOperator:
@@ -414,13 +408,11 @@ def extract_contraction(pair: AdmissiblePair) -> HermitianOperator:
     # off-support block of X must vanish: 0 <= X <= Y forces supp(X) in supp(Y)
     if (~on).any():
         off_norm = float(np.max(np.abs(Xb[~on, :])))
-        if off_norm > 1e-9:
-            raise AdmissibilityError(
-                f"X has weight {off_norm:.3e} outside the support of Y"
-            )
+        if off_norm > OFF_SUPPORT_TOL:
+            raise AdmissibilityError(f"X has weight {off_norm:.3e} outside the support of Y")
     Zb = (inv_sqrt[:, None] * Xb) * inv_sqrt[None, :]
     Z = (v @ Zb) @ v.conj().T
-    return HermitianOperator(Z)
+    return HermitianOperator._built(Z)
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +424,8 @@ def _bucket_index(y: float, p: float) -> int:
     boundary y = p^k to bucket k (closed lower bound)."""
     if y >= 1.0:
         return 1
-    k = max(1, int(np.ceil(np.log(y) / np.log(p) - 1e-12)))
-    while y < p**k * (1.0 - 1e-15):
+    k = max(1, int(np.ceil(np.log(y) / np.log(p) - BUCKET_LOG_TOL)))
+    while y < p**k * (1.0 - BUCKET_EDGE_RTOL):
         k += 1
     while k > 1 and y >= p ** (k - 1):
         k -= 1
@@ -482,7 +474,7 @@ def proof_decomposition(pair: AdmissiblePair, P: HermitianOperator) -> Decomposi
 
     Requires p <= 1/e^2 (the regime of the separated-sum bound).
     """
-    if pair.p > np.exp(-2.0) + 1e-15:
+    if pair.p > np.exp(-2.0) + P_REGIME_TOL:
         raise ValueError(f"p = {pair.p} > 1/e^2; decomposition bound regime violated")
     p = pair.p
     # signed term matrix: t[i,j] contributes for i<j; total = sum_{i<j} t[i,j]
@@ -535,7 +527,7 @@ def proof_decomposition(pair: AdmissiblePair, P: HermitianOperator) -> Decomposi
     scale = lambda: float(np.sum(np.abs(T[iu])))
     direct = 2.0 * abs(_checked_part(direct_signed, scale, "signed sum", imaginary=True))
     reassembled = 2.0 * abs(_checked_part(reassembled_signed, scale, "signed sum", imaginary=True))
-    if abs(reassembled_signed - direct_signed) > 1e-9 * max(1.0, abs(direct_signed)):
+    if abs(reassembled_signed - direct_signed) > IDENTITY_RTOL * max(1.0, abs(direct_signed)):
         raise NumericalConsistencyError(
             f"rearrangement identity failed: |{reassembled_signed} - {direct_signed}|"
         )

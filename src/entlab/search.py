@@ -21,6 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import rates
+from .operators import CONTRACTION_TOL, ROW_TRACE_FLOOR, SIE_VIOLATION_RTOL, SIM_VIOLATION_RTOL
 from .operators import HermitianOperator, log_on_support, operator_norm, spectral_rebuild
 from .rates import (
     AdmissiblePair,
@@ -33,8 +34,6 @@ from .rates import (
 )
 
 P_SIE_MAX = float(np.exp(-2.0))
-SIM_VIOLATION_RTOL = 1e-6
-SIE_VIOLATION_RTOL = 1e-9
 # rejection sampling gives up after this many draws in a row
 _MAX_DRAWS = 10_000
 
@@ -152,8 +151,8 @@ def _haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def _draw_pair(rng: np.random.Generator, dim: int, p: float):
     """Draw (Y, Z, X) until rescaling keeps the effective contraction below
-    the identity, at most _MAX_DRAWS times.  Returns ((Ym, Zm, Xm), the
-    number of rejected draws)."""
+    the identity, at most _MAX_DRAWS times.  Returns ((Y, Zm, Xm), the
+    number of rejected draws), with ``Y.eigh`` already taken for Y^{1/2}."""
     for rejections in range(_MAX_DRAWS):
         G = _ginibre(rng, dim)
         Ym = G @ G.conj().T
@@ -161,7 +160,8 @@ def _draw_pair(rng: np.random.Generator, dim: int, p: float):
         z_ev = rng.uniform(0.0, 1.0, size=dim)
         U = _haar_unitary(rng, dim)
         Zm = (U * z_ev) @ U.conj().T
-        wy, vy = np.linalg.eigh(Ym)
+        Y = HermitianOperator._built(Ym)
+        wy, vy = Y.eigh
         sq = spectral_rebuild(vy, np.sqrt(np.clip(wy, 0, None)))
         W = sq @ Zm @ sq
         t = float(np.trace(W).real)
@@ -170,7 +170,7 @@ def _draw_pair(rng: np.random.Generator, dim: int, p: float):
         c = p / t
         if c * float(z_ev.max()) > 1.0:
             continue
-        return (Ym, Zm, c * W), rejections
+        return (Y, Zm, c * W), rejections
     raise GeneratorFailure(f"no admissible sample in {_MAX_DRAWS} tries (dim={dim}, p={p})")
 
 
@@ -185,8 +185,8 @@ def sample_admissible_pair(dim: int, p: float, seed) -> AdmissiblePair:
         raise ValueError(f"dim = {dim} must be >= 2")
     if not (0.0 < p <= 1.0):
         raise ValueError(f"p = {p} outside (0, 1]")
-    (Ym, _, Xm), _ = _draw_pair(_rng(seed), dim, p)
-    return AdmissiblePair(HermitianOperator(Xm), HermitianOperator(Ym), p)
+    (Y, _, Xm), _ = _draw_pair(_rng(seed), dim, p)
+    return AdmissiblePair(HermitianOperator._built(Xm), Y, p)
 
 
 def sample_bipartite_state(dims, seed) -> BipartiteState:
@@ -250,9 +250,9 @@ def _eval_pair_params(theta: np.ndarray, d: int, p: float):
     sq = spectral_rebuild(uy, np.sqrt(wy))
     W = sq @ Zm @ sq
     tw = np.trace(W, axis1=1, axis2=2).real
-    ok = tw > 1e-300
+    ok = tw > ROW_TRACE_FLOOR
     c = p / np.where(ok, tw, 1.0)
-    ok &= ~(c * wz.max(axis=-1) > 1.0 + 1e-12)
+    ok &= ~(c * wz.max(axis=-1) > 1.0 + CONTRACTION_TOL)
     rows, wy, uy = rows[ok], wy[ok], uy[ok]
     X = c[ok, None, None] * W[ok]
     logY = spectral_rebuild(uy, log_on_support(wy)[1])
@@ -336,9 +336,7 @@ def maximize_lambda_over_pairs(dim: int, p: float, budget: TrialBudget, seed) ->
     """
     if dim < 2:
         raise ValueError(f"dim = {dim} must be >= 2")
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"p = {p} outside (0, 1)")
-    bound = sim_bound(p)
+    bound = sim_bound(p)  # raises for p outside (0, 1)
     # the ascent runs over the raw Hermitian parameters of Y and Z
     evaluate = lambda rows: _eval_pair_params(rows, dim, p)
     best = -1.0
@@ -346,24 +344,22 @@ def maximize_lambda_over_pairs(dim: int, p: float, budget: TrialBudget, seed) ->
     trials = 0
     rejections = 0
     for r in range(budget.restarts):
-        (Ym, Zm, Xm), rej = _draw_pair(_rng([_as_int_seed(seed), r]), dim, p)
+        (Y, Zm, Xm), rej = _draw_pair(_rng([_as_int_seed(seed), r]), dim, p)
         rejections += rej
         if budget.iters == 0:
             trials += rej + 1
-            pair = AdmissiblePair(HermitianOperator(Xm), HermitianOperator(Ym), p)
-            val, _ = maximize_over_hamiltonian(pair)
+            X = HermitianOperator._built(Xm)
+            val, _ = maximize_over_hamiltonian(AdmissiblePair(X, Y, p))
         else:
-            theta = np.concatenate([_herm_to_vec(Ym), _herm_to_vec(Zm)])
+            theta = np.concatenate([_herm_to_vec(Y.mat), _herm_to_vec(Zm)])
             start = tuple(a[0] for a in evaluate(theta[None]))
             assert not np.isnan(start[0])
             _, (val, Ym, Xm), evals = _ascend(evaluate, theta, start, budget.iters, 1e-5)
             val = float(val)
             trials += evals
+            X, Y = HermitianOperator._built(Xm), HermitianOperator._built(Ym)
         if val > best:
-            best = val
-            best_pair = AdmissiblePair(
-                HermitianOperator(Xm), HermitianOperator(Ym), p
-            )
+            best, best_pair = val, AdmissiblePair(X, Y, p)
     record = SearchRecord(
         dim=dim,
         p=p,

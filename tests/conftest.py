@@ -1,4 +1,5 @@
-"""Prints a one-line verdict per acceptance criterion after the run."""
+"""Prints a one-line verdict and the wall time of each acceptance criterion
+after the run."""
 
 import pytest
 
@@ -12,7 +13,7 @@ def pytest_runtest_makereport(item, call):
     if report.when != "call":
         return
     if "test_acceptance" in item.nodeid and "criterion" in item.name:
-        _acceptance_results[item.name] = report.outcome
+        _acceptance_results[item.name] = (report.outcome, report.duration)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -20,5 +21,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         return
     terminalreporter.write_sep("-", "acceptance criteria")
     for name in sorted(_acceptance_results):
-        verdict = "PASS" if _acceptance_results[name] == "passed" else "FAIL"
-        terminalreporter.write_line(f"{verdict} {name}")
+        outcome, seconds = _acceptance_results[name]
+        verdict = "PASS" if outcome == "passed" else "FAIL"
+        terminalreporter.write_line(f"{verdict} {name} {seconds:.1f} s")

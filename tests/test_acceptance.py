@@ -42,6 +42,7 @@ from entlab.search import (
     maximize_rate_over_states,
     sample_admissible_pair,
 )
+from transport_reference import transport_residual
 
 
 def test_criterion_1_proved_bound_suite():
@@ -193,10 +194,6 @@ def _chain_spec_n8():
     )
 
 
-def _aligned(psi_ref, psi):
-    return psi * np.exp(-1j * np.angle(np.vdot(psi_ref, psi)))
-
-
 def test_criterion_7_adiabatic_transport():
     """TFIM n=8, g: 1.5 -> 2.5, 21 points: gap > 0.5, transport residual
     <= 1e-4 everywhere, dual-method rates agree, endpoint fidelity >= 0.999,
@@ -210,36 +207,11 @@ def test_criterion_7_adiabatic_transport():
         tol = max(1e-4, 1e-2 * abs(pt.rate_commutator))
         assert abs(pt.rate_commutator - pt.rate_finite_difference) <= tol
 
-    # transport residual ||iK psi - dpsi/ds|| at every grid point; the
-    # derivative is a gauge-aligned second-order difference (one-sided at
-    # the endpoints, where s +- ds would leave [0, 1])
-    ds = 1e-4
-    cache = {}
-
-    def psi_at(s):
-        if s not in cache:
-            cache[s] = ground_state(build_chain_hamiltonian(spec, s))[1]
-        return cache[s]
-
+    # transport residual ||iK psi - dpsi/ds|| at every grid point, against a
+    # gauge-aligned second-order difference of ground states
     for pt in points:
-        s = pt.s
-        H = build_chain_hamiltonian(spec, s)
-        K = adiabatic_generator(H, chain_hprime(spec, s))
-        psi = psi_at(s)
-        if s - ds < 0.0:
-            f1 = _aligned(psi, psi_at(s + ds))
-            f2 = _aligned(psi, psi_at(s + 2 * ds))
-            dpsi = (-3.0 * psi + 4.0 * f1 - f2) / (2.0 * ds)
-        elif s + ds > 1.0:
-            b1 = _aligned(psi, psi_at(s - ds))
-            b2 = _aligned(psi, psi_at(s - 2 * ds))
-            dpsi = (3.0 * psi - 4.0 * b1 + b2) / (2.0 * ds)
-        else:
-            fwd = _aligned(psi, psi_at(s + ds))
-            bwd = _aligned(psi, psi_at(s - ds))
-            dpsi = (fwd - bwd) / (2.0 * ds)
-        residual = float(np.linalg.norm(1j * (K.mat @ psi) - dpsi))
-        assert residual <= 1e-4, f"residual {residual} at s={s}"
+        residual = transport_residual(spec, pt.s)
+        assert residual <= 1e-4, f"residual {residual} at s={pt.s}"
 
     # integrate dpsi/ds = iK(s) psi with RK4 and compare with the endpoint
     k_cache = {}
@@ -250,6 +222,7 @@ def test_criterion_7_adiabatic_transport():
             k_cache[s] = adiabatic_generator(H, chain_hprime(spec, s)).mat
         return k_cache[s]
 
+    psi_at = lambda s: ground_state(build_chain_hamiltonian(spec, s))[1]  # noqa: E731
     psi = psi_at(0.0).astype(complex)
     n_steps = 50
     h = 1.0 / n_steps

@@ -16,9 +16,9 @@ from entlab.chains import (
     entropy_along_path,
     ground_state,
     locality_profile,
-    transport_residual,
 )
 from entlab.operators import HermitianOperator, partial_trace_matrix
+from transport_reference import transport_residual
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -63,6 +63,10 @@ class TestChainPathSpec:
             ChainPathSpec(n_sites=4, cut=2, s_grid=(0.0, 0.5, 0.5))
         with pytest.raises(ValueError):
             ChainPathSpec(n_sites=4, cut=2, s_grid=(0.0, 1.5))
+        # a grid needs two points for the rates and their check
+        for grid in ((0.5,), ()):
+            with pytest.raises(ValueError, match="s_grid"):
+                ChainPathSpec(n_sites=4, cut=2, s_grid=grid)
 
     def test_polynomial_schedules(self):
         spec = ChainPathSpec(n_sites=4, cut=2, J=(1.0, -0.5), g=(2.0, 0.0, 1.0))
@@ -73,14 +77,13 @@ class TestChainPathSpec:
         assert dJ == pytest.approx(-0.5)
         assert dg == pytest.approx(1.0)
 
-    def test_callable_schedule_matches_polynomial(self):
-        poly = ChainPathSpec(n_sites=4, cut=2, g=(1.5, 1.0))
-        call = ChainPathSpec(n_sites=4, cut=2, g=lambda s: 1.5 + s)
-        for s in (0.0, 0.3, 1.0):
-            assert poly.couplings(s)[1] == pytest.approx(call.couplings(s)[1])
-            assert poly.coupling_derivatives(s)[1] == pytest.approx(
-                call.coupling_derivatives(s)[1], abs=1e-8
-            )
+    def test_callable_schedule_rejected(self):
+        # schedules are polynomial coefficients only, as JSON gives them
+        with pytest.raises(ValueError, match="g must be a list"):
+            ChainPathSpec(n_sites=4, cut=2, g=lambda s: 1.5 + s)
+        with pytest.raises(ValueError, match="J must be a list"):
+            ChainPathSpec.from_json({"n_sites": 4, "cut": 2, "J": 1.0})
+        assert ChainPathSpec(n_sites=4, cut=2, g=[1.5, 1]).g == (1.5, 1.0)
 
     def test_json_round_trip(self):
         spec = ChainPathSpec.from_json(

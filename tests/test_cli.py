@@ -12,7 +12,7 @@ from entlab.cli import (
     _config_hash,
     main,
 )
-from entlab.operators import HermitianOperator
+from entlab.operators import TOLERANCES, HermitianOperator
 from entlab.rates import (
     BipartiteState,
     NumericalConsistencyError,
@@ -61,6 +61,11 @@ class TestHeaders:
         assert lines[1].startswith("# config_hash=")
         assert lines[2] == "# seed=0"
         assert lines[3].startswith("# tolerances ")
+        # one line, name=value for every entry of the tolerance table
+        printed = dict(field.split("=") for field in lines[3].split()[2:])
+        assert printed.keys() == TOLERANCES.keys()
+        for name, (value, _) in TOLERANCES.items():
+            assert float(printed[name]) == value
 
     def test_config_hash_stable(self):
         a = _config_hash({"x": 1, "y": [2, 3]})
@@ -199,6 +204,13 @@ class TestErrors:
         assert main(["adiabatic", "--path", path]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith("error: gap ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("grid", [[0.5], []])
+    def test_short_grid_exits_1_with_one_line(self, tmp_path, capsys, grid):
+        path = write_json(tmp_path / "p.json", {"n_sites": 4, "cut": 2, "s_grid": grid})
+        assert main(["adiabatic", "--path", path]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: s_grid") and err.count("\n") == 1
 
     def test_transport_inconsistency_bundle(self, tmp_path, chain_path_file, capsys):
         out = str(tmp_path / "ad.csv")

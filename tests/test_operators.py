@@ -36,6 +36,18 @@ class TestHermitianOperator:
         with pytest.raises(ValueError):
             HermitianOperator(np.zeros((2, 3)))
 
+    def test_built_stores_like_the_constructor(self):
+        # a program-built matrix skips the check but is stored bit for bit
+        # as the constructor stores it: (M + M^dag)/2, read-only
+        rng = np.random.default_rng(10)
+        g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        m = g @ g.conj().T / 3.0  # Hermitian up to rounding
+        built = HermitianOperator._built(m)
+        assert built.mat.tobytes() == HermitianOperator(m).mat.tobytes()
+        assert not built.mat.flags.writeable
+        with pytest.raises(ValueError):
+            HermitianOperator.identity(0)
+
     def test_json_round_trip(self):
         rng = np.random.default_rng(0)
         op = HermitianOperator(rand_herm(rng, 5))

@@ -41,3 +41,16 @@ def test_max_over_hamiltonian_is_unitarily_covariant(dim, p, seed):
     w = np.linalg.eigvalsh(C)
     if np.min(np.abs(w)) > 1e-6 * np.max(np.abs(w)):
         assert np.max(np.abs(H_u.mat - U @ H.mat @ U.conj().T)) < 1e-6
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(p=st.floats(0.01, 0.5), seed=st.integers(0, 2**32 - 1))
+def test_max_over_hamiltonian_two_level_closed_form(p, seed):
+    # at d = 2, in Y's eigenbasis, C = i[X, log Y] has only the off-diagonal
+    # entries +-i X_12 ln(y_2 / y_1), so ||C||_1 = 2 |X_12| |ln(y_1 / y_2)|
+    pair = sample_admissible_pair(2, p, seed)
+    w, v = np.linalg.eigh(pair.Y.mat)
+    x12 = (v.conj().T @ pair.X.mat @ v)[0, 1]
+    expected = 2.0 * abs(x12) * abs(np.log(w[0] / w[1]))
+    lam, _ = maximize_over_hamiltonian(pair)
+    assert abs(lam - expected) <= 1e-9 * expected

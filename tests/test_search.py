@@ -43,6 +43,16 @@ class TestSampling:
         assert np.array_equal(a.Y.mat, b.Y.mat)
         assert not np.array_equal(a.X.mat, c.X.mat)
 
+    def test_drawn_y_diagonalised_once(self):
+        # the draw's decomposition of Y is the one the pair carries: already
+        # cached, with the bits of numpy's eigh of the stored matrix
+        for dim in (2, 3, 8):
+            pair = sample_admissible_pair(dim, 0.1, [dim, 7])
+            assert "eigh" in vars(pair.Y)
+            w, v = np.linalg.eigh(pair.Y.mat)
+            assert pair.Y.eigh[0].tobytes() == w.tobytes()
+            assert pair.Y.eigh[1].tobytes() == v.tobytes()
+
     def test_pair_input_validation(self):
         with pytest.raises(ValueError):
             sample_admissible_pair(1, 0.1, 0)
