@@ -77,6 +77,8 @@ class TransportConsistencyError(RuntimeError):
 def _floats(name: str, values, least: int = 1) -> tuple[float, ...]:
     """``values`` as a tuple of at least ``least`` floats, or ValueError."""
     try:
+        if isinstance(values, str):  # iterable, but one character per value
+            raise TypeError
         out = tuple(float(v) for v in values)
     except TypeError:
         raise ValueError(f"{name} must be a list of numbers, got {values!r}") from None

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-# Every threshold that decides a check, a support, a degeneracy, a bucket or
+# Every threshold that decides a check, a support, a degeneracy or
 # feasibility, by name: (value, what the value is relative to; "absolute"
 # names the quantity it bounds).  Every report header prints the table.
 TOLERANCES: dict[str, tuple[float, str]] = {}
@@ -44,8 +44,6 @@ SUPPORT_RTOL = _tol("SUPPORT_RTOL", 1e-12, "the largest eigenvalue of a PSD oper
 IMAG_RESIDUE_TOL = _tol("IMAG_RESIDUE_TOL", 1e-8, "the summed magnitude of the terms of a real sum")
 ZERO_LAMBDA_TOL = _tol("ZERO_LAMBDA_TOL", 1e-15, "absolute: ||i[X, log Y]||_1, taken as 0 below it")
 OFF_SUPPORT_TOL = _tol("OFF_SUPPORT_TOL", 1e-9, "absolute: entries of X off Y's support")
-BUCKET_LOG_TOL = _tol("BUCKET_LOG_TOL", 1e-12, "absolute: the first guess ln y / ln p of a bucket")
-BUCKET_EDGE_RTOL = _tol("BUCKET_EDGE_RTOL", 1e-15, "the bucket edge p^k")
 P_REGIME_TOL = _tol("P_REGIME_TOL", 1e-15, "absolute: p against 1/e^2 in the decomposition audit")
 IDENTITY_RTOL = _tol("IDENTITY_RTOL", 1e-9, "max(1, |direct sum|) in the rearrangement identity")
 SIE_VIOLATION_RTOL = _tol("SIE_VIOLATION_RTOL", 1e-9, "the proved bound (at least 1 in the audit)")
@@ -63,7 +61,6 @@ __all__ = [
     *TOLERANCES,
     "HermitianOperator",
     "DensityMatrix",
-    "Spectrum",
     "real_if_exact",
     "support_mask",
     "log_on_support",
@@ -188,21 +185,6 @@ class DensityMatrix:
     def from_pure(cls, psi: np.ndarray) -> "DensityMatrix":
         psi = np.asarray(psi, dtype=complex).ravel()
         return cls(HermitianOperator(np.outer(psi, psi.conj())))
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues in descending order with the matching eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        ev = np.asarray(self.eigenvalues, dtype=float)
-        if np.any(np.diff(ev) > 0):
-            raise ValueError("eigenvalues must be sorted descending")
-        object.__setattr__(self, "eigenvalues", ev)
-        object.__setattr__(self, "eigenvectors", np.asarray(self.eigenvectors, dtype=complex))
 
 
 def real_if_exact(m: np.ndarray) -> np.ndarray:

@@ -14,16 +14,15 @@ numerically; nothing is assumed, bound violations are reported as data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .operators import (
-    BUCKET_EDGE_RTOL, BUCKET_LOG_TOL, IDENTITY_RTOL, IMAG_RESIDUE_TOL, NORM_TOL, OFF_SUPPORT_TOL,
-    P_REGIME_TOL, PSD_TOL, SIE_VIOLATION_RTOL, TRACE_TOL, ZERO_LAMBDA_TOL,
+    IDENTITY_RTOL, IMAG_RESIDUE_TOL, NORM_TOL, OFF_SUPPORT_TOL, P_REGIME_TOL, PSD_TOL,
+    SIE_VIOLATION_RTOL, TRACE_TOL, ZERO_LAMBDA_TOL,
     DensityMatrix,
     HermitianOperator,
-    Spectrum,
     commutator,
     log_on_support,
     matrix_log_on_support,
@@ -157,9 +156,9 @@ class BipartiteState:
 class IntervalBuckets:
     """Grouping of Y's support eigenvalues into the intervals [p^k, p^{k-1}).
 
-    ``index_ranges[k-1]`` is the half-open range (lo, hi] ... stored as
-    [lo, hi) python-style ... of positions (in the descending-sorted support
-    spectrum) whose eigenvalues fall in bucket k; empty buckets have lo == hi.
+    ``index_ranges[k-1]`` is the half-open range [lo, hi) of positions, in
+    the descending support spectrum, whose eigenvalues fall in bucket k; an
+    empty bucket has lo == hi.
     ``weights[k-1]`` is p_k = sum of X's diagonal (in Y's eigenbasis) over
     bucket k.  Sum of weights equals Tr X.
     """
@@ -188,13 +187,14 @@ class DecompositionReport:
     reassembled_total: float
     direct_lambda: float
     total_bound: float
-    margins: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    p: float = 0.0
-    dim: int = 0
+    margins: np.ndarray
+    p: float
+    dim: int
 
-    def all_bounds_hold(self, rtol: float = SIE_VIOLATION_RTOL) -> bool:
-        """True when every per-bracket and aggregate bound holds."""
-        slack = rtol * max(1.0, self.total_bound)
+    def all_bounds_hold(self) -> bool:
+        """True when every per-bracket and aggregate bound holds, each to
+        SIE_VIOLATION_RTOL relative to max(1, total_bound)."""
+        slack = SIE_VIOLATION_RTOL * max(1.0, self.total_bound)
         for v, b in self.line1_brackets:
             if v > b + slack:
                 return False
@@ -360,8 +360,8 @@ def lambda_eigenbasis(P: HermitianOperator, pair: AdmissiblePair) -> float:
 
 
 def _eigenbasis_terms(pair: AdmissiblePair, P: HermitianOperator):
-    """Check 0 <= P <= I; return Y's support eigenvalues (descending), their
-    eigenvector columns and the signed terms
+    """Check 0 <= P <= I; return Y's support eigenvalues (descending), X's
+    diagonal in their eigenvectors and the signed terms
     T_ij = ln(y_i/y_j)(X_ij P_ji - X_ji P_ij) in that basis."""
     wp = np.linalg.eigvalsh(P.mat)
     if wp[0] < -PSD_TOL or wp[-1] > 1.0 + PSD_TOL:
@@ -373,7 +373,7 @@ def _eigenbasis_terms(pair: AdmissiblePair, P: HermitianOperator):
     Pb = vs.conj().T @ P.mat @ vs
     logy = np.log(y)
     L = logy[:, None] - logy[None, :]  # L[i,j] = ln(y_i / y_j)
-    return y, vs, L * (Xb * Pb.T - Xb.conj() * Pb.conj().T)
+    return y, np.diagonal(Xb).real, L * (Xb * Pb.T - Xb.conj() * Pb.conj().T)
 
 
 def maximize_over_hamiltonian(pair: AdmissiblePair) -> tuple[float, HermitianOperator]:
@@ -419,47 +419,29 @@ def extract_contraction(pair: AdmissiblePair) -> HermitianOperator:
 # interval decomposition
 
 
-def _bucket_index(y: float, p: float) -> int:
-    """Bucket k with p^k <= y < p^{k-1}; y >= 1 maps to bucket 1, exact
-    boundary y = p^k to bucket k (closed lower bound)."""
-    if y >= 1.0:
-        return 1
-    k = max(1, int(np.ceil(np.log(y) / np.log(p) - BUCKET_LOG_TOL)))
-    while y < p**k * (1.0 - BUCKET_EDGE_RTOL):
-        k += 1
-    while k > 1 and y >= p ** (k - 1):
-        k -= 1
-    return k
-
-
-def bucket_eigenvalues(spectrum, X: HermitianOperator, p: float) -> IntervalBuckets:
+def bucket_eigenvalues(y: np.ndarray, x_diag: np.ndarray, p: float) -> IntervalBuckets:
     """Group Y's support eigenvalues into the intervals [p^k, p^{k-1}).
 
-    ``spectrum`` is the descending support Spectrum of Y (zero modes removed).
-    Weights are p_k = sum over bucket k of X's diagonal in Y's eigenbasis;
-    they add up to Tr X.
+    ``y`` holds Y's support eigenvalues in descending order (zero modes
+    removed) and ``x_diag`` X's diagonal in the matching eigenvectors.  An
+    eigenvalue goes to the bucket k with p^k <= y < p^{k-1}, one more than
+    the number of edges p^j (j >= 1) above it, so y >= 1 goes to bucket 1.
+    Weights are p_k = sum of ``x_diag`` over bucket k; they add up to Tr X.
     """
     if not (0.0 < p <= 0.5):
         raise ValueError(f"p = {p} outside (0, 1/2]")
-    y = np.asarray(spectrum.eigenvalues, dtype=float)
-    if y.size and y[-1] <= 0:
-        raise ValueError("spectrum must be restricted to the support (all y > 0)")
-    v = np.asarray(spectrum.eigenvectors, dtype=complex)
-    xdiag = np.einsum("ij,jk,ki->i", v.conj().T, X.mat, v).real
-    ks = [_bucket_index(float(val), p) for val in y]
-    k_max = max(ks) if ks else 1
-    ranges: list[tuple[int, int]] = []
-    weights = np.zeros(k_max)
-    pos = 0
-    for k in range(1, k_max + 1):
-        lo = pos
-        while pos < len(ks) and ks[pos] == k:
-            pos += 1
-        ranges.append((lo, pos))
-        weights[k - 1] = float(np.sum(xdiag[lo:pos]))
-    if pos != len(ks):
-        raise NumericalConsistencyError("bucket assignment not monotone in k")
-    return IntervalBuckets(ranges, weights, p)
+    y = np.asarray(y, dtype=float)
+    if y.size == 0 or y[-1] <= 0:
+        raise ValueError("y must hold the support eigenvalues: at least one, all y > 0")
+    if np.any(y[1:] > y[:-1]):
+        raise ValueError("eigenvalues must be sorted descending")
+    # ascending edges p^J, ..., p^1, with J large enough that p^J <= min y
+    n_edges = max(1, int(np.ceil(np.log(y[-1]) / np.log(p))) + 1)
+    edges = np.array([p**j for j in range(n_edges, 0, -1)])
+    k = n_edges - np.searchsorted(edges, y, side="right")  # bucket index - 1
+    weights = np.bincount(k, weights=x_diag)
+    hi = np.cumsum(np.bincount(k)).tolist()
+    return IntervalBuckets(list(zip([0] + hi[:-1], hi)), weights, p)
 
 
 def proof_decomposition(pair: AdmissiblePair, P: HermitianOperator) -> DecompositionReport:
@@ -478,52 +460,29 @@ def proof_decomposition(pair: AdmissiblePair, P: HermitianOperator) -> Decomposi
         raise ValueError(f"p = {pair.p} > 1/e^2; decomposition bound regime violated")
     p = pair.p
     # signed term matrix: t[i,j] contributes for i<j; total = sum_{i<j} t[i,j]
-    y, vs, T = _eigenbasis_terms(pair, P)
+    y, x_diag, T = _eigenbasis_terms(pair, P)
     iu = np.triu(np.ones(T.shape, dtype=bool), k=1)
-
-    def part(rows: slice, cols: slice) -> complex:
-        mask = np.zeros_like(iu)
-        mask[rows, cols] = True
-        mask &= iu
-        return complex(np.sum(T[mask]))
-
     ln1p = np.log(1.0 / p)
-    buckets = bucket_eigenvalues(Spectrum(y.copy(), vs.copy()), pair.X, p)
-    ranges = buckets.index_ranges
+    buckets = bucket_eigenvalues(y, x_diag, p)
     pk = buckets.weights
-    K = len(ranges)
-
-    line1: list[tuple[float, float]] = []
-    line1_signed = 0.0 + 0.0j
+    K = len(pk)
+    # S[k, m]: sum of t[i,j], i<j, over i in bucket k and j in bucket m
+    E = np.repeat(np.eye(K), [hi - lo for lo, hi in buckets.index_ranges], axis=0)
+    S = E.T @ np.where(iu, T, 0.0) @ E
+    diag = np.diagonal(S)
     if K == 1:
-        lo, hi = ranges[0]
-        val = part(slice(lo, hi), slice(lo, hi))
-        line1.append((2.0 * abs(val), 2.0 * pk[0] * ln1p))
-        line1_signed += val
+        line1_vals, line1_bounds = diag, 2.0 * pk * ln1p
     else:
-        for k in range(K - 1):
-            lo = ranges[k][0]
-            hi = ranges[k + 1][1]
-            val = part(slice(lo, hi), slice(lo, hi))
-            line1.append((2.0 * abs(val), 2.0 * (pk[k] + pk[k + 1]) * ln1p))
-            line1_signed += val
-
-    line3: list[tuple[float, float]] = []
-    line3_signed = 0.0 + 0.0j
-    for k in range(1, K - 1):
-        lo, hi = ranges[k]
-        val = part(slice(lo, hi), slice(lo, hi))
-        line3.append((2.0 * abs(val), pk[k] * ln1p))
-        line3_signed += val
-
-    sep_signed = 0.0 + 0.0j
-    for k in range(K):
-        for m in range(k + 2, K):
-            sep_signed += part(slice(*ranges[k]), slice(*ranges[m]))
+        line1_vals = diag[:-1] + np.diagonal(S, 1) + diag[1:]
+        line1_bounds = 2.0 * (pk[:-1] + pk[1:]) * ln1p
+    line3_vals = diag[1:-1]
+    sep_signed = complex(np.triu(S, k=2).sum())
+    line1 = [(2.0 * abs(v), float(b)) for v, b in zip(line1_vals.tolist(), line1_bounds)]
+    line3 = [(2.0 * abs(v), float(b)) for v, b in zip(line3_vals.tolist(), pk[1:-1] * ln1p)]
     sep = (2.0 * abs(sep_signed), 4.0 * p * ln1p)
 
     direct_signed = complex(np.sum(T[iu]))
-    reassembled_signed = line1_signed - line3_signed + sep_signed
+    reassembled_signed = complex(line1_vals.sum() - line3_vals.sum()) + sep_signed
     scale = lambda: float(np.sum(np.abs(T[iu])))
     direct = 2.0 * abs(_checked_part(direct_signed, scale, "signed sum", imaginary=True))
     reassembled = 2.0 * abs(_checked_part(reassembled_signed, scale, "signed sum", imaginary=True))

@@ -479,8 +479,9 @@ def _cell_budget(dim: int, budget: TrialBudget) -> TrialBudget:
     """Deterministic desk-scale policy: full ascent at dim 2, shortened
     ascent through dim 8, pure random sampling beyond (the cubic eigensolver
     cost and the quadratic parameter count make full-budget ascent at large
-    dim pointless for a ceiling check)."""
-    if dim <= 2:
+    dim pointless for a ceiling check).  A budget of pure random sampling
+    (``iters`` = 0) is kept as asked at every dim."""
+    if dim <= 2 or budget.iters == 0:
         return budget
     if dim <= 4:
         return TrialBudget(max(1, budget.restarts // 4), max(1, budget.iters // 5))

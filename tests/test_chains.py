@@ -67,6 +67,10 @@ class TestChainPathSpec:
         for grid in ((0.5,), ()):
             with pytest.raises(ValueError, match="s_grid"):
                 ChainPathSpec(n_sites=4, cut=2, s_grid=grid)
+        # a string is not read one character per coefficient or point
+        for key in ("J", "g", "s_grid"):
+            with pytest.raises(ValueError, match=f"{key} must be a list"):
+                ChainPathSpec.from_json({"n_sites": 4, "cut": 2, key: "15"})
 
     def test_polynomial_schedules(self):
         spec = ChainPathSpec(n_sites=4, cut=2, J=(1.0, -0.5), g=(2.0, 0.0, 1.0))

@@ -5,7 +5,6 @@ import pytest
 
 from entlab import cli
 from entlab.cli import (
-    EXIT_CONJECTURE_VIOLATION,
     EXIT_INPUT,
     EXIT_OK,
     EXIT_PROVED_VIOLATION,
@@ -14,7 +13,6 @@ from entlab.cli import (
 )
 from entlab.operators import TOLERANCES, HermitianOperator
 from entlab.rates import (
-    BipartiteState,
     NumericalConsistencyError,
     entanglement_rate,
     sie_rate_bound,
@@ -211,6 +209,12 @@ class TestErrors:
         assert main(["adiabatic", "--path", path]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith("error: s_grid") and err.count("\n") == 1
+
+    def test_string_schedule_exits_1_with_one_line(self, tmp_path, capsys):
+        path = write_json(tmp_path / "p.json", {"n_sites": 4, "cut": 2, "J": "15"})
+        assert main(["adiabatic", "--path", path]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: J must be a list") and err.count("\n") == 1
 
     def test_transport_inconsistency_bundle(self, tmp_path, chain_path_file, capsys):
         out = str(tmp_path / "ad.csv")

@@ -11,7 +11,6 @@ from entlab.operators import (
     matrix_log_on_support,
     operator_norm,
     partial_trace,
-    partial_trace_matrix,
     trace_norm,
     von_neumann_entropy,
 )

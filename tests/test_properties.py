@@ -4,7 +4,12 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from entlab.operators import HermitianOperator
-from entlab.rates import AdmissiblePair, maximize_over_hamiltonian
+from entlab.rates import (
+    AdmissiblePair,
+    _eigenbasis_terms,
+    bucket_eigenvalues,
+    maximize_over_hamiltonian,
+)
 from entlab.search import sample_admissible_pair
 
 
@@ -54,3 +59,25 @@ def test_max_over_hamiltonian_two_level_closed_form(p, seed):
     expected = 2.0 * abs(x12) * abs(np.log(w[0] / w[1]))
     lam, _ = maximize_over_hamiltonian(pair)
     assert abs(lam - expected) <= 1e-9 * expected
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    dim=st.integers(2, 16),
+    p=st.floats(0.01, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_buckets_follow_the_interval_rule(dim, p, seed):
+    # each support eigenvalue y of bucket k has p^k <= y < p^(k-1), the
+    # ranges tile the descending support in order and the weights add up to
+    # Tr X = p
+    pair = sample_admissible_pair(dim, p, seed)
+    y, x_diag, _ = _eigenbasis_terms(pair, HermitianOperator.identity(dim))
+    buckets = bucket_eigenvalues(y, x_diag, p)
+    pos = 0
+    for k, (lo, hi) in enumerate(buckets.index_ranges, start=1):
+        assert lo == pos
+        assert np.all((p**k <= y[lo:hi]) & (y[lo:hi] < p ** (k - 1)))
+        pos = hi
+    assert pos == y.size
+    assert abs(np.sum(buckets.weights) - p) <= 1e-12

@@ -4,7 +4,6 @@ import pytest
 from entlab.operators import (
     DensityMatrix,
     HermitianOperator,
-    Spectrum,
     trace_norm,
 )
 from entlab.rates import (
@@ -26,10 +25,12 @@ from entlab.rates import (
 from entlab.rates import (
     AdmissibilityError,
     NumericalConsistencyError,
-    _bucket_index,
+    _eigenbasis_terms,
     _entanglement_rates,
 )
 from entlab.search import sample_admissible_pair, sample_bipartite_state
+
+from audit_reference import reference_audit
 
 
 def rand_unit_herm(rng, d):
@@ -332,24 +333,36 @@ class TestContraction:
             assert np.max(np.abs(sq @ Z.mat @ sq - pair.X.mat)) < 1e-10
 
 
+def support_basis(pair):
+    """Y's support eigenvalues, descending, and X's diagonal in their
+    eigenvectors, as the audit hands them to ``bucket_eigenvalues``."""
+    P = HermitianOperator.identity(pair.dim)
+    y, x_diag, _ = _eigenbasis_terms(pair, P)
+    return y, x_diag
+
+
 class TestBuckets:
     def test_index_examples(self):
-        # p = 0.25: [0.25, 1) is bucket 1, [0.0625, 0.25) is bucket 2
-        assert _bucket_index(0.5, 0.25) == 1
-        assert _bucket_index(0.3, 0.25) == 1
-        assert _bucket_index(0.2, 0.25) == 2
-        assert _bucket_index(1.0, 0.25) == 1
-        assert _bucket_index(0.25, 0.25) == 1
-        assert _bucket_index(0.0625, 0.25) == 2
-        assert _bucket_index(1e-6, 0.25) == 10
+        # p = 0.25: [0.25, 1) is bucket 1, [0.0625, 0.25) is bucket 2; a
+        # single eigenvalue's bucket is the number of buckets
+        bucket = lambda y: len(bucket_eigenvalues(np.array([y]), np.zeros(1), 0.25).index_ranges)  # noqa: E731
+        assert bucket(0.5) == 1
+        assert bucket(0.3) == 1
+        assert bucket(0.2) == 2
+        assert bucket(1.0) == 1
+        assert bucket(0.25) == 1
+        assert bucket(0.0625) == 2
+        assert bucket(1e-6) == 10
+        y = np.array([1.0, 0.5, 0.3, 0.25, 0.2, 0.0625, 1e-6])
+        buckets = bucket_eigenvalues(y, np.arange(7.0), 0.25)
+        assert buckets.index_ranges == [(0, 4), (4, 6)] + [(6, 6)] * 7 + [(6, 7)]
+        assert buckets.weights.tolist() == [6.0, 9.0] + [0.0] * 7 + [6.0]
 
     def test_weights_sum_to_p(self):
         rng = np.random.default_rng(61)
         for dim in (3, 6, 10):
             pair = sample_admissible_pair(dim, 0.1, int(rng.integers(1 << 30)))
-            w, v = np.linalg.eigh(pair.Y.mat)
-            spec = Spectrum(w[::-1].copy(), v[:, ::-1].copy())
-            buckets = bucket_eigenvalues(spec, pair.X, pair.p)
+            buckets = bucket_eigenvalues(*support_basis(pair), pair.p)
             assert np.sum(buckets.weights) == pytest.approx(pair.p, abs=1e-10)
             assert np.all(buckets.weights > -1e-12)
             # ranges tile the spectrum in order
@@ -360,11 +373,16 @@ class TestBuckets:
             assert hi_prev == dim
 
     def test_rejects_large_p(self):
-        pair = sample_admissible_pair(3, 0.1, 1)
-        w, v = np.linalg.eigh(pair.Y.mat)
-        spec = Spectrum(w[::-1].copy(), v[:, ::-1].copy())
+        y, x_diag = support_basis(sample_admissible_pair(3, 0.1, 1))
         with pytest.raises(ValueError):
-            bucket_eigenvalues(spec, pair.X, 0.7)
+            bucket_eigenvalues(y, x_diag, 0.7)
+
+    def test_rejects_unsorted_or_off_support(self):
+        y, x_diag = support_basis(sample_admissible_pair(3, 0.1, 1))
+        with pytest.raises(ValueError, match="descending"):
+            bucket_eigenvalues(y[::-1], x_diag[::-1], 0.1)
+        with pytest.raises(ValueError, match="support"):
+            bucket_eigenvalues(np.array([0.5, 0.0]), np.zeros(2), 0.1)
 
 
 class TestProofDecomposition:
@@ -385,6 +403,29 @@ class TestProofDecomposition:
                 assert rep.all_bounds_hold()
                 assert np.min(rep.margins) > -1e-9
                 assert rep.total_bound == pytest.approx(sie_lambda_bound(0.1))
+
+    def test_matches_mask_reference(self):
+        # the block-sum table against per-bracket masks and the scalar bucket
+        # search: same buckets, brackets and margins to rounding of sums of
+        # at most d^2 terms, the direct value bit for bit
+        cases = [(dim, t) for dim in range(3, 17) for t in range(30)]
+        cases += [(dim, t) for dim in (32, 64, 128) for t in range(2)]
+        for dim, t in cases:
+            p = (0.02, 0.05, 0.1)[t % 3]
+            pair = sample_admissible_pair(dim, p, [7, dim, t])
+            _, H_opt = maximize_over_hamiltonian(pair)
+            P = HermitianOperator(0.5 * (np.eye(dim) - H_opt.mat))
+            rep, ref = proof_decomposition(pair, P), reference_audit(pair, P)
+            assert bucket_eigenvalues(*support_basis(pair), p).index_ranges == ref["ranges"]
+            assert rep.direct_lambda == ref["direct"]
+            tol = 1e-12 * max(1.0, rep.total_bound)
+            for got, want in ((rep.line1_brackets, ref["line1"]), (rep.line3_brackets, ref["line3"])):
+                assert len(got) == len(want)
+                assert np.all(np.abs(np.array(got) - np.array(want)) <= tol)
+            assert np.all(np.abs(np.subtract(rep.separated_sum, ref["separated"])) <= tol)
+            assert abs(rep.reassembled_total - ref["reassembled"]) <= tol
+            assert np.all(np.abs(rep.margins - ref["margins"]) <= tol)
+            assert rep.total_bound == ref["total_bound"]
 
     def test_direct_matches_eigenbasis_sum(self):
         pair = sample_admissible_pair(6, 0.05, 99)

@@ -276,6 +276,10 @@ class TestScan:
         parallel, _ = conjecture_scan([2, 3], [0.1, 0.2], budget, 6, workers=2)
         assert [r.to_json() for r in serial] == [r.to_json() for r in parallel]
 
+    def test_zero_iterations_mean_random_sampling_at_every_dim(self):
+        records, _ = conjecture_scan([2, 3, 8], [0.1], TrialBudget(4, 0), 2)
+        assert [(r.method, r.restarts_used) for r in records] == [("random", 4)] * 3
+
     def test_scan_rows_columns_and_nan_regime(self):
         budget = TrialBudget(2, 0)
         records, _ = conjecture_scan([2], [0.1, 0.3], budget, 5)
