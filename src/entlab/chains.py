@@ -5,30 +5,39 @@ The chain is a transverse-field Ising model on an open chain,
 H(s) = -J(s) sum sigma^z_i sigma^z_{i+1} - g(s) sum sigma^x_i, with J and g
 polynomials in s in [0, 1].  Its matrices are real and written straight from
 bit patterns: the ZZ bonds are diagonal and each field is a single-bit flip.
-Each operator is diagonalised at most once, in real arithmetic
-(``HermitianOperator.eigh``).
+Each operator is diagonalised at most once, in real arithmetic.
 
-Along a path each grid point does one eigendecomposition of H(s).  The
+H(s), H'(s) and every centred source commute with the global spin flip
+prod_i X_i (the Z_2 symmetry of the TFIM), so each is block diagonal in the
+flip's +1 and -1 eigenspaces.  Every 2^n eigendecomposition therefore runs
+as two exact 2^(n-1) ones (``_FlipSymmetric``), and the gap quotients
+H'_mn / (E_m - E_n) are formed block by block: entries between the sectors
+are zero.  ``HermitianOperator.eigh`` of a chain operator is the merged
+spectrum with the block eigenvectors unfolded into the full basis, so any
+caller sees an ordinary eigendecomposition.
+
+Along a path each grid point does one such eigendecomposition of H(s).  The
 ground state, the gap and the tangent vector
 d|psi>/ds = sum_{m != 0} |m><m|H'|psi>/(E_0 - E_m) (first-order perturbation
 theory in the parallel-transport gauge) all come from it, and the entropy
 rate across the cut is read off the Schmidt matrices of psi and its tangent.
 The reported norm of the generator, ||K|| = ||H'_mn / (E_m - E_n)|| in the
-eigenbasis, adds real 2^n x 2^n products and one eigvalsh; no complex
-2^n x 2^n matrix is formed.  The rate is checked against the entropies on
-the grid.  The dense transport generator K(s) is built only
-where a caller needs the operator itself (``adiabatic_generator``,
-``centered_generator_term``); its locality is *measured* by compressing it
-onto balls around a center site.
+eigenbasis, is the larger of the two blocks' norms; no complex 2^n x 2^n
+matrix is formed.  The rate is checked against the entropies on the grid.
+The dense transport generator K(s) is built only where a caller needs the
+operator itself (``adiabatic_generator``, ``centered_generator_term``); its
+locality is *measured* by compressing it onto balls around a center site.
 
-Dense only: full spectra are required for K, so n_sites is capped at 12.  At
-n = 10 one path point takes about 0.7 s on one core of a 2-core OpenBLAS
-host.
+Dense only: K needs every eigenpair of both blocks, so n_sites is capped at
+12.  One path point takes about 0.08 s at n = 10 and about 4.4 s at n = 12
+on one core of a 2-core OpenBLAS host (0.3 s and 16 s with one 2^n
+decomposition).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as _poly
@@ -219,8 +228,85 @@ def _tfim_matrix(n: int, bonds, fields) -> np.ndarray:
     return H
 
 
+# ---------------------------------------------------------------------------
+# spin-flip sectors
+#
+# Every matrix of the form above commutes with the global spin flip
+# F = prod_i X_i, which maps basis index b to its complement
+# 2^n - 1 - b.  With h = 2^(n-1), index r < h pairs with 2^n - 1 - r, so the
+# upper half of the basis is the lower half's partners in reverse order.  In
+# the basis (|r> + sign |2^n - 1 - r>)/sqrt(2), r < h, a flip-symmetric M is
+# block diagonal: one h x h block per sector sign = F = +1, -1, with entries
+# M[r, r'] + sign M[r, 2^n - 1 - r'].  This section is the only code that
+# knows that layout.
+
+_SIGNS = (1.0, -1.0)
+
+
+def _fold(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The F = +1 and F = -1 blocks of a real flip-symmetric 2^n matrix."""
+    h = m.shape[0] // 2
+    a, b = m[:h, :h], m[:h, h:][:, ::-1]
+    return a + b, a - b
+
+
+def _unfold(u: np.ndarray, sign: float) -> np.ndarray:
+    """Full-basis vectors (columns) of vectors ``u`` in sector ``sign``."""
+    return np.concatenate([u, sign * u[::-1]]) / np.sqrt(2.0)
+
+
+def _fold_vector(x: np.ndarray, sign: float) -> np.ndarray:
+    """Components of a full-basis vector in sector ``sign``; the inverse of
+    ``_unfold`` on that sector."""
+    h = x.shape[0] // 2
+    return (x[:h] + sign * x[h:][::-1]) / np.sqrt(2.0)
+
+
+def _unfold_matrix(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    """The full-basis matrix whose F = +1 and F = -1 blocks are given."""
+    s, d = (plus + minus) / 2, (plus - minus) / 2
+    return np.block([[s, d[:, ::-1]], [d[::-1], s[::-1, ::-1]]])
+
+
+class _FlipSymmetric(HermitianOperator):
+    """A chain operator of the form of ``_tfim_matrix``, which commutes with
+    the global spin flip.
+
+    ``mat`` is the real matrix as written, exactly symmetric, so it is stored
+    without the complex copy and symmetrisation of ``_built``.  ``eigh``
+    comes from the two 2^(n-1) sector blocks in place of one 2^n
+    decomposition: the spectrum is both blocks' eigenvalues merged in
+    ascending order (the F = +1 one first on a tie), and each eigenvector
+    column is a block eigenvector unfolded into the full basis.
+    """
+
+    @classmethod
+    def _built(cls, m: np.ndarray) -> "_FlipSymmetric":
+        op = object.__new__(cls)
+        m.setflags(write=False)
+        object.__setattr__(op, "mat", m)
+        return op
+
+    @cached_property
+    def sectors(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """``numpy.linalg.eigh`` of the F = +1 and F = -1 blocks."""
+        return tuple(np.linalg.eigh(block) for block in _fold(self.mat))
+
+    @cached_property
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        w = np.concatenate([w for w, _ in self.sectors])
+        order = np.argsort(w, kind="stable")
+        v = np.concatenate(
+            [_unfold(u, sign) for sign, (_, u) in zip(_SIGNS, self.sectors)], axis=1
+        )
+        w, v = w[order], np.take(v, order, axis=1)
+        w.setflags(write=False)
+        v.setflags(write=False)
+        return w, v
+
+
 def _uniform_chain(n: int, J: float, g: float) -> HermitianOperator:
-    return HermitianOperator._built(_tfim_matrix(n, np.full(n - 1, J), np.full(n, g)))
+    return _FlipSymmetric._built(_tfim_matrix(n, np.full(n - 1, J), np.full(n, g)))
 
 
 def build_chain_hamiltonian(spec: ChainPathSpec, s: float) -> HermitianOperator:
@@ -268,6 +354,12 @@ def _divided_by_gaps(w: np.ndarray, v: np.ndarray, source: np.ndarray) -> np.nda
     return np.divide(A, dE, out=np.zeros_like(A), where=np.abs(dE) > DEGENERACY_TOL)
 
 
+def _sector_quotients(H: _FlipSymmetric, source: _FlipSymmetric) -> list[np.ndarray]:
+    """``_divided_by_gaps`` in each sector of H, from the source's blocks.
+    The entries between sectors are zero, as the source's are."""
+    return [_divided_by_gaps(w, u, block) for (w, u), block in zip(H.sectors, _fold(source.mat))]
+
+
 def adiabatic_generator(H: HermitianOperator, Hprime: HermitianOperator) -> HermitianOperator:
     """Exact spectral generator of ground-state transport along the path.
 
@@ -285,6 +377,11 @@ def adiabatic_generator(H: HermitianOperator, Hprime: HermitianOperator) -> Herm
         raise ValueError("H and H' dimensions differ")
     w, v = H.eigh
     _checked_gap(w)
+    if isinstance(H, _FlipSymmetric) and isinstance(Hprime, _FlipSymmetric):
+        plus, minus = (
+            u @ B @ u.T for (_, u), B in zip(H.sectors, _sector_quotients(H, Hprime))
+        )
+        return HermitianOperator._built(1j * _unfold_matrix(plus, minus))
     B = _divided_by_gaps(w, v, Hprime.mat)
     return HermitianOperator._built(1j * (v @ B @ v.conj().T))
 
@@ -306,7 +403,7 @@ def centered_generator_term(spec: ChainPathSpec, s: float, center: int) -> Hermi
     fields[center] = dg
     if center < n - 1:
         bonds[center] = dJ
-    source = HermitianOperator._built(_tfim_matrix(n, bonds, fields))
+    source = _FlipSymmetric._built(_tfim_matrix(n, bonds, fields))
     return adiabatic_generator(build_chain_hamiltonian(spec, s), source)
 
 
@@ -343,8 +440,12 @@ def locality_profile(
         dims = (2 ** (in_lo - lo), 2 ** (in_hi - in_lo + 1), 2 ** (hi - in_hi))
         inner = partial_trace_matrix(cur, dims, [1]) / (dims[0] * dims[2])
         shell = cur - np.kron(np.kron(np.eye(dims[0]), inner), np.eye(dims[2]))
-        w = np.linalg.eigvalsh(shell)
-        strengths[r] = max(abs(w[0]), abs(w[-1]))
+        if shell.real.any():
+            w = np.linalg.eigvalsh(shell)
+            strengths[r] = max(abs(w[0]), abs(w[-1]))
+        else:  # i R with R real antisymmetric, as every K built here
+            R = shell.imag
+            strengths[r] = np.sqrt(np.linalg.eigvalsh(R.T @ R)[-1])
         cur, lo, hi = inner, in_lo, in_hi
     return LocalityProfile(center=center, radii=radii, strengths=strengths)
 
@@ -415,11 +516,15 @@ def entropy_along_path(
     for s in grid:
         H = build_chain_hamiltonian(spec, s)
         e0, psi, gap = ground_state(H)
-        w, v = H.eigh
-        B = _divided_by_gaps(w, v, chain_hprime(spec, s).mat)
-        dpsi = -(v @ (B @ (v.conj().T @ psi)))  # iK|psi>, K = i v B v^dag
+        blocks = _sector_quotients(H, chain_hprime(spec, s))
+        # iK|psi> = -U B U^T psi with K = i U B U^T, sector by sector; psi
+        # lies in one sector, so the other contributes exact zeros
+        dpsi = -sum(
+            _unfold(u @ (B @ (u.T @ _fold_vector(psi, sign))), sign)
+            for sign, (_, u), B in zip(_SIGNS, H.sectors, blocks)
+        )
         entropy, rate = _cut_entropy_and_rate(psi, dpsi, spec.cut)
-        k_norm = float(np.sqrt(np.linalg.eigvalsh(B.conj().T @ B)[-1]))
+        k_norm = max(float(np.sqrt(np.linalg.eigvalsh(B.T @ B)[-1])) for B in blocks)
         rows.append((s, e0, gap, psi, entropy, rate, k_norm))
     _, _, _, _, entropies, rates, _ = zip(*rows)
     _check_rates(grid, entropies, rates, rate_check_tol)

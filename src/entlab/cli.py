@@ -18,11 +18,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 
 import numpy as np
 
-from . import __version__
+from . import BLAS_THREAD_VARS, __version__
 from .operators import RATE_CHECK_ATOL, RATE_CHECK_RTOL, TOLERANCES, HermitianOperator
 from .rates import (
     AdmissiblePair,
@@ -77,6 +78,7 @@ def _header_lines(config: dict, seed: int) -> list[str]:
         f"# config_hash={_config_hash(config)}",
         f"# seed={seed}",
         "# tolerances " + " ".join(f"{k}={v:.1e}" for k, (v, _) in TOLERANCES.items()),
+        "# blas_threads " + " ".join(f"{k}={os.environ.get(k, 'unset')}" for k in BLAS_THREAD_VARS),
     ]
 
 
@@ -388,7 +390,3 @@ def main(argv=None) -> int:
     ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

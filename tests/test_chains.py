@@ -17,25 +17,15 @@ from entlab.chains import (
     ground_state,
     locality_profile,
 )
-from entlab.operators import HermitianOperator, partial_trace_matrix
-from transport_reference import transport_residual
-
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
-
-
-def site_op(op, i, n):
-    return np.kron(np.kron(np.eye(2**i), op), np.eye(2 ** (n - i - 1)))
-
-
-def kron_tfim(n, J, g):
-    """Reference TFIM matrix from tensor products, site 0 leftmost."""
-    H = np.zeros((2**n, 2**n))
-    for i in range(n - 1):
-        H -= J * site_op(SIGMA_Z, i, n) @ site_op(SIGMA_Z, i + 1, n)
-    for i in range(n):
-        H -= g * site_op(SIGMA_X, i, n)
-    return H
+from entlab.operators import DEGENERACY_TOL, HermitianOperator, partial_trace_matrix
+from transport_reference import (
+    SIGMA_X,
+    SIGMA_Z,
+    dense_centered_term,
+    dense_path_point,
+    kron_tfim,
+    transport_residual,
+)
 
 
 def ramp_spec(n=4, cut=2, pts=21):
@@ -115,8 +105,8 @@ class TestHamiltonian:
             H = build_chain_hamiltonian(spec, s).mat
             Hp = chain_hprime(spec, s).mat
             # the diagonal sums the n - 1 bond terms in another order
-            assert np.allclose(H, kron_tfim(5, J, g), rtol=0, atol=1e-14)
-            assert np.allclose(Hp, kron_tfim(5, dJ, dg), rtol=0, atol=1e-14)
+            assert np.allclose(H, kron_tfim(5, [J] * 4, [g] * 5), rtol=0, atol=1e-14)
+            assert np.allclose(Hp, kron_tfim(5, [dJ] * 4, [dg] * 5), rtol=0, atol=1e-14)
             assert not H.imag.any()
 
     def test_hprime_is_schedule_derivative(self):
@@ -185,6 +175,20 @@ class TestAdiabaticGenerator:
         H = build_chain_hamiltonian(spec, 0.0)
         with pytest.raises(GapCollapseError):
             adiabatic_generator(H, chain_hprime(spec, 0.0))
+
+    def test_any_operator_takes_the_dense_path(self):
+        # operators from outside the chain builders are diagonalised whole
+        spec = ramp_spec(n=4)
+        H = build_chain_hamiltonian(spec, 0.5)
+        Hp = chain_hprime(spec, 0.5)
+        K = adiabatic_generator(H, Hp).mat
+        e0, psi, gap = ground_state(H)
+        for pair in ((HermitianOperator(H.mat), Hp), (H, HermitianOperator(Hp.mat))):
+            assert np.max(np.abs(adiabatic_generator(*pair).mat - K)) < 1e-12
+        e0_plain, psi_plain, gap_plain = ground_state(HermitianOperator(H.mat))
+        assert e0_plain == pytest.approx(e0, abs=1e-13)
+        assert gap_plain == pytest.approx(gap, abs=1e-13)
+        assert np.max(np.abs(psi_plain - psi)) < 1e-13
 
 
 def full_chain_locality(K, n, center):
@@ -293,6 +297,92 @@ class TestEntropyAlongPath:
                 -q * np.log(q) - (1 - q) * np.log(1 - q), rel=1e-13
             )
             assert pt.rate_commutator == pytest.approx(np.log((1 - q) / q) / r**3, rel=1e-12)
+
+
+# The block path against a dense reference (transport_reference): the
+# uniform default path and a ramp at n = 2..8, a negative field at odd n
+# (ground state in the F = -1 sector), and a ferromagnetic point whose gap
+# is the splitting between the two sectors' lowest states.
+DENSE_CASES = {
+    **{
+        f"uniform-n{n}": ChainPathSpec(n_sites=n, cut=n // 2, s_grid=(0.0, 0.5, 1.0))
+        for n in range(2, 9)
+    },
+    **{f"ramp-n{n}": ramp_spec(n=n, cut=n // 2, pts=5) for n in range(2, 9)},
+    "negative-field-n5": ChainPathSpec(
+        n_sites=5, cut=2, J=(1.0,), g=(-1.5, 0.3), s_grid=(0.0, 0.5, 1.0)
+    ),
+    "ferromagnetic-n4": ChainPathSpec(
+        n_sites=4, cut=2, J=(1.0,), g=(0.05, 0.01), s_grid=(0.0, 0.01, 0.02)
+    ),
+}
+
+
+def generator_tol(spec, s, ref_scale, source_norm):
+    """Agreement expected of a gap quotient H'_mn / (E_m - E_n) and of what
+    is built from it: 1e-12 relative, plus the reference's own limit.  Either
+    side finds the eigenvectors of two levels delta apart only to about
+    eps ||H|| / delta, and the quotient divides by delta again; delta is the
+    smallest level spacing above DEGENERACY_TOL."""
+    H = build_chain_hamiltonian(spec, s).mat
+    w = np.linalg.eigvalsh(H)
+    delta = np.diff(w)[np.diff(w) > DEGENERACY_TOL].min()
+    eps = np.finfo(float).eps
+    conditioning = np.linalg.norm(H, 2) * max(1.0, source_norm) / delta**2
+    return 1e-12 * max(1.0, ref_scale) + 10 * eps * conditioning
+
+
+class TestDenseReference:
+    @pytest.mark.parametrize("name", DENSE_CASES)
+    def test_path_matches_dense(self, name):
+        spec = DENSE_CASES[name]
+        for pt in entropy_along_path(spec):
+            e0, gap, entropy, rate, k_norm = dense_path_point(spec, pt.s)
+            got = (pt.ground_energy, pt.gap, pt.entropy_left, pt.rate_commutator)
+            for value, want in zip(got, (e0, gap, entropy, rate)):
+                assert abs(value - want) <= 1e-12 * max(1.0, abs(want))
+            hp_norm = np.linalg.norm(chain_hprime(spec, pt.s).mat, 2)
+            assert abs(pt.K_norm - k_norm) <= generator_tol(spec, pt.s, k_norm, hp_norm)
+
+    @pytest.mark.parametrize("name", DENSE_CASES)
+    def test_centered_generator_matches_dense(self, name):
+        spec = DENSE_CASES[name]
+        s = spec.s_grid[1]
+        dJ, dg = spec.coupling_derivatives(s)
+        for center in range(spec.n_sites):
+            K = centered_generator_term(spec, s, center).mat
+            ref = dense_centered_term(spec, s, center)
+            tol = generator_tol(spec, s, np.linalg.norm(ref, 2), abs(dJ) + abs(dg))
+            assert np.max(np.abs(K - ref)) <= tol
+
+    def test_ground_state_sector(self):
+        # g < 0 at odd n puts the ground state in the F = -1 sector
+        spec = DENSE_CASES["negative-field-n5"]
+        for s in spec.s_grid:
+            psi = ground_state(build_chain_hamiltonian(spec, s))[1]
+            assert psi @ psi[::-1] == pytest.approx(-1.0, abs=1e-12)
+        # near g = 0 the gap is the splitting of the two sectors' lowest
+        # states, F = +1 below F = -1
+        H = build_chain_hamiltonian(DENSE_CASES["ferromagnetic-n4"], 0.0)
+        _, psi, gap = ground_state(H)
+        assert 1e-5 < gap < 2e-5
+        first = H.eigh[1][:, 1]
+        assert psi @ psi[::-1] == pytest.approx(1.0, abs=1e-12)
+        assert first @ first[::-1] == pytest.approx(-1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_zero_field_raises(self, n):
+        # the two fully polarised states, one per sector, are degenerate
+        spec = ChainPathSpec(n_sites=n, cut=n // 2, J=(1.0,), g=(0.0,))
+        H = build_chain_hamiltonian(spec, 0.0)
+        w = np.linalg.eigvalsh(H.mat)
+        assert w[1] == w[0]
+        with pytest.raises(GapCollapseError):
+            ground_state(H)
+        with pytest.raises(GapCollapseError):
+            adiabatic_generator(H, chain_hprime(spec, 0.0))
+        with pytest.raises(GapCollapseError):
+            entropy_along_path(spec)
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import entlab
 from entlab import cli
 from entlab.cli import (
     EXIT_INPUT,
@@ -64,6 +69,7 @@ class TestHeaders:
         assert printed.keys() == TOLERANCES.keys()
         for name, (value, _) in TOLERANCES.items():
             assert float(printed[name]) == value
+        assert lines[4].startswith("# blas_threads ")
 
     def test_config_hash_stable(self):
         a = _config_hash({"x": 1, "y": [2, 3]})
@@ -71,6 +77,43 @@ class TestHeaders:
         assert a == b
         assert len(a) == 16
         assert a != _config_hash({"x": 2, "y": [2, 3]})
+
+
+BLAS_UNSET = {k: v for k, v in os.environ.items() if k not in entlab.BLAS_THREAD_VARS}
+
+
+def console_header(env):
+    """The blas_threads header line of ``python -m entlab bounds`` run in a
+    fresh interpreter with environment ``env``."""
+    src = str(Path(entlab.__file__).resolve().parents[1])
+    env = {**env, "PYTHONPATH": os.pathsep.join([src, env.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-m", "entlab", "bounds", "--d", "3"],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    ).stdout
+    return next(line for line in out.splitlines() if line.startswith("# blas_threads "))
+
+
+class TestBlasThreads:
+    def test_console_sets_one_thread_when_unset(self):
+        assert console_header(BLAS_UNSET) == (
+            "# blas_threads OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1"
+        )
+
+    def test_console_keeps_a_set_value(self):
+        assert console_header({**BLAS_UNSET, "OPENBLAS_NUM_THREADS": "2"}) == (
+            "# blas_threads OPENBLAS_NUM_THREADS=2 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1"
+        )
+
+    def test_library_call_sets_nothing(self, tmp_path, monkeypatch):
+        for var in entlab.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        out = str(tmp_path / "r.txt")
+        assert main(["bounds", "--d", "3", "--out", out]) == EXIT_OK
+        assert read_lines(out)[4] == (
+            "# blas_threads OPENBLAS_NUM_THREADS=unset OMP_NUM_THREADS=unset MKL_NUM_THREADS=unset"
+        )
+        assert not any(var in os.environ for var in entlab.BLAS_THREAD_VARS)
 
 
 class TestBounds:

@@ -1,8 +1,9 @@
 """Property tests: symmetries that hold whatever the kernel computes."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from entlab.chains import ChainPathSpec, build_chain_hamiltonian
 from entlab.operators import HermitianOperator
 from entlab.rates import (
     AdmissiblePair,
@@ -81,3 +82,29 @@ def test_buckets_follow_the_interval_rule(dim, p, seed):
         pos = hi
     assert pos == y.size
     assert abs(np.sum(buckets.weights) - p) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 7),
+    J=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3),
+    g=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3),
+    s=st.floats(0.0, 1.0),
+)
+def test_sector_spectrum_is_the_dense_spectrum(n, J, g, s):
+    # polynomial J and g of degree <= 2, |g(s)| >= 0.1
+    spec = ChainPathSpec(n_sites=n, cut=1, J=J, g=g)
+    g_s = spec.couplings(s)[1]
+    assume(abs(g_s) >= 0.1)
+    H = build_chain_hamiltonian(spec, s)
+    w, v = H.eigh
+    dense = np.linalg.eigvalsh(H.mat)
+    scale = np.max(np.abs(dense))
+    assert np.max(np.abs(w - dense)) <= 1e-12 * scale
+    assert np.max(np.abs(H.mat @ v - v * w)) <= 1e-12 * scale
+    # the ground state is a spin-flip eigenvector: F = +1 for g > 0, and
+    # (-1)^n for g < 0, where prod Z_i maps g to -g and anticommutes with
+    # each X_i
+    parity = 1.0 if g_s > 0 else (-1.0) ** n
+    psi = v[:, 0]
+    assert np.max(np.abs(psi[::-1] - parity * psi)) <= 1e-12

@@ -1,10 +1,77 @@
-"""Reference for ground-state transport along a chain path, shared by the
-unit and acceptance tests: the derivative of the ground state taken by
-finite differences, independent of the spectral generator under test."""
+"""Dense references for ground-state transport along a chain path, shared by
+the unit and acceptance tests.  Every state and spectrum here comes from
+``numpy.linalg.eigh`` of the full 2^n matrix, never from the spin-flip
+sector blocks that ``entlab.chains`` diagonalises."""
 
 import numpy as np
 
-from entlab.chains import adiabatic_generator, build_chain_hamiltonian, chain_hprime, ground_state
+from entlab.chains import adiabatic_generator, build_chain_hamiltonian, chain_hprime
+from entlab.operators import DEGENERACY_TOL
+
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+
+
+def site_op(op, i, n):
+    return np.kron(np.kron(np.eye(2**i), op), np.eye(2 ** (n - i - 1)))
+
+
+def kron_tfim(n, bonds, fields):
+    """-sum_i bonds[i] Z_i Z_{i+1} - sum_i fields[i] X_i from tensor
+    products, site 0 leftmost."""
+    H = np.zeros((2**n, 2**n))
+    for i, b in enumerate(bonds):
+        H -= b * site_op(SIGMA_Z, i, n) @ site_op(SIGMA_Z, i + 1, n)
+    for i, f in enumerate(fields):
+        H -= f * site_op(SIGMA_X, i, n)
+    return H
+
+
+def dense_ground_state(H):
+    """Lowest eigenvector of the full matrix of H, first amplitude of
+    magnitude above 1e-10 made positive."""
+    v = np.linalg.eigh(H.mat)[1][:, 0]
+    return v * np.sign(v[np.argmax(np.abs(v) > 1e-10)])
+
+
+def dense_quotients(H, source):
+    """Eigenvalues, eigenvectors and B_mn = <m|source|n> / (E_m - E_n),
+    zero where |E_m - E_n| <= DEGENERACY_TOL, from the full matrix of H."""
+    w, v = np.linalg.eigh(H.mat.real)
+    A = v.T @ source @ v
+    dE = w[:, None] - w[None, :]
+    return w, v, np.divide(A, dE, out=np.zeros_like(A), where=np.abs(dE) > DEGENERACY_TOL)
+
+
+def dense_path_point(spec, s):
+    """(E0, gap, S_L, dS/ds, K_norm) at s.  The entropy and its rate come
+    from the singular values of the Schmidt matrix: with p_k = sigma_k^2,
+    S = -sum p ln p and dS/ds = -sum ln(p_k) dp_k, where
+    dp_k = 2 sigma_k <u_k|dM|w_k>."""
+    H = build_chain_hamiltonian(spec, s)
+    w, v, B = dense_quotients(H, chain_hprime(spec, s).mat.real)
+    psi = v[:, 0]
+    dpsi = -v @ B[:, 0]  # iK|psi>, K = i v B v^T
+    M = psi.reshape(2**spec.cut, -1)
+    u, sigma, wt = np.linalg.svd(M, full_matrices=False)
+    dp = 2.0 * sigma * np.einsum("ik,ij,kj->k", u, dpsi.reshape(M.shape), wt)
+    p = sigma**2
+    on = p > 1e-12 * p[0]
+    entropy = float(-np.sum(p[on] * np.log(p[on])))
+    rate = float(-np.sum(np.log(p[on]) * dp[on]))
+    return w[0], w[1] - w[0], entropy, rate, float(np.linalg.norm(B, 2))
+
+
+def dense_centered_term(spec, s, center):
+    """K = i v B v^T for the source dJ Z_c Z_{c+1} + dg X_c, sign as in H."""
+    n = spec.n_sites
+    dJ, dg = spec.coupling_derivatives(s)
+    bonds, fields = np.zeros(n - 1), np.zeros(n)
+    fields[center] = dg
+    if center < n - 1:
+        bonds[center] = dJ
+    _, v, B = dense_quotients(build_chain_hamiltonian(spec, s), kron_tfim(n, bonds, fields))
+    return 1j * (v @ B @ v.T)
 
 
 def _aligned(psi_ref, psi):
@@ -12,14 +79,14 @@ def _aligned(psi_ref, psi):
 
 
 def transport_residual(spec, s, ds=1e-4):
-    """|| iK|psi> - d|psi>/ds || at s.  The derivative is a second-order
-    difference of ground states, each phase-aligned to psi(s)
-    (parallel-transport gauge): central, one-sided at the ends of [0, 1],
-    where s +- ds would leave the path."""
-    psi_at = lambda t: ground_state(build_chain_hamiltonian(spec, t))[1]  # noqa: E731
+    """|| iK|psi> - d|psi>/ds || at s, for the generator under test.  The
+    derivative is a second-order difference of dense ground states, each
+    phase-aligned to psi(s) (parallel-transport gauge): central, one-sided at
+    the ends of [0, 1], where s +- ds would leave the path."""
+    psi_at = lambda t: dense_ground_state(build_chain_hamiltonian(spec, t))  # noqa: E731
     H = build_chain_hamiltonian(spec, s)
     K = adiabatic_generator(H, chain_hprime(spec, s))
-    psi = ground_state(H)[1]
+    psi = psi_at(s)
     if s - ds < 0.0:
         f1, f2 = _aligned(psi, psi_at(s + ds)), _aligned(psi, psi_at(s + 2 * ds))
         dpsi = (-3.0 * psi + 4.0 * f1 - f2) / (2.0 * ds)
