@@ -9,17 +9,22 @@ Each operator is diagonalised at most once, in real arithmetic.
 
 H(s), H'(s) and every centred source commute with the global spin flip
 prod_i X_i (the Z_2 symmetry of the TFIM), so each is block diagonal in the
-flip's +1 and -1 eigenspaces.  Every 2^n eigendecomposition therefore runs
-as two exact 2^(n-1) ones (``_FlipSymmetric``), and the gap quotients
-H'_mn / (E_m - E_n) are formed block by block: entries between the sectors
-are zero.  ``HermitianOperator.eigh`` of a chain operator is the merged
-spectrum with the block eigenvectors unfolded into the full basis, so any
-caller sees an ordinary eigendecomposition.
+flip's +1 and -1 eigenspaces.  The chain builders return such operators
+(``_FlipSymmetric``), and every spectral quantity is read from the sector
+spectra, two exact 2^(n-1) decompositions (``sectors``): the ground state
+from the sector that holds the lowest level, the gap from the two lowest
+levels across both sectors, and the gap quotients H'_mn / (E_m - E_n) block
+by block, since entries between the sectors are zero.  So ``ground_state``
+and ``adiabatic_generator`` accept only chain operators, and
+``locality_profile`` only a transport generator i R with R real
+antisymmetric; anything else is a ValueError.  The ``eigh`` a chain
+operator inherits from ``HermitianOperator`` is a plain dense 2^n
+decomposition, which no program path calls.
 
-Along a path each grid point does one such eigendecomposition of H(s).  The
+Along a path each grid point diagonalises the two blocks of H(s) once.  The
 ground state, the gap and the tangent vector
 d|psi>/ds = sum_{m != 0} |m><m|H'|psi>/(E_0 - E_m) (first-order perturbation
-theory in the parallel-transport gauge) all come from it, and the entropy
+theory in the parallel-transport gauge) all come from them, and the entropy
 rate across the cut is read off the Schmidt matrices of psi and its tangent.
 The reported norm of the generator, ||K|| = ||H'_mn / (E_m - E_n)|| in the
 eigenbasis, is the larger of the two blocks' norms; no complex 2^n x 2^n
@@ -30,8 +35,7 @@ locality is *measured* by compressing it onto balls around a center site.
 
 Dense only: K needs every eigenpair of both blocks, so n_sites is capped at
 12.  One path point takes about 0.08 s at n = 10 and about 4.4 s at n = 12
-on one core of a 2-core OpenBLAS host (0.3 s and 16 s with one 2^n
-decomposition).
+on one core of a 2-core OpenBLAS host.
 """
 
 from __future__ import annotations
@@ -43,13 +47,7 @@ import numpy as np
 from numpy.polynomial import polynomial as _poly
 
 from .operators import DEGENERACY_TOL, GAP_FLOOR, GAUGE_TOL, RATE_CHECK_ATOL, RATE_CHECK_RTOL
-from .operators import (
-    HermitianOperator,
-    log_on_support,
-    partial_trace_matrix,
-    real_if_exact,
-    spectral_rebuild,
-)
+from .operators import HermitianOperator, log_on_support, partial_trace_matrix, spectral_rebuild
 
 MAX_SITES = 12
 
@@ -273,11 +271,10 @@ class _FlipSymmetric(HermitianOperator):
     the global spin flip.
 
     ``mat`` is the real matrix as written, exactly symmetric, so it is stored
-    without the complex copy and symmetrisation of ``_built``.  ``eigh``
-    comes from the two 2^(n-1) sector blocks in place of one 2^n
-    decomposition: the spectrum is both blocks' eigenvalues merged in
-    ascending order (the F = +1 one first on a tie), and each eigenvector
-    column is a block eigenvector unfolded into the full basis.
+    without the complex copy and symmetrisation of ``_built``.  Its spectrum
+    is read from ``sectors``, the two 2^(n-1) blocks; the inherited ``eigh``
+    stays a plain dense decomposition of ``mat``, which no program path
+    calls.
     """
 
     @classmethod
@@ -291,18 +288,6 @@ class _FlipSymmetric(HermitianOperator):
     def sectors(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """``numpy.linalg.eigh`` of the F = +1 and F = -1 blocks."""
         return tuple(np.linalg.eigh(block) for block in _fold(self.mat))
-
-    @cached_property
-    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        w = np.concatenate([w for w, _ in self.sectors])
-        order = np.argsort(w, kind="stable")
-        v = np.concatenate(
-            [_unfold(u, sign) for sign, (_, u) in zip(_SIGNS, self.sectors)], axis=1
-        )
-        w, v = w[order], np.take(v, order, axis=1)
-        w.setflags(write=False)
-        v.setflags(write=False)
-        return w, v
 
 
 def _uniform_chain(n: int, J: float, g: float) -> HermitianOperator:
@@ -323,18 +308,30 @@ def _fix_phase(psi: np.ndarray) -> np.ndarray:
     return psi / ph
 
 
-def _checked_gap(w: np.ndarray) -> float:
-    gap = float(w[1] - w[0])
+def _chain_operators(*ops: HermitianOperator) -> None:
+    """ValueError unless every operator was built by the chain builders."""
+    if not all(isinstance(op, _FlipSymmetric) for op in ops):
+        raise ValueError("expected operators built by build_chain_hamiltonian or chain_hprime")
+
+
+def _ground_level(H: _FlipSymmetric) -> tuple[int, float]:
+    """The sector holding the lowest level of H (an index into ``_SIGNS``,
+    F = +1 on a tie) and the gap to the next level in either sector."""
+    levels = sorted((w[j], k) for k, (w, _) in enumerate(H.sectors) for j in (0, 1))
+    (e0, k), (e1, _) = levels[:2]
+    gap = float(e1 - e0)
     if gap < GAP_FLOOR:
         raise GapCollapseError(f"gap {gap:.3e} below floor {GAP_FLOOR}")
-    return gap
+    return k, gap
 
 
 def ground_state(H: HermitianOperator) -> tuple[float, np.ndarray, float]:
-    """Lowest eigenpair and the gap to the first excited state."""
-    w, v = H.eigh
-    gap = _checked_gap(w)
-    return float(w[0]), _fix_phase(v[:, 0]), gap
+    """Lowest eigenpair of a chain Hamiltonian, from the sector that holds
+    it, and the gap to the first excited state in either sector."""
+    _chain_operators(H)
+    k, gap = _ground_level(H)
+    w, u = H.sectors[k]
+    return float(w[0]), _fix_phase(_unfold(u[:, 0], _SIGNS[k])), gap
 
 
 def chain_hprime(spec: ChainPathSpec, s: float) -> HermitianOperator:
@@ -347,9 +344,9 @@ def chain_hprime(spec: ChainPathSpec, s: float) -> HermitianOperator:
 
 
 def _divided_by_gaps(w: np.ndarray, v: np.ndarray, source: np.ndarray) -> np.ndarray:
-    """B_mn = <m|source|n> / (E_m - E_n) in the eigenbasis (w, v), zero on
-    (near-)degenerate pairs.  The transport generator is K = i v B v^dag."""
-    A = v.conj().T @ real_if_exact(source) @ v
+    """B_mn = <m|source|n> / (E_m - E_n) in the real eigenbasis (w, v), zero
+    on (near-)degenerate pairs.  The transport generator is K = i v B v^T."""
+    A = v.T @ source @ v
     dE = w[:, None] - w[None, :]
     return np.divide(A, dE, out=np.zeros_like(A), where=np.abs(dE) > DEGENERACY_TOL)
 
@@ -372,18 +369,18 @@ def adiabatic_generator(H: HermitianOperator, Hprime: HermitianOperator) -> Herm
     quasi-local: its locality is measured (``locality_profile``), not
     assumed.  On the path J = 1, g = 1.5 + s at n = 10 the centered term's
     shell strengths peak at r = 3.
+
+    H and H' must be chain operators (``build_chain_hamiltonian``,
+    ``chain_hprime``); anything else is a ValueError.  Every quantity is read
+    from the sector spectra of H, and K = i R comes back with R real
+    antisymmetric.
     """
+    _chain_operators(H, Hprime)
     if H.dim != Hprime.dim:
         raise ValueError("H and H' dimensions differ")
-    w, v = H.eigh
-    _checked_gap(w)
-    if isinstance(H, _FlipSymmetric) and isinstance(Hprime, _FlipSymmetric):
-        plus, minus = (
-            u @ B @ u.T for (_, u), B in zip(H.sectors, _sector_quotients(H, Hprime))
-        )
-        return HermitianOperator._built(1j * _unfold_matrix(plus, minus))
-    B = _divided_by_gaps(w, v, Hprime.mat)
-    return HermitianOperator._built(1j * (v @ B @ v.conj().T))
+    _ground_level(H)
+    plus, minus = (u @ B @ u.T for (_, u), B in zip(H.sectors, _sector_quotients(H, Hprime)))
+    return HermitianOperator._built(1j * _unfold_matrix(plus, minus))
 
 
 def centered_generator_term(spec: ChainPathSpec, s: float, center: int) -> HermitianOperator:
@@ -425,6 +422,11 @@ def locality_profile(
     is the partial trace of K onto ball r divided by the dimension traced
     out.  The largest ball is the whole chain; each K_{r-1} is traced from
     K_r.
+
+    K must be a transport generator i R with R real antisymmetric, as
+    ``adiabatic_generator`` and ``centered_generator_term`` return it; any
+    other operator is a ValueError.  Every step runs on R in real
+    arithmetic, since ||i S|| = ||S||.
     """
     n = spec.n_sites
     if not (0 <= center < n):
@@ -432,20 +434,18 @@ def locality_profile(
     r_max = max(center, n - 1 - center)
     radii = np.arange(r_max + 1)
     strengths = np.zeros(r_max + 1)
-    cur, lo, hi = K.mat, 0, n - 1
+    if K.mat.real.any():
+        raise ValueError("locality_profile takes a transport generator i R, R real antisymmetric")
+    cur, lo, hi = K.mat.imag, 0, n - 1
     for r in radii[::-1]:
         # sites in_lo..in_hi of ball r - 1; the empty ball below r = 0 keeps
-        # one 1 x 1 block, Tr K / dim
+        # one 1 x 1 block, Tr R / dim
         in_lo, in_hi = (max(0, center - r + 1), min(n - 1, center + r - 1)) if r else (center, center - 1)
         dims = (2 ** (in_lo - lo), 2 ** (in_hi - in_lo + 1), 2 ** (hi - in_hi))
         inner = partial_trace_matrix(cur, dims, [1]) / (dims[0] * dims[2])
         shell = cur - np.kron(np.kron(np.eye(dims[0]), inner), np.eye(dims[2]))
-        if shell.real.any():
-            w = np.linalg.eigvalsh(shell)
-            strengths[r] = max(abs(w[0]), abs(w[-1]))
-        else:  # i R with R real antisymmetric, as every K built here
-            R = shell.imag
-            strengths[r] = np.sqrt(np.linalg.eigvalsh(R.T @ R)[-1])
+        # ||i S|| = ||S|| = sqrt(lambda_max(S^T S)) for real antisymmetric S
+        strengths[r] = np.sqrt(np.linalg.eigvalsh(shell.T @ shell)[-1])
         cur, lo, hi = inner, in_lo, in_hi
     return LocalityProfile(center=center, radii=radii, strengths=strengths)
 
@@ -475,22 +475,21 @@ def _simpson_weights(h0: float, h1: float) -> tuple[float, float, float]:
     return H / 6 * (2 - h1 / h0), H**3 / (6 * h0 * h1), H / 6 * (2 - h0 / h1)
 
 
-def _check_rates(grid, entropies, rates, rate_check_tol: tuple[float, float]) -> None:
+def _check_rates(grid, entropies, rates) -> None:
     """Raise TransportConsistencyError where an interior rate disagrees with
     the entropies.
 
     At each interior point S_{i+1} - S_{i-1} must equal the Simpson integral
     of r_{i-1}, r_i, r_{i+1} over the grid's own spacing.  Solved for r_i,
     that gives the rate the entropies imply; the two must agree within
-    max(abs_tol, rel_tol * |r_i|).
+    max(RATE_CHECK_ATOL, RATE_CHECK_RTOL * |r_i|).
     """
-    abs_tol, rel_tol = rate_check_tol
     for i in range(1, len(grid) - 1):
         w0, w1, w2 = _simpson_weights(grid[i] - grid[i - 1], grid[i + 1] - grid[i])
         implied = (
             entropies[i + 1] - entropies[i - 1] - w0 * rates[i - 1] - w2 * rates[i + 1]
         ) / w1
-        tol = max(abs_tol, rel_tol * abs(rates[i]))
+        tol = max(RATE_CHECK_ATOL, RATE_CHECK_RTOL * abs(rates[i]))
         if abs(rates[i] - implied) > tol:
             raise TransportConsistencyError(
                 f"rates disagree at s={grid[i]}: commutator {rates[i]:.6e} vs "
@@ -499,9 +498,7 @@ def _check_rates(grid, entropies, rates, rate_check_tol: tuple[float, float]) ->
             )
 
 
-def entropy_along_path(
-    spec: ChainPathSpec, rate_check_tol: tuple[float, float] = (RATE_CHECK_ATOL, RATE_CHECK_RTOL)
-) -> list[PathPoint]:
+def entropy_along_path(spec: ChainPathSpec) -> list[PathPoint]:
     """Ground state, gap, cut entropy, and its rate at every grid point.
 
     The rate comes from the transport generator through the tangent vector
@@ -527,7 +524,7 @@ def entropy_along_path(
         k_norm = max(float(np.sqrt(np.linalg.eigvalsh(B.T @ B)[-1])) for B in blocks)
         rows.append((s, e0, gap, psi, entropy, rate, k_norm))
     _, _, _, _, entropies, rates, _ = zip(*rows)
-    _check_rates(grid, entropies, rates, rate_check_tol)
+    _check_rates(grid, entropies, rates)
     fd = np.gradient(np.asarray(entropies), np.asarray(grid))
     return [
         PathPoint(s, e0, gap, psi, entropy, rate, float(fd_i), k_norm)

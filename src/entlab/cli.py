@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import BLAS_THREAD_VARS, __version__
-from .operators import RATE_CHECK_ATOL, RATE_CHECK_RTOL, TOLERANCES, HermitianOperator
+from .operators import TOLERANCES, HermitianOperator
 from .rates import (
     AdmissiblePair,
     BipartiteState,
@@ -253,7 +253,7 @@ def _cmd_adiabatic(args) -> int:
     path_json = _load_json(args.path)
     spec = ChainPathSpec.from_json(path_json)
     try:
-        points = entropy_along_path(spec, rate_check_tol=(args.rate_abs_tol, args.rate_rel_tol))
+        points = entropy_along_path(spec)
     except TransportConsistencyError as exc:
         path = _write_bundle(args.out, {"path": path_json, **exc.bundle})
         sys.stderr.write(f"{exc}; bundle at {path}\n")
@@ -351,11 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("adiabatic", help="entropy and rates along a chain path")
     p.add_argument("--path", type=str, required=True)
-    p.add_argument("--rate-abs-tol", type=float, default=RATE_CHECK_ATOL,
-                   help="absolute tolerance for the check of each interior "
-                        "commutator rate against the entropies on the grid "
-                        "(a Simpson relation, accurate to O(h^4) in the step)")
-    p.add_argument("--rate-rel-tol", type=float, default=RATE_CHECK_RTOL)
     common(p)
     p.set_defaults(func=_cmd_adiabatic)
 

@@ -195,14 +195,7 @@ class DecompositionReport:
         """True when every per-bracket and aggregate bound holds, each to
         SIE_VIOLATION_RTOL relative to max(1, total_bound)."""
         slack = SIE_VIOLATION_RTOL * max(1.0, self.total_bound)
-        for v, b in self.line1_brackets:
-            if v > b + slack:
-                return False
-        if sum(v for v, _ in self.line3_brackets) > self.line3_bound_aggregate + slack:
-            return False
-        if self.separated_sum[0] > self.separated_sum[1] + slack:
-            return False
-        return self.direct_lambda <= self.total_bound + slack
+        return bool(np.all(self.margins >= -slack))
 
     def to_json(self) -> dict:
         return {

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from entlab import chains
 from entlab.chains import (
     AreaLawParams,
     ChainPathSpec,
@@ -26,6 +27,9 @@ from transport_reference import (
     kron_tfim,
     transport_residual,
 )
+
+
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
 
 def ramp_spec(n=4, cut=2, pts=21):
@@ -176,19 +180,28 @@ class TestAdiabaticGenerator:
         with pytest.raises(GapCollapseError):
             adiabatic_generator(H, chain_hprime(spec, 0.0))
 
-    def test_any_operator_takes_the_dense_path(self):
-        # operators from outside the chain builders are diagonalised whole
+    def test_full_eigenbasis_never_built(self):
+        # every quantity comes from the sector blocks; the inherited dense
+        # eigh of a chain operator is never computed
         spec = ramp_spec(n=4)
         H = build_chain_hamiltonian(spec, 0.5)
         Hp = chain_hprime(spec, 0.5)
-        K = adiabatic_generator(H, Hp).mat
-        e0, psi, gap = ground_state(H)
-        for pair in ((HermitianOperator(H.mat), Hp), (H, HermitianOperator(Hp.mat))):
-            assert np.max(np.abs(adiabatic_generator(*pair).mat - K)) < 1e-12
-        e0_plain, psi_plain, gap_plain = ground_state(HermitianOperator(H.mat))
-        assert e0_plain == pytest.approx(e0, abs=1e-13)
-        assert gap_plain == pytest.approx(gap, abs=1e-13)
-        assert np.max(np.abs(psi_plain - psi)) < 1e-13
+        ground_state(H)
+        adiabatic_generator(H, Hp)
+        assert "sectors" in vars(H)
+        assert "eigh" not in vars(H) and "eigh" not in vars(Hp)
+
+    def test_plain_operators_rejected(self):
+        # only operators the chain builders make are accepted
+        spec = ramp_spec(n=4)
+        H = build_chain_hamiltonian(spec, 0.5)
+        Hp = chain_hprime(spec, 0.5)
+        plain_H, plain_Hp = HermitianOperator(H.mat), HermitianOperator(Hp.mat)
+        with pytest.raises(ValueError, match="build_chain_hamiltonian"):
+            ground_state(plain_H)
+        for pair in ((plain_H, Hp), (H, plain_Hp), (plain_H, plain_Hp)):
+            with pytest.raises(ValueError, match="build_chain_hamiltonian"):
+                adiabatic_generator(*pair)
 
 
 def full_chain_locality(K, n, center):
@@ -229,10 +242,18 @@ class TestLocality:
     def test_strictly_local_operator(self):
         # an operator on the center site alone has no weight beyond r = 0
         spec = ramp_spec(n=4)
-        m = np.kron(np.kron(np.eye(4), SIGMA_Z), np.eye(2))
+        m = np.kron(np.kron(np.eye(4), SIGMA_Y), np.eye(2))
         prof = locality_profile(HermitianOperator(m), spec, 2)
         assert prof.strengths[0] == pytest.approx(1.0)
         assert np.all(prof.strengths[1:] < 1e-12)
+
+    def test_operator_with_real_part_rejected(self):
+        # only a transport generator i R, R real antisymmetric, is profiled
+        spec = ramp_spec(n=4)
+        K = centered_generator_term(spec, 0.5, 2)
+        for m in (np.kron(np.kron(np.eye(4), SIGMA_Z), np.eye(2)), K.mat + np.eye(16)):
+            with pytest.raises(ValueError, match="real antisymmetric"):
+                locality_profile(HermitianOperator(m), spec, 2)
 
     @pytest.mark.parametrize("n, center", [(5, 2), (6, 0), (6, 4), (7, 3)])
     def test_matches_full_chain_reference(self, n, center):
@@ -276,9 +297,11 @@ class TestEntropyAlongPath:
             tol = max(1e-4, 1e-2 * abs(pt.rate_commutator))
             assert abs(pt.rate_commutator - pt.rate_finite_difference) <= tol
 
-    def test_impossible_tolerance_raises(self):
+    def test_impossible_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(chains, "RATE_CHECK_ATOL", 1e-15)
+        monkeypatch.setattr(chains, "RATE_CHECK_RTOL", 1e-15)
         with pytest.raises(TransportConsistencyError):
-            entropy_along_path(ramp_spec(n=4, pts=5), rate_check_tol=(1e-15, 1e-15))
+            entropy_along_path(ramp_spec(n=4, pts=5))
 
     def test_two_site_closed_form(self):
         # J = 1, g = 0.5 + s, cut = 1: with r = sqrt(J^2 + 4 g^2) and
@@ -366,7 +389,7 @@ class TestDenseReference:
         H = build_chain_hamiltonian(DENSE_CASES["ferromagnetic-n4"], 0.0)
         _, psi, gap = ground_state(H)
         assert 1e-5 < gap < 2e-5
-        first = H.eigh[1][:, 1]
+        first = np.linalg.eigh(H.mat)[1][:, 1]
         assert psi @ psi[::-1] == pytest.approx(1.0, abs=1e-12)
         assert first @ first[::-1] == pytest.approx(-1.0, abs=1e-12)
 
@@ -410,10 +433,10 @@ class TestRateCheck:
         spec, points = n10_default_grid
         entropies = [pt.entropy_left for pt in points]
         rates = [pt.rate_commutator for pt in points]
-        _check_rates(spec.s_grid, entropies, rates, (1e-4, 1e-2))
+        _check_rates(spec.s_grid, entropies, rates)
         rates[i] *= 1.02
         with pytest.raises(TransportConsistencyError) as err:
-            _check_rates(spec.s_grid, entropies, rates, (1e-4, 1e-2))
+            _check_rates(spec.s_grid, entropies, rates)
         assert err.value.bundle["s"] == spec.s_grid[i]
 
     def test_simpson_weights_exact_for_quadratics(self):
@@ -432,7 +455,7 @@ class TestRateCheck:
         rates = [pt.rate_commutator for pt in points]
         rates[4] *= 1.02
         with pytest.raises(TransportConsistencyError):
-            _check_rates(grid, entropies, rates, (1e-4, 1e-2))
+            _check_rates(grid, entropies, rates)
 
 
 class TestAreaLawBound:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import entlab
-from entlab import cli
+from entlab import chains, cli
 from entlab.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -259,12 +259,11 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: J must be a list") and err.count("\n") == 1
 
-    def test_transport_inconsistency_bundle(self, tmp_path, chain_path_file, capsys):
+    def test_transport_inconsistency_bundle(self, tmp_path, chain_path_file, capsys, monkeypatch):
+        monkeypatch.setattr(chains, "RATE_CHECK_ATOL", 1e-15)
+        monkeypatch.setattr(chains, "RATE_CHECK_RTOL", 1e-15)
         out = str(tmp_path / "ad.csv")
-        rc = main(
-            ["adiabatic", "--path", chain_path_file, "--rate-abs-tol", "1e-15",
-             "--rate-rel-tol", "1e-15", "--out", out]
-        )
+        rc = main(["adiabatic", "--path", chain_path_file, "--out", out])
         assert rc == EXIT_PROVED_VIOLATION
         assert "Traceback" not in capsys.readouterr().err
         with open(out + ".falsification.json") as fh:

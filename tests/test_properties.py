@@ -3,12 +3,14 @@
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from entlab.chains import ChainPathSpec, build_chain_hamiltonian
+from entlab.chains import ChainPathSpec, build_chain_hamiltonian, ground_state
 from entlab.operators import HermitianOperator
 from entlab.rates import (
     AdmissiblePair,
+    BipartiteState,
     _eigenbasis_terms,
     bucket_eigenvalues,
+    entanglement_rate,
     maximize_over_hamiltonian,
 )
 from entlab.search import sample_admissible_pair
@@ -97,14 +99,78 @@ def test_sector_spectrum_is_the_dense_spectrum(n, J, g, s):
     g_s = spec.couplings(s)[1]
     assume(abs(g_s) >= 0.1)
     H = build_chain_hamiltonian(spec, s)
-    w, v = H.eigh
     dense = np.linalg.eigvalsh(H.mat)
     scale = np.max(np.abs(dense))
-    assert np.max(np.abs(w - dense)) <= 1e-12 * scale
-    assert np.max(np.abs(H.mat @ v - v * w)) <= 1e-12 * scale
+    # both sectors' eigenvalues together are the spectrum of the full matrix
+    both = np.sort(np.concatenate([w for w, _ in H.sectors]))
+    assert np.max(np.abs(both - dense)) <= 1e-12 * scale
+    e0, psi, gap = ground_state(H)
+    assert abs(e0 - dense[0]) <= 1e-12 * scale
+    assert abs(gap - (dense[1] - dense[0])) <= 1e-12 * scale
+    assert np.max(np.abs(H.mat @ psi - e0 * psi)) <= 1e-12 * scale
     # the ground state is a spin-flip eigenvector: F = +1 for g > 0, and
     # (-1)^n for g < 0, where prod Z_i maps g to -g and anticommutes with
     # each X_i
     parity = 1.0 if g_s > 0 else (-1.0) ** n
-    psi = v[:, 0]
     assert np.max(np.abs(psi[::-1] - parity * psi)) <= 1e-12
+
+
+SIGMA_Z = np.diag([1.0, -1.0])
+ZZ = HermitianOperator(np.kron(SIGMA_Z, SIGMA_Z))
+
+
+def two_qubit_state(x):
+    """sqrt(x)|++> + i sqrt(1 - x)|-->."""
+    plus, minus = np.array([1.0, 1.0]) / np.sqrt(2), np.array([1.0, -1.0]) / np.sqrt(2)
+    return np.sqrt(x) * np.kron(plus, plus) + 1j * np.sqrt(1 - x) * np.kron(minus, minus)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(x=st.floats(0.001, 0.999), seed=st.integers(0, 2**32 - 1))
+def test_two_qubit_rate_closed_form(x, seed):
+    # under H = Z (x) Z the Schmidt weights x, 1 - x of psi_x flow at the
+    # rate 2 sqrt(x(1 - x)) ln(x / (1 - x)); it vanishes at x = 1/2
+    expected = 2.0 * np.sqrt(x * (1 - x)) * np.log(x / (1 - x))
+    tol = 1e-12 * max(abs(expected), 1e-3)
+    psi = two_qubit_state(x)
+    assert abs(entanglement_rate(BipartiteState((1, 2, 2, 1), psi), ZZ) - expected) <= tol
+    # one local unitary U_A (x) U_B on both the state and H leaves it unchanged
+    rng = np.random.default_rng(seed)
+    U = np.kron(haar_unitary(rng, 2), haar_unitary(rng, 2))
+    H_u = HermitianOperator(U @ ZZ.mat @ U.conj().T)
+    assert abs(entanglement_rate(BipartiteState((1, 2, 2, 1), U @ psi), H_u) - expected) <= tol
+
+
+def test_two_qubit_rate_maximum():
+    # the largest rate any two-qubit state reaches under Z (x) Z is
+    # 1.9123 bits (Dur, Vidal, Cirac, Linden and Popescu, 2001)
+    def bits(x):
+        return entanglement_rate(BipartiteState((1, 2, 2, 1), two_qubit_state(x)), ZZ) / np.log(2)
+
+    coarse = np.linspace(0.5, 0.999, 500)
+    best = coarse[np.argmax([bits(x) for x in coarse])]
+    top = max(bits(x) for x in np.linspace(best - 1e-3, best + 1e-3, 201))
+    assert abs(top - 1.9123) <= 1e-4
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(dim=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
+def test_max_over_hamiltonian_diagonal_y_closed_form(dim, seed):
+    # Y diagonal and X = Y^1/2 Z Y^1/2 with 0 <= Z <= I block diagonal on
+    # disjoint index pairs: C = i[X, log Y] is block diagonal on the same
+    # pairs, with eigenvalues +-|X_ij| ln(y_i / y_j) on pair (i, j)
+    rng = np.random.default_rng(seed)
+    y = np.exp(rng.uniform(-6.0, 0.0, dim))
+    y /= y.sum()
+    Z = np.diag(rng.uniform(0.0, 1.0, dim)).astype(complex)
+    order = rng.permutation(dim)
+    pairs = list(zip(order[0::2], order[1::2]))
+    for i, j in pairs:
+        u = haar_unitary(rng, 2)
+        Z[np.ix_([i, j], [i, j])] = (u * rng.uniform(0.0, 1.0, 2)) @ u.conj().T
+    X = np.sqrt(y)[:, None] * Z * np.sqrt(y)[None, :]
+    p = float(np.trace(X).real)
+    pair = AdmissiblePair(HermitianOperator(X), HermitianOperator(np.diag(y)), p)
+    expected = sum(2.0 * abs(X[i, j]) * abs(np.log(y[i] / y[j])) for i, j in pairs)
+    lam, _ = maximize_over_hamiltonian(pair)
+    assert abs(lam - expected) <= 1e-9 * expected

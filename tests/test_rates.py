@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from entlab.operators import (
+    SIE_VIOLATION_RTOL,
     DensityMatrix,
     HermitianOperator,
     trace_norm,
@@ -403,6 +406,20 @@ class TestProofDecomposition:
                 assert rep.all_bounds_hold()
                 assert np.min(rep.margins) > -1e-9
                 assert rep.total_bound == pytest.approx(sie_lambda_bound(0.1))
+
+    @pytest.mark.parametrize("excess, holds", [(2.0, False), (0.5, True)])
+    def test_bracket_over_its_bound(self, excess, holds):
+        # one line-one bracket over its bound by excess times the slack
+        _, rep = self.audit(8, 0.1, 17)
+        assert rep.all_bounds_hold()
+        slack = SIE_VIOLATION_RTOL * max(1.0, rep.total_bound)
+        _, b = rep.line1_brackets[0]
+        over = replace(
+            rep,
+            line1_brackets=[(b + excess * slack, b)] + rep.line1_brackets[1:],
+            margins=np.concatenate([[-excess * slack], rep.margins[1:]]),
+        )
+        assert over.all_bounds_hold() is holds
 
     def test_matches_mask_reference(self):
         # the block-sum table against per-bracket masks and the scalar bucket
