@@ -4,7 +4,7 @@ Modules:
     operators -- dense Hermitian primitives (spectra, logs, traces, norms)
     rates     -- the rate/commutator functionals, closed-form maximization,
                  bound functions, and the interval-decomposition audit
-    search    -- randomized generators and projected-gradient maximizers
+    search    -- randomized generators and gradient-ascent maximizers
     chains    -- gapped spin-chain paths, exact transport, entropy tracking
     cli       -- command-line front end
     __main__  -- console entry point (``entlab``, ``python -m entlab``)

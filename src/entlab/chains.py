@@ -29,9 +29,11 @@ rate across the cut is read off the Schmidt matrices of psi and its tangent.
 The reported norm of the generator, ||K|| = ||H'_mn / (E_m - E_n)|| in the
 eigenbasis, is the larger of the two blocks' norms; no complex 2^n x 2^n
 matrix is formed.  The rate is checked against the entropies on the grid.
-The dense transport generator K(s) is built only where a caller needs the
-operator itself (``adiabatic_generator``, ``centered_generator_term``); its
-locality is *measured* by compressing it onto balls around a center site.
+The dense transport generator K(s) = i R(s) is built only where a caller
+needs the operator itself (``adiabatic_generator``,
+``centered_generator_term``); its locality is *measured* by compressing it
+onto balls around a center site, each shell's norm read from the shell's
+two flip blocks on its ball.
 
 Dense only: K needs every eigenpair of both blocks, so n_sites is capped at
 12.  One path point takes about 0.08 s at n = 10 and about 4.4 s at n = 12
@@ -47,7 +49,8 @@ import numpy as np
 from numpy.polynomial import polynomial as _poly
 
 from .operators import DEGENERACY_TOL, GAP_FLOOR, GAUGE_TOL, RATE_CHECK_ATOL, RATE_CHECK_RTOL
-from .operators import HermitianOperator, log_on_support, partial_trace_matrix, spectral_rebuild
+from .operators import HermitianOperator, input_number, input_numbers, log_on_support
+from .operators import partial_trace_matrix, spectral_rebuild
 
 MAX_SITES = 12
 
@@ -81,27 +84,14 @@ class TransportConsistencyError(RuntimeError):
         self.bundle = bundle
 
 
-def _floats(name: str, values, least: int = 1) -> tuple[float, ...]:
-    """``values`` as a tuple of at least ``least`` floats, or ValueError."""
-    try:
-        if isinstance(values, str):  # iterable, but one character per value
-            raise TypeError
-        out = tuple(float(v) for v in values)
-    except TypeError:
-        raise ValueError(f"{name} must be a list of numbers, got {values!r}") from None
-    if len(out) < least:
-        raise ValueError(f"{name} has {len(out)} values, needs at least {least}")
-    return out
-
-
 @dataclass(frozen=True)
 class ChainPathSpec:
     """Open transverse-field Ising chain path with a cut splitting L|R.
 
     ``J`` and ``g`` are lists of polynomial coefficients in s, in ascending
-    order; a callable is rejected.  ``cut`` counts sites in L
-    (1 <= cut < n_sites).  ``s_grid`` holds at least two points, strictly
-    increasing in [0, 1].
+    order; a callable is rejected.  ``n_sites`` and ``cut`` are integers;
+    ``cut`` counts sites in L (1 <= cut < n_sites).  ``s_grid`` holds at
+    least two points, strictly increasing in [0, 1].
     """
 
     n_sites: int
@@ -111,20 +101,22 @@ class ChainPathSpec:
     s_grid: tuple = tuple(np.linspace(0.0, 1.0, 11))
 
     def __post_init__(self):
+        for name in ("n_sites", "cut"):
+            object.__setattr__(self, name, input_number(name, getattr(self, name), integer=True))
         if self.n_sites < 2:
             raise ValueError(f"n_sites = {self.n_sites} must be >= 2")
         if self.n_sites > MAX_SITES:
             raise ValueError(f"n_sites = {self.n_sites} beyond dense ceiling {MAX_SITES}")
         if not (1 <= self.cut < self.n_sites):
             raise ValueError(f"cut = {self.cut} must satisfy 1 <= cut < n_sites")
-        grid = _floats("s_grid", self.s_grid, least=2)
+        grid = input_numbers("s_grid", self.s_grid, least=2)
         if any(s < 0.0 or s > 1.0 for s in grid):
             raise ValueError("s_grid points must lie in [0, 1]")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("s_grid must be strictly increasing")
         object.__setattr__(self, "s_grid", grid)
-        object.__setattr__(self, "J", _floats("J", self.J))
-        object.__setattr__(self, "g", _floats("g", self.g))
+        object.__setattr__(self, "J", input_numbers("J", self.J, least=1))
+        object.__setattr__(self, "g", input_numbers("g", self.g, least=1))
 
     def couplings(self, s: float) -> tuple[float, float]:
         return float(_poly.polyval(s, self.J)), float(_poly.polyval(s, self.g))
@@ -136,7 +128,7 @@ class ChainPathSpec:
     def from_json(cls, obj: dict) -> "ChainPathSpec":
         # absent schedules and grid take the field defaults
         optional = {k: obj[k] for k in ("J", "g", "s_grid") if k in obj}
-        return cls(n_sites=int(obj["n_sites"]), cut=int(obj["cut"]), **optional)
+        return cls(n_sites=obj["n_sites"], cut=obj["cut"], **optional)
 
 
 @dataclass
@@ -266,23 +258,31 @@ def _unfold_matrix(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
     return np.block([[s, d[:, ::-1]], [d[::-1], s[::-1, ::-1]]])
 
 
+def _stored(cls, m: np.ndarray):
+    """An operator of class ``cls`` holding ``m`` itself: a matrix this
+    module writes exactly Hermitian, so it skips the complex copy and
+    symmetrisation of ``HermitianOperator._built``."""
+    op = object.__new__(cls)
+    m.setflags(write=False)
+    object.__setattr__(op, "mat", m)
+    return op
+
+
+def _sector_norm(blocks) -> float:
+    """Operator norm of a real operator of definite flip parity, from its two
+    blocks S in the flip basis (``_fold``): the larger sqrt(lambda_max(S^T S))."""
+    return max(float(np.sqrt(np.linalg.eigvalsh(S.T @ S)[-1])) for S in blocks)
+
+
 class _FlipSymmetric(HermitianOperator):
     """A chain operator of the form of ``_tfim_matrix``, which commutes with
     the global spin flip.
 
-    ``mat`` is the real matrix as written, exactly symmetric, so it is stored
-    without the complex copy and symmetrisation of ``_built``.  Its spectrum
-    is read from ``sectors``, the two 2^(n-1) blocks; the inherited ``eigh``
-    stays a plain dense decomposition of ``mat``, which no program path
-    calls.
+    ``mat`` is the real matrix as written, exactly symmetric, and is stored
+    as it is (``_stored``).  Its spectrum is read from ``sectors``, the two
+    2^(n-1) blocks; the inherited ``eigh`` stays a plain dense
+    decomposition of ``mat``, which no program path calls.
     """
-
-    @classmethod
-    def _built(cls, m: np.ndarray) -> "_FlipSymmetric":
-        op = object.__new__(cls)
-        m.setflags(write=False)
-        object.__setattr__(op, "mat", m)
-        return op
 
     @cached_property
     def sectors(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -291,7 +291,7 @@ class _FlipSymmetric(HermitianOperator):
 
 
 def _uniform_chain(n: int, J: float, g: float) -> HermitianOperator:
-    return _FlipSymmetric._built(_tfim_matrix(n, np.full(n - 1, J), np.full(n, g)))
+    return _stored(_FlipSymmetric, _tfim_matrix(n, np.full(n - 1, J), np.full(n, g)))
 
 
 def build_chain_hamiltonian(spec: ChainPathSpec, s: float) -> HermitianOperator:
@@ -373,14 +373,16 @@ def adiabatic_generator(H: HermitianOperator, Hprime: HermitianOperator) -> Herm
     H and H' must be chain operators (``build_chain_hamiltonian``,
     ``chain_hprime``); anything else is a ValueError.  Every quantity is read
     from the sector spectra of H, and K = i R comes back with R real
-    antisymmetric.
+    antisymmetric and flip-symmetric: R is antisymmetrised once in real
+    arithmetic and i R stored as it is.
     """
     _chain_operators(H, Hprime)
     if H.dim != Hprime.dim:
         raise ValueError("H and H' dimensions differ")
     _ground_level(H)
     plus, minus = (u @ B @ u.T for (_, u), B in zip(H.sectors, _sector_quotients(H, Hprime)))
-    return HermitianOperator._built(1j * _unfold_matrix(plus, minus))
+    R = _unfold_matrix(plus, minus)
+    return _stored(HermitianOperator, 1j * (0.5 * (R - R.T)))
 
 
 def centered_generator_term(spec: ChainPathSpec, s: float, center: int) -> HermitianOperator:
@@ -400,7 +402,7 @@ def centered_generator_term(spec: ChainPathSpec, s: float, center: int) -> Hermi
     fields[center] = dg
     if center < n - 1:
         bonds[center] = dJ
-    source = _FlipSymmetric._built(_tfim_matrix(n, bonds, fields))
+    source = _stored(_FlipSymmetric, _tfim_matrix(n, bonds, fields))
     return adiabatic_generator(build_chain_hamiltonian(spec, s), source)
 
 
@@ -423,10 +425,15 @@ def locality_profile(
     out.  The largest ball is the whole chain; each K_{r-1} is traced from
     K_r.
 
-    K must be a transport generator i R with R real antisymmetric, as
-    ``adiabatic_generator`` and ``centered_generator_term`` return it; any
-    other operator is a ValueError.  Every step runs on R in real
-    arithmetic, since ||i S|| = ||S||.
+    K must be a transport generator i R with R real antisymmetric and
+    F R F = R, F the global spin flip, as ``adiabatic_generator`` and
+    ``centered_generator_term`` return it, or F R F = -R; any other operator
+    is a ValueError.  Every step runs on R in real arithmetic, since
+    ||i S|| = ||S||.  A partial trace keeps the sign of F R F on the ball,
+    so each shell commutes or anticommutes with its ball's flip, and the
+    two blocks ``_fold`` reads are its diagonal blocks in the flip basis or
+    its two off-diagonal ones.  Either way its norm is the larger of theirs
+    (``_sector_norm``).
     """
     n = spec.n_sites
     if not (0 <= center < n):
@@ -434,9 +441,14 @@ def locality_profile(
     r_max = max(center, n - 1 - center)
     radii = np.arange(r_max + 1)
     strengths = np.zeros(r_max + 1)
-    if K.mat.real.any():
-        raise ValueError("locality_profile takes a transport generator i R, R real antisymmetric")
-    cur, lo, hi = K.mat.imag, 0, n - 1
+    R = K.mat.imag
+    flipped = R[::-1, ::-1]  # F R F
+    if K.mat.real.any() or not (np.array_equal(R, flipped) or np.array_equal(R, -flipped)):
+        raise ValueError(
+            "locality_profile takes a transport generator i R, R real antisymmetric"
+            " with F R F = R or -R for the global spin flip F"
+        )
+    cur, lo, hi = R, 0, n - 1
     for r in radii[::-1]:
         # sites in_lo..in_hi of ball r - 1; the empty ball below r = 0 keeps
         # one 1 x 1 block, Tr R / dim
@@ -444,8 +456,8 @@ def locality_profile(
         dims = (2 ** (in_lo - lo), 2 ** (in_hi - in_lo + 1), 2 ** (hi - in_hi))
         inner = partial_trace_matrix(cur, dims, [1]) / (dims[0] * dims[2])
         shell = cur - np.kron(np.kron(np.eye(dims[0]), inner), np.eye(dims[2]))
-        # ||i S|| = ||S|| = sqrt(lambda_max(S^T S)) for real antisymmetric S
-        strengths[r] = np.sqrt(np.linalg.eigvalsh(shell.T @ shell)[-1])
+        # the shell keeps R's flip parity on its ball, and ||i S|| = ||S||
+        strengths[r] = _sector_norm(_fold(shell))
         cur, lo, hi = inner, in_lo, in_hi
     return LocalityProfile(center=center, radii=radii, strengths=strengths)
 
@@ -521,7 +533,7 @@ def entropy_along_path(spec: ChainPathSpec) -> list[PathPoint]:
             for sign, (_, u), B in zip(_SIGNS, H.sectors, blocks)
         )
         entropy, rate = _cut_entropy_and_rate(psi, dpsi, spec.cut)
-        k_norm = max(float(np.sqrt(np.linalg.eigvalsh(B.T @ B)[-1])) for B in blocks)
+        k_norm = _sector_norm(blocks)
         rows.append((s, e0, gap, psi, entropy, rate, k_norm))
     _, _, _, _, entropies, rates, _ = zip(*rows)
     _check_rates(grid, entropies, rates)

@@ -10,7 +10,9 @@ Exit codes: 0 success; 1 input error, including a chain path whose gap
 closes and a sampler that exhausts its trial budget (one line on stderr);
 2 proved-bound violation, failed transport identity or other failed theory
 identity (a bug — reproduction bundle written); 3 conjectured-bound
-violation (a scientific event, bundle written).
+violation (a scientific event, bundle written).  The searches check every
+record against its proved bound; ``lambda-max`` and ``rate`` check their
+value after writing the report.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import sys
 import numpy as np
 
 from . import BLAS_THREAD_VARS, __version__
-from .operators import TOLERANCES, HermitianOperator
+from .operators import TOLERANCES, HermitianOperator, input_number, input_numbers, operator_norm
 from .rates import (
     AdmissiblePair,
     BipartiteState,
@@ -41,6 +43,7 @@ from .search import (
     GeneratorFailure,
     ProvedBoundViolation,
     TrialBudget,
+    _raise_above,
     conjecture_scan,
     maximize_rate_over_states,
     sample_admissible_pair,
@@ -123,9 +126,16 @@ def _cmd_rate(args) -> int:
     state = BipartiteState.from_json(_load_json(args.state))
     H = HermitianOperator.from_json(_load_json(args.ham))
     config = {"cmd": "rate", "state": args.state, "ham": args.ham}
+    rate = entanglement_rate(state, H)
     lines = _header_lines(config, args.seed)
-    lines.append(f"rate {_fmt(entanglement_rate(state, H))}")
+    lines.append(f"rate {_fmt(rate)}")
     _write_report(args.out, lines)
+    # at min(d_A, d_B) = 1 the bound is 0, so the slack scales with ||H||
+    h_norm = operator_norm(H)
+    bound = sie_rate_bound(min(state.dims[1:3]), h_norm)
+    inputs = {"state": state.to_json(), "ham": H.to_json()}
+    bundle = {"value": rate, "bound": bound, "input": inputs}
+    _raise_above(abs(rate), bound, "18 ||H|| ln min(d_A, d_B)", max(bound, h_norm), bundle)
     return EXIT_OK
 
 
@@ -143,6 +153,10 @@ def _cmd_lambda_max(args) -> int:
     lines.append(f"lambda_max {_fmt(lam)}")
     lines.append("H_opt " + json.dumps(H_opt.to_json(), sort_keys=True))
     _write_report(args.out, lines)
+    if pair.p <= P_SIE_MAX:
+        bound = sie_lambda_bound(pair.p)
+        bundle = {"value": lam, "bound": bound, "input": {**config, "pair": pair.to_json()}}
+        _raise_above(lam, bound, "9 p ln(1/p)", bound, bundle)
     return EXIT_OK
 
 
@@ -179,16 +193,15 @@ def _cmd_proof_audit(args) -> int:
 
 def _cmd_sim_scan(args) -> int:
     cfg = _load_json(args.config) if args.config else {}
-    dims = cfg.get("dims", [2])
-    p_grid = cfg.get("p_grid", [])
-    budget = TrialBudget(
-        restarts=int(cfg.get("restarts", 20)), iters=int(cfg.get("iters", 100))
-    )
-    seed = int(cfg.get("seed", args.seed))
+    dims = input_numbers("dims", cfg.get("dims", [2]), integer=True)
+    p_grid = input_numbers("p_grid", cfg.get("p_grid", []))
+    count = lambda name, default: input_number(name, cfg.get(name, default), integer=True)
+    budget = TrialBudget(restarts=count("restarts", 20), iters=count("iters", 100))
+    seed = count("seed", args.seed)
     config = {
         "cmd": "sim-scan",
-        "dims": dims,
-        "p_grid": p_grid,
+        "dims": list(dims),
+        "p_grid": list(p_grid),
         "restarts": budget.restarts,
         "iters": budget.iters,
         "seed": seed,

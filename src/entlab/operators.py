@@ -12,14 +12,17 @@ support rule (eigenvalues above ``SUPPORT_RTOL`` times the largest), and
 ``spectral_rebuild`` forms V f(w) V^dag for one matrix or a stack.
 
 Input from outside the program is checked once, where it enters; what the
-program builds is stored unchecked (``HermitianOperator._built``).  Every
-threshold is in one table, ``TOLERANCES``.
+program builds is stored unchecked (``HermitianOperator._built``).  Counts
+and lists of numbers read from JSON go through ``input_number`` and
+``input_numbers``.  Every threshold is in one table, ``TOLERANCES``.
 
 Operations are pure functions of their inputs and hold no shared state.
 """
 
 from __future__ import annotations
 
+import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -48,8 +51,10 @@ P_REGIME_TOL = _tol("P_REGIME_TOL", 1e-15, "absolute: p against 1/e^2 in the dec
 IDENTITY_RTOL = _tol("IDENTITY_RTOL", 1e-9, "max(1, |direct sum|) in the rearrangement identity")
 SIE_VIOLATION_RTOL = _tol("SIE_VIOLATION_RTOL", 1e-9, "the proved bound (at least 1 in the audit)")
 SIM_VIOLATION_RTOL = _tol("SIM_VIOLATION_RTOL", 1e-6, "the binary-entropy envelope")
-ROW_TRACE_FLOOR = _tol("ROW_TRACE_FLOOR", 1e-300, "absolute: Tr(Y^1/2 Z Y^1/2) of an ascent row")
-CONTRACTION_TOL = _tol("CONTRACTION_TOL", 1e-12, "absolute: c max z - 1 of an ascent row")
+ROW_TRACE_FLOOR = _tol(
+    "ROW_TRACE_FLOOR", 1e-300, "absolute: Tr(Y^1/2 Z Y^1/2) of a draw or ascent row"
+)
+CONTRACTION_TOL = _tol("CONTRACTION_TOL", 1e-12, "absolute: c max z - 1 of a draw or ascent row")
 GAP_FLOOR = _tol("GAP_FLOOR", 1e-8, "absolute: the gap E_1 - E_0 of H(s)")
 DEGENERACY_TOL = _tol("DEGENERACY_TOL", 1e-8, "absolute: an energy difference E_m - E_n")
 GAUGE_TOL = _tol("GAUGE_TOL", 1e-10, "absolute: an amplitude of the unit ground state")
@@ -73,6 +78,28 @@ __all__ = [
     "operator_norm",
     "commutator",
 ]
+
+
+def input_number(name: str, value, integer: bool = False):
+    """A number from outside the program: a float, or an int when
+    ``integer``.  ValueError for a string, a bool, any other non-number and,
+    when ``integer``, a number with a fractional part."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or (
+        integer and not float(value).is_integer()
+    ):
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def input_numbers(name: str, values, least: int = 0, integer: bool = False) -> tuple:
+    """A list from outside the program as a tuple of at least ``least``
+    numbers (``input_number``); ValueError for a string or a non-list."""
+    if isinstance(values, str) or not isinstance(values, Iterable):
+        raise ValueError(f"{name} must be a list of numbers, got {values!r}")
+    out = tuple(input_number(f"{name} entry", v, integer) for v in values)
+    if len(out) < least:
+        raise ValueError(f"{name} has {len(out)} values, needs at least {least}")
+    return out
 
 
 class NonHermitianError(ValueError):

@@ -6,7 +6,9 @@ refined by gradient ascent.  One driver, ``_ascend``, runs both searches: it
 takes central differences and a backtracking line search over an objective
 that evaluates a stack of parameter rows at once (``_eval_pair_params`` for
 pairs, the stacked rate ``rates._entanglement_rates`` for states).  The inner
-optimization over the Hamiltonian is always the closed form.
+optimization over the Hamiltonian is always the closed form, ||i[X, log Y]||_1
+from one stacked kernel (``_lambda_max``) for a draw and for ascent rows
+alike, so pure random sampling is an ascent of zero steps.
 Every record is reproducible from (config, seed): per-restart generators are
 derived from the base seed, and aggregation is a max-reduction, so results do
 not depend on scheduling.
@@ -27,7 +29,6 @@ from .rates import (
     AdmissiblePair,
     BipartiteState,
     BOUND_CONSTANTS,
-    maximize_over_hamiltonian,
     sie_lambda_bound,
     sie_rate_bound,
     sim_bound,
@@ -111,7 +112,7 @@ class SearchRecord:
     argmax: dict
     seed: int
     trials: int
-    method: str  # random | projected_gradient | hybrid
+    method: str  # random (iters = 0) | hybrid (random restarts refined by ascent)
     restarts_used: int = 0
     rejections: int = 0
 
@@ -149,6 +150,14 @@ def _haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+def _contraction(tw, zmax, p: float):
+    """c = p / Tr W, and whether c Z <= I: Tr W > ROW_TRACE_FLOOR and
+    c max z <= 1 + CONTRACTION_TOL, for a draw or each ascent row."""
+    ok = tw > ROW_TRACE_FLOOR
+    c = p / np.where(ok, tw, 1.0)
+    return c, ok & (c * zmax <= 1.0 + CONTRACTION_TOL)
+
+
 def _draw_pair(rng: np.random.Generator, dim: int, p: float):
     """Draw (Y, Z, X) until rescaling keeps the effective contraction below
     the identity, at most _MAX_DRAWS times.  Returns ((Y, Zm, Xm), the
@@ -164,13 +173,9 @@ def _draw_pair(rng: np.random.Generator, dim: int, p: float):
         wy, vy = Y.eigh
         sq = spectral_rebuild(vy, np.sqrt(np.clip(wy, 0, None)))
         W = sq @ Zm @ sq
-        t = float(np.trace(W).real)
-        if t <= 0:
-            continue
-        c = p / t
-        if c * float(z_ev.max()) > 1.0:
-            continue
-        return (Y, Zm, c * W), rejections
+        c, ok = _contraction(np.trace(W).real, z_ev.max(), p)
+        if ok:
+            return (Y, Zm, c * W), rejections
     raise GeneratorFailure(f"no admissible sample in {_MAX_DRAWS} tries (dim={dim}, p={p})")
 
 
@@ -249,18 +254,20 @@ def _eval_pair_params(theta: np.ndarray, d: int, p: float):
     Zm = spectral_rebuild(uz, wz)
     sq = spectral_rebuild(uy, np.sqrt(wy))
     W = sq @ Zm @ sq
-    tw = np.trace(W, axis1=1, axis2=2).real
-    ok = tw > ROW_TRACE_FLOOR
-    c = p / np.where(ok, tw, 1.0)
-    ok &= ~(c * wz.max(axis=-1) > 1.0 + CONTRACTION_TOL)
+    c, ok = _contraction(np.trace(W, axis1=1, axis2=2).real, wz.max(axis=-1), p)
     rows, wy, uy = rows[ok], wy[ok], uy[ok]
     X = c[ok, None, None] * W[ok]
-    logY = spectral_rebuild(uy, log_on_support(wy)[1])
-    C = 1j * (X @ logY - logY @ X)
-    vals[rows] = np.abs(np.linalg.eigvalsh(C)).sum(axis=-1)
+    vals[rows] = _lambda_max(wy, uy, X)
     Ym[rows] = spectral_rebuild(uy, wy)
     Xm[rows] = X
     return vals, Ym, Xm
+
+
+def _lambda_max(wy: np.ndarray, uy: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """||i[X, log Y]||_1 per row of a stack, from Y's eigenpairs (wy, uy)."""
+    logY = spectral_rebuild(uy, log_on_support(wy)[1])
+    C = 1j * (X @ logY - logY @ X)
+    return np.abs(np.linalg.eigvalsh(C)).sum(axis=-1)
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -329,44 +336,36 @@ def maximize_lambda_over_pairs(dim: int, p: float, budget: TrialBudget, seed) ->
     """Hunt for the largest closed-form maximum of the functional over
     admissible pairs at fixed (dim, p).
 
-    Each of ``restarts`` random samples is refined by gradient ascent for up
-    to ``iters`` steps (early-stopped once the line search stalls); with
-    ``iters`` = 0 the samples are kept as drawn (method "random").  The
-    ratio is reported against the binary-entropy envelope.
+    Each of ``restarts`` random draws is valued from its own Y.eigh and X,
+    then refined by gradient ascent for up to ``iters`` steps (early-stopped
+    once the line search stalls); ``iters`` = 0 keeps the draws (method
+    "random").  ``trials`` counts evaluations, ``rejections`` rejected draws.
+    The best pair is checked once; the ratio is against the envelope.
     """
     if dim < 2:
         raise ValueError(f"dim = {dim} must be >= 2")
     bound = sim_bound(p)  # raises for p outside (0, 1)
     # the ascent runs over the raw Hermitian parameters of Y and Z
     evaluate = lambda rows: _eval_pair_params(rows, dim, p)
-    best = -1.0
-    best_pair = None
-    trials = 0
-    rejections = 0
+    best, trials, rejections = (-1.0,), 0, 0
     for r in range(budget.restarts):
         (Y, Zm, Xm), rej = _draw_pair(_rng([_as_int_seed(seed), r]), dim, p)
         rejections += rej
-        if budget.iters == 0:
-            trials += rej + 1
-            X = HermitianOperator._built(Xm)
-            val, _ = maximize_over_hamiltonian(AdmissiblePair(X, Y, p))
-        else:
-            theta = np.concatenate([_herm_to_vec(Y.mat), _herm_to_vec(Zm)])
-            start = tuple(a[0] for a in evaluate(theta[None]))
-            assert not np.isnan(start[0])
-            _, (val, Ym, Xm), evals = _ascend(evaluate, theta, start, budget.iters, 1e-5)
-            val = float(val)
-            trials += evals
-            X, Y = HermitianOperator._built(Xm), HermitianOperator._built(Ym)
-        if val > best:
-            best, best_pair = val, AdmissiblePair(X, Y, p)
+        wy, uy = Y.eigh
+        start = (_lambda_max(wy[None], uy[None], Xm[None])[0], Y.mat, Xm)
+        theta = np.concatenate([_herm_to_vec(Y.mat), _herm_to_vec(Zm)])
+        _, end, evals = _ascend(evaluate, theta, start, budget.iters, 1e-5)
+        trials += evals
+        best = max(best, end, key=lambda row: row[0])
+    value, Ym, Xm = best
+    pair = AdmissiblePair(HermitianOperator._built(Xm), HermitianOperator._built(Ym), p)
     record = SearchRecord(
         dim=dim,
         p=p,
-        best_value=best,
+        best_value=float(value),
         bound_value=bound,
-        ratio=best / bound,
-        argmax=best_pair.to_json(),
+        ratio=float(value) / bound,
+        argmax=pair.to_json(),
         seed=_as_int_seed(seed),
         trials=trials,
         method="hybrid" if budget.iters > 0 else "random",
@@ -391,17 +390,15 @@ def _check_proved_bound(record: SearchRecord) -> None:
     """Abort with a reproduction bundle if a pair record exceeds 9 p ln(1/p)."""
     if record.p <= P_SIE_MAX:
         sie = sie_lambda_bound(record.p)
-        _raise_above(record, sie, "9 p ln(1/p)", sie)
+        _raise_above(record.best_value, sie, "9 p ln(1/p)", sie, record.to_json())
 
 
-def _raise_above(record: SearchRecord, bound: float, formula: str, scale: float) -> None:
-    """Raise ProvedBoundViolation, with the record as its bundle, if the
-    record exceeds a proved bound by more than SIE_VIOLATION_RTOL * scale."""
-    if record.best_value > bound + SIE_VIOLATION_RTOL * scale:
+def _raise_above(value: float, bound: float, formula: str, scale: float, bundle: dict) -> None:
+    """Raise ProvedBoundViolation, carrying ``bundle``, if ``value`` exceeds
+    a proved bound by more than SIE_VIOLATION_RTOL * scale."""
+    if value > bound + SIE_VIOLATION_RTOL * scale:
         raise ProvedBoundViolation(
-            f"proved bound exceeded: value {record.best_value} > "
-            f"{formula} = {bound} at dim={record.dim}, p={record.p}",
-            bundle=record.to_json(),
+            f"proved bound exceeded: value {value} > {formula} = {bound}", bundle
         )
 
 
@@ -467,7 +464,8 @@ def maximize_rate_over_states(
     )
     # at min(d_A, d_B) = 1 the bound is 0, so the slack scales with ||H||
     sie = sie_rate_bound(min(d_A, d_B), h_norm)
-    _raise_above(record, sie, "18 ||H|| ln min(d_A, d_B)", max(sie, h_norm))
+    formula = "18 ||H|| ln min(d_A, d_B)"
+    _raise_above(record.best_value, sie, formula, max(sie, h_norm), record.to_json())
     return record
 
 

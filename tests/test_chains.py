@@ -24,6 +24,7 @@ from transport_reference import (
     SIGMA_Z,
     dense_centered_term,
     dense_path_point,
+    dense_shell_strengths,
     kron_tfim,
     transport_residual,
 )
@@ -255,6 +256,19 @@ class TestLocality:
             with pytest.raises(ValueError, match="real antisymmetric"):
                 locality_profile(HermitianOperator(m), spec, 2)
 
+    def test_flip_parity(self):
+        # shell norms come from flip blocks: an operator that anticommutes
+        # with the spin flip is profiled like one that commutes, and a mix
+        # of the two is rejected
+        spec = ramp_spec(n=4)
+        odd = np.kron(np.kron(np.eye(2), SIGMA_Y), np.kron(SIGMA_X, np.eye(2)))
+        even = np.kron(np.kron(np.eye(2), SIGMA_Y), np.kron(SIGMA_Z, np.eye(2)))
+        for m in (odd, even):
+            prof = locality_profile(HermitianOperator(m), spec, 1)
+            assert np.allclose(prof.strengths, full_chain_locality(m, 4, 1), rtol=0, atol=1e-12)
+        with pytest.raises(ValueError, match="spin flip"):
+            locality_profile(HermitianOperator(odd + even), spec, 1)
+
     @pytest.mark.parametrize("n, center", [(5, 2), (6, 0), (6, 4), (7, 3)])
     def test_matches_full_chain_reference(self, n, center):
         # shells taken on their balls agree with shells embedded back into
@@ -265,6 +279,34 @@ class TestLocality:
         ref = full_chain_locality(K.mat, n, center)
         assert prof.strengths.shape == ref.shape
         assert np.max(np.abs(prof.strengths - ref)) < 1e-12 * max(1.0, ref.max())
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_matches_dense_shell_norms(self, n):
+        # shell norms from the flip blocks of each ball against the norm of
+        # the whole shell matrix
+        spec = ramp_spec(n=n)
+        for center in (0, n // 2):
+            K = centered_generator_term(spec, 0.5, center)
+            ref = dense_shell_strengths(K.mat.imag, n, center)
+            prof = locality_profile(K, spec, center)
+            assert np.all(np.abs(prof.strengths - ref) <= 1e-12 * ref.max())
+
+    def test_no_eigensolver_call_wider_than_a_sector(self, monkeypatch):
+        n = 8
+        widths = []
+
+        def recorded(solver):
+            def call(a, *args, **kwargs):
+                widths.append(a.shape[-1])
+                return solver(a, *args, **kwargs)
+
+            return call
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, recorded(getattr(np.linalg, name)))
+        spec = ramp_spec(n=n)
+        locality_profile(centered_generator_term(spec, 0.5, 4), spec, 4)
+        assert widths and max(widths) == 2 ** (n - 1)
 
     def test_centered_terms_sum_to_full_generator(self):
         spec = ramp_spec(n=4)

@@ -18,7 +18,9 @@ from entlab.cli import (
 )
 from entlab.operators import TOLERANCES, HermitianOperator
 from entlab.rates import (
+    AdmissiblePair,
     NumericalConsistencyError,
+    maximize_over_hamiltonian,
     entanglement_rate,
     sie_rate_bound,
     sim_bound,
@@ -147,6 +149,24 @@ class TestRate:
             entanglement_rate(state, H), abs=1e-12
         )
 
+    def test_proved_bound_violation_exits_2_after_the_report(self, tmp_path, monkeypatch, capsys):
+        # the check reads cli.sie_rate_bound; a zero bound leaves only the
+        # slack 1e-9 ||H||, which the rate of this state exceeds
+        monkeypatch.setattr(cli, "sie_rate_bound", lambda d, h_norm: 0.0)
+        state = sample_bipartite_state((1, 2, 2, 1), 3)
+        H = HermitianOperator(np.kron(np.diag([1.0, -1.0]), np.diag([1.0, -1.0])))
+        sf = write_json(tmp_path / "state.json", state.to_json())
+        hf = write_json(tmp_path / "ham.json", H.to_json())
+        out = str(tmp_path / "r.txt")
+        assert main(["rate", "--state", sf, "--ham", hf, "--out", out]) == EXIT_PROVED_VIOLATION
+        assert "18 ||H|| ln min(d_A, d_B)" in capsys.readouterr().err
+        (line,) = body(read_lines(out))
+        with open(out + ".falsification.json") as fh:
+            bundle = json.load(fh)
+        assert bundle["value"] == float(line.split()[1]) == entanglement_rate(state, H)
+        assert bundle["bound"] == 0.0
+        assert bundle["input"] == {"state": state.to_json(), "ham": H.to_json()}
+
 
 class TestLambdaMax:
     def test_sampled_pair(self, tmp_path):
@@ -164,6 +184,24 @@ class TestLambdaMax:
 
     def test_requires_pair_or_dims(self, capsys):
         assert main(["lambda-max"]) == EXIT_INPUT
+
+    def test_proved_bound_violation_exits_2_after_the_report(self, tmp_path, monkeypatch, capsys):
+        # the check reads cli.sie_lambda_bound, at p <= 1/e^2 only
+        monkeypatch.setattr(cli, "sie_lambda_bound", lambda p: 0.0)
+        out = str(tmp_path / "l.txt")
+        rc = main(["lambda-max", "--dim", "3", "--p", "0.1", "--seed", "4", "--out", out])
+        assert rc == EXIT_PROVED_VIOLATION
+        assert "9 p ln(1/p)" in capsys.readouterr().err
+        lines = body(read_lines(out))
+        with open(out + ".falsification.json") as fh:
+            bundle = json.load(fh)
+        assert bundle["value"] == float(lines[0].split()[1]) > 0
+        assert bundle["bound"] == 0.0
+        assert bundle["input"]["dim"] == 3 and bundle["input"]["p"] == 0.1
+        pair = AdmissiblePair.from_json(bundle["input"]["pair"])
+        assert maximize_over_hamiltonian(pair)[0] == bundle["value"]
+        # above 1/e^2 there is no proved bound to check
+        assert main(["lambda-max", "--dim", "3", "--p", "0.3", "--out", out]) == EXIT_OK
 
 
 class TestProofAudit:
@@ -258,6 +296,34 @@ class TestErrors:
         assert main(["adiabatic", "--path", path]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith("error: J must be a list") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("dims", "23"), ("dims", [2.9]), ("dims", [True]), ("p_grid", ["0.1"]), ("p_grid", 0.1),
+         ("restarts", 1.8), ("iters", "5"), ("iters", False), ("seed", 2.5)],
+    )
+    def test_non_integer_scan_count_exits_1_with_one_line(self, tmp_path, capsys, key, value):
+        cfg = {"dims": [2], "p_grid": [0.1], "restarts": 1, "iters": 0, key: value}
+        assert main(["sim-scan", "--config", write_json(tmp_path / "cfg.json", cfg)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "key, value", [("n_sites", 4.7), ("cut", 2.2), ("cut", "2"), ("n_sites", True)]
+    )
+    def test_non_integer_path_count_exits_1_with_one_line(self, tmp_path, capsys, key, value):
+        path = write_json(tmp_path / "p.json", {"n_sites": 4, "cut": 2, key: value})
+        assert main(["adiabatic", "--path", path]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be an integer") and err.count("\n") == 1
+
+    def test_integral_floats_are_counts(self, tmp_path):
+        # a number without a fractional part is read as the integer it is
+        cfg = {"dims": [2.0], "p_grid": [0.1], "restarts": 2.0, "iters": 0}
+        cfg = write_json(tmp_path / "c.json", cfg)
+        out = str(tmp_path / "s.csv")
+        assert main(["sim-scan", "--config", cfg, "--out", out]) == EXIT_OK
+        assert body(read_lines(out))[1].startswith("2,0.10000000000000001,")
 
     def test_transport_inconsistency_bundle(self, tmp_path, chain_path_file, capsys, monkeypatch):
         monkeypatch.setattr(chains, "RATE_CHECK_ATOL", 1e-15)

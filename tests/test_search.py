@@ -107,6 +107,42 @@ class TestMaximizeLambda:
         val, _ = maximize_over_hamiltonian(pair)
         assert val == pytest.approx(rec.best_value, rel=1e-10)
 
+    @pytest.mark.parametrize(
+        "budget", [TrialBudget(3, 0), TrialBudget(2, 5)], ids=["random", "ascent"]
+    )
+    def test_pair_checked_once_per_call(self, monkeypatch, budget):
+        # draws and ascent rows are admissible by construction; only the
+        # record's pair goes through the AdmissiblePair check
+        calls = []
+        check = rates.AdmissiblePair.__post_init__
+        counted = lambda pair: calls.append(check(pair))  # noqa: E731
+        monkeypatch.setattr(rates.AdmissiblePair, "__post_init__", counted)
+        maximize_lambda_over_pairs(3, 0.1, budget, 4)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("dim", [2, 16, 64])
+    def test_random_cell_matches_independent_valuation(self, dim):
+        # the same draws valued by another path: the public sampler, which
+        # checks each pair, and maximize_over_hamiltonian (eigh of the
+        # symmetrised C), not the search's stacked eigvalsh kernel
+        from entlab.rates import AdmissiblePair, maximize_over_hamiltonian
+
+        p, seed = 0.1, [dim, 3]
+        rec = maximize_lambda_over_pairs(dim, p, TrialBudget(4, 0), seed)
+        ref = max(
+            maximize_over_hamiltonian(sample_admissible_pair(dim, p, [_as_int_seed(seed), r]))[0]
+            for r in range(4)
+        )
+        assert rec.best_value == pytest.approx(ref, rel=1e-12)
+        val, _ = maximize_over_hamiltonian(AdmissiblePair.from_json(rec.argmax))
+        assert val == pytest.approx(rec.best_value, rel=1e-12)
+
+    def test_trials_count_evaluations_not_rejected_draws(self):
+        # at p = 0.5 most draws break c Z <= I and are drawn again
+        rec = maximize_lambda_over_pairs(4, 0.5, TrialBudget(6, 0), 1)
+        assert rec.trials == 6
+        assert rec.rejections > 0
+
     def test_composite_seed_folding(self):
         assert _as_int_seed(3) == 3
         assert _as_int_seed([1, 2]) == _as_int_seed((1, 2))

@@ -6,7 +6,7 @@ sector blocks that ``entlab.chains`` diagonalises."""
 import numpy as np
 
 from entlab.chains import adiabatic_generator, build_chain_hamiltonian, chain_hprime
-from entlab.operators import DEGENERACY_TOL
+from entlab.operators import DEGENERACY_TOL, partial_trace_matrix
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -96,3 +96,22 @@ def transport_residual(spec, s, ds=1e-4):
     else:
         dpsi = (_aligned(psi, psi_at(s + ds)) - _aligned(psi, psi_at(s - ds))) / (2.0 * ds)
     return float(np.linalg.norm(1j * (K.mat @ psi) - dpsi))
+
+
+def dense_shell_strengths(R, n, center):
+    """Shell strengths of K = i R around ``center``: each shell
+    R_r - I (x) R_{r-1} (x) I is taken on its ball, as a whole matrix with
+    no spin-flip blocks, and its norm is sqrt(lambda_max(S^T S))."""
+    cur, lo, hi = R, 0, n - 1
+    strengths = []
+    for r in range(max(center, n - 1 - center), -1, -1):
+        if r:
+            in_lo, in_hi = max(0, center - r + 1), min(n - 1, center + r - 1)
+        else:  # the empty ball keeps one 1 x 1 block, Tr R / dim
+            in_lo, in_hi = center, center - 1
+        dims = (2 ** (in_lo - lo), 2 ** (in_hi - in_lo + 1), 2 ** (hi - in_hi))
+        inner = partial_trace_matrix(cur, dims, [1]) / (dims[0] * dims[2])
+        shell = cur - np.kron(np.kron(np.eye(dims[0]), inner), np.eye(dims[2]))
+        strengths.append(np.sqrt(np.linalg.eigvalsh(shell.T @ shell)[-1]))
+        cur, lo, hi = inner, in_lo, in_hi
+    return np.array(strengths[::-1])
