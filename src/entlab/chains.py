@@ -10,16 +10,15 @@ Each operator is diagonalised at most once, in real arithmetic.
 H(s), H'(s) and every centred source commute with the global spin flip
 prod_i X_i (the Z_2 symmetry of the TFIM), so each is block diagonal in the
 flip's +1 and -1 eigenspaces.  The chain builders return such operators
-(``_FlipSymmetric``), and every spectral quantity is read from the sector
-spectra, two exact 2^(n-1) decompositions (``sectors``): the ground state
-from the sector that holds the lowest level, the gap from the two lowest
-levels across both sectors, and the gap quotients H'_mn / (E_m - E_n) block
-by block, since entries between the sectors are zero.  So ``ground_state``
-and ``adiabatic_generator`` accept only chain operators, and
-``locality_profile`` only a transport generator i R with R real
-antisymmetric; anything else is a ValueError.  The ``eigh`` a chain
-operator inherits from ``HermitianOperator`` is a plain dense 2^n
-decomposition, which no program path calls.
+(``_FlipSymmetric``: the real matrix and its two sector decompositions,
+not a ``HermitianOperator``), and every spectral quantity is read from the
+sector spectra, two exact 2^(n-1) decompositions (``sectors``): the ground
+state from the sector that holds the lowest level, the gap from the two
+lowest levels across both sectors, and the gap quotients H'_mn / (E_m - E_n)
+block by block, since entries between the sectors are zero.  So
+``ground_state`` and ``adiabatic_generator`` accept only chain operators,
+and ``locality_profile`` only a transport generator i R with R real
+antisymmetric; anything else is a ValueError.
 
 Along a path each grid point diagonalises the two blocks of H(s) once.  The
 ground state, the gap and the tangent vector
@@ -58,7 +57,6 @@ __all__ = [
     "ChainPathSpec",
     "PathPoint",
     "LocalityProfile",
-    "AreaLawParams",
     "build_chain_hamiltonian",
     "chain_hprime",
     "ground_state",
@@ -66,7 +64,6 @@ __all__ = [
     "centered_generator_term",
     "locality_profile",
     "entropy_along_path",
-    "area_law_bound",
 ]
 
 
@@ -156,48 +153,6 @@ class LocalityProfile:
     strengths: np.ndarray
 
 
-@dataclass(frozen=True)
-class AreaLawParams:
-    """Inputs for the closed-form entropy-rate ceiling of a gapped path.
-
-    kappa and v are the Lieb-Robinson constants (user inputs here); the
-    derived correlation length is xi = (kappa/v)/gamma.  ``n_filter`` is the
-    polynomial decay power of the generator's tail and must exceed D + 2 for
-    the shell sum to converge.
-    """
-
-    D: int
-    A: float
-    h_norm: float
-    hprime_norm: float
-    gamma: float
-    kappa: float
-    v: float
-    n_filter: int
-    local_dim: int = 2
-
-    def __post_init__(self):
-        for name in ("A", "h_norm", "hprime_norm", "gamma", "kappa", "v"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
-        if self.D < 1:
-            raise ValueError("D must be >= 1")
-        if self.n_filter <= self.D + 2:
-            raise ValueError(
-                f"n_filter = {self.n_filter} <= D + 2 = {self.D + 2}: shell sum diverges"
-            )
-        if self.gamma > self.h_norm:
-            raise ValueError("requires gamma <= h_norm (xi >= 1 regime)")
-
-    @property
-    def v_lr(self) -> float:
-        return self.kappa / self.v
-
-    @property
-    def xi(self) -> float:
-        return self.v_lr / self.gamma
-
-
 # ---------------------------------------------------------------------------
 # Hamiltonian and ground state
 
@@ -258,31 +213,30 @@ def _unfold_matrix(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
     return np.block([[s, d[:, ::-1]], [d[::-1], s[::-1, ::-1]]])
 
 
-def _stored(cls, m: np.ndarray):
-    """An operator of class ``cls`` holding ``m`` itself: a matrix this
-    module writes exactly Hermitian, so it skips the complex copy and
-    symmetrisation of ``HermitianOperator._built``."""
-    op = object.__new__(cls)
-    m.setflags(write=False)
-    object.__setattr__(op, "mat", m)
-    return op
-
-
 def _sector_norm(blocks) -> float:
     """Operator norm of a real operator of definite flip parity, from its two
     blocks S in the flip basis (``_fold``): the larger sqrt(lambda_max(S^T S))."""
     return max(float(np.sqrt(np.linalg.eigvalsh(S.T @ S)[-1])) for S in blocks)
 
 
-class _FlipSymmetric(HermitianOperator):
+@dataclass(frozen=True)
+class _FlipSymmetric:
     """A chain operator of the form of ``_tfim_matrix``, which commutes with
     the global spin flip.
 
-    ``mat`` is the real matrix as written, exactly symmetric, and is stored
-    as it is (``_stored``).  Its spectrum is read from ``sectors``, the two
-    2^(n-1) blocks; the inherited ``eigh`` stays a plain dense
-    decomposition of ``mat``, which no program path calls.
+    ``mat`` is the real matrix as written, exactly symmetric, held as it is
+    and made read-only: no complex copy.  Its spectrum is read from
+    ``sectors``, the two 2^(n-1) blocks; no 2^n decomposition is ever taken.
     """
+
+    mat: np.ndarray
+
+    def __post_init__(self):
+        self.mat.setflags(write=False)
+
+    @property
+    def dim(self) -> int:
+        return self.mat.shape[0]
 
     @cached_property
     def sectors(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -290,11 +244,11 @@ class _FlipSymmetric(HermitianOperator):
         return tuple(np.linalg.eigh(block) for block in _fold(self.mat))
 
 
-def _uniform_chain(n: int, J: float, g: float) -> HermitianOperator:
-    return _stored(_FlipSymmetric, _tfim_matrix(n, np.full(n - 1, J), np.full(n, g)))
+def _uniform_chain(n: int, J: float, g: float) -> _FlipSymmetric:
+    return _FlipSymmetric(_tfim_matrix(n, np.full(n - 1, J), np.full(n, g)))
 
 
-def build_chain_hamiltonian(spec: ChainPathSpec, s: float) -> HermitianOperator:
+def build_chain_hamiltonian(spec: ChainPathSpec, s: float) -> _FlipSymmetric:
     """Dense 2^n x 2^n TFIM Hamiltonian at path parameter s."""
     if not (0.0 <= s <= 1.0):
         raise ValueError(f"s = {s} outside [0, 1]")
@@ -308,7 +262,7 @@ def _fix_phase(psi: np.ndarray) -> np.ndarray:
     return psi / ph
 
 
-def _chain_operators(*ops: HermitianOperator) -> None:
+def _chain_operators(*ops) -> None:
     """ValueError unless every operator was built by the chain builders."""
     if not all(isinstance(op, _FlipSymmetric) for op in ops):
         raise ValueError("expected operators built by build_chain_hamiltonian or chain_hprime")
@@ -325,7 +279,7 @@ def _ground_level(H: _FlipSymmetric) -> tuple[int, float]:
     return k, gap
 
 
-def ground_state(H: HermitianOperator) -> tuple[float, np.ndarray, float]:
+def ground_state(H: _FlipSymmetric) -> tuple[float, np.ndarray, float]:
     """Lowest eigenpair of a chain Hamiltonian, from the sector that holds
     it, and the gap to the first excited state in either sector."""
     _chain_operators(H)
@@ -334,7 +288,7 @@ def ground_state(H: HermitianOperator) -> tuple[float, np.ndarray, float]:
     return float(w[0]), _fix_phase(_unfold(u[:, 0], _SIGNS[k])), gap
 
 
-def chain_hprime(spec: ChainPathSpec, s: float) -> HermitianOperator:
+def chain_hprime(spec: ChainPathSpec, s: float) -> _FlipSymmetric:
     """dH/ds from the schedule derivatives (analytic for polynomial J, g)."""
     return _uniform_chain(spec.n_sites, *spec.coupling_derivatives(s))
 
@@ -357,7 +311,7 @@ def _sector_quotients(H: _FlipSymmetric, source: _FlipSymmetric) -> list[np.ndar
     return [_divided_by_gaps(w, u, block) for (w, u), block in zip(H.sectors, _fold(source.mat))]
 
 
-def adiabatic_generator(H: HermitianOperator, Hprime: HermitianOperator) -> HermitianOperator:
+def adiabatic_generator(H: _FlipSymmetric, Hprime: _FlipSymmetric) -> HermitianOperator:
     """Exact spectral generator of ground-state transport along the path.
 
     Built in H's eigenbasis as K_mn = i H'_mn / (E_m - E_n) over all
@@ -374,7 +328,8 @@ def adiabatic_generator(H: HermitianOperator, Hprime: HermitianOperator) -> Herm
     ``chain_hprime``); anything else is a ValueError.  Every quantity is read
     from the sector spectra of H, and K = i R comes back with R real
     antisymmetric and flip-symmetric: R is antisymmetrised once in real
-    arithmetic and i R stored as it is.
+    arithmetic and i R stored as it is, exactly Hermitian, without the
+    complex copy and symmetrisation of ``HermitianOperator._built``.
     """
     _chain_operators(H, Hprime)
     if H.dim != Hprime.dim:
@@ -382,7 +337,10 @@ def adiabatic_generator(H: HermitianOperator, Hprime: HermitianOperator) -> Herm
     _ground_level(H)
     plus, minus = (u @ B @ u.T for (_, u), B in zip(H.sectors, _sector_quotients(H, Hprime)))
     R = _unfold_matrix(plus, minus)
-    return _stored(HermitianOperator, 1j * (0.5 * (R - R.T)))
+    K = object.__new__(HermitianOperator)
+    object.__setattr__(K, "mat", 1j * (0.5 * (R - R.T)))
+    K.mat.setflags(write=False)
+    return K
 
 
 def centered_generator_term(spec: ChainPathSpec, s: float, center: int) -> HermitianOperator:
@@ -402,7 +360,7 @@ def centered_generator_term(spec: ChainPathSpec, s: float, center: int) -> Hermi
     fields[center] = dg
     if center < n - 1:
         bonds[center] = dJ
-    source = _stored(_FlipSymmetric, _tfim_matrix(n, bonds, fields))
+    source = _FlipSymmetric(_tfim_matrix(n, bonds, fields))
     return adiabatic_generator(build_chain_hamiltonian(spec, s), source)
 
 
@@ -543,13 +501,3 @@ def entropy_along_path(spec: ChainPathSpec) -> list[PathPoint]:
         for (s, e0, gap, psi, entropy, rate, k_norm), fd_i in zip(rows, fd)
     ]
 
-
-def area_law_bound(params: AreaLawParams) -> tuple[float, float]:
-    """Closed-form ceiling for the shell sum and the entropy rate.
-
-    sum_bound = (||h'||/gamma) xi^(D+2); rate_bound = A sum_bound ln(d_l).
-    Order-one prefactors are fixed to 1.
-    """
-    sum_bound = (params.hprime_norm / params.gamma) * params.xi ** (params.D + 2)
-    rate_bound = params.A * sum_bound * np.log(params.local_dim)
-    return float(sum_bound), float(rate_bound)

@@ -30,6 +30,7 @@ from .operators import TOLERANCES, HermitianOperator, input_number, input_number
 from .rates import (
     AdmissiblePair,
     BipartiteState,
+    P_SIE_MAX,
     NumericalConsistencyError,
     entanglement_rate,
     maximize_over_hamiltonian,
@@ -39,7 +40,6 @@ from .rates import (
     sim_bound,
 )
 from .search import (
-    P_SIE_MAX,
     GeneratorFailure,
     ProvedBoundViolation,
     TrialBudget,

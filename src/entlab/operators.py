@@ -1,10 +1,10 @@
 """Dense Hermitian linear algebra primitives.
 
 Everything downstream (rate functionals, searches, spin chains) goes through
-the small set of operations here: certified Hermitian/PSD containers,
-eigendecomposition, matrix log restricted to the support, partial trace,
-Schatten norms and the von Neumann entropy.  All logs are natural logs;
-entropies are reported in nats.
+the small set of operations here: a certified Hermitian container, its
+eigendecomposition, the matrix log restricted to the support, the partial
+trace of a matrix or a stack of them, and Schatten norms.  All logs are
+natural logs.
 
 Spectral functions share one kernel: a ``HermitianOperator`` is diagonalised
 at most once (``HermitianOperator.eigh``), ``support_mask`` is the one
@@ -41,12 +41,11 @@ def _tol(name: str, value: float, relative_to: str) -> float:
 
 HERMITICITY_TOL = _tol("HERMITICITY_TOL", 1e-12, "max(1, max |M_ij|) of an input matrix")
 PSD_TOL = _tol("PSD_TOL", 1e-10, "absolute: lowest eigenvalue of a unit-trace operator, P or I - P")
-TRACE_TOL = _tol("TRACE_TOL", 1e-10, "absolute: Tr rho - 1, Tr Y - 1 and Tr X - p")
+TRACE_TOL = _tol("TRACE_TOL", 1e-10, "absolute: Tr Y - 1 and Tr X - p")
 NORM_TOL = _tol("NORM_TOL", 1e-12, "absolute: |psi| - 1 for a state's amplitudes")
 SUPPORT_RTOL = _tol("SUPPORT_RTOL", 1e-12, "the largest eigenvalue of a PSD operator")
 IMAG_RESIDUE_TOL = _tol("IMAG_RESIDUE_TOL", 1e-8, "the summed magnitude of the terms of a real sum")
 ZERO_LAMBDA_TOL = _tol("ZERO_LAMBDA_TOL", 1e-15, "absolute: ||i[X, log Y]||_1, taken as 0 below it")
-OFF_SUPPORT_TOL = _tol("OFF_SUPPORT_TOL", 1e-9, "absolute: entries of X off Y's support")
 P_REGIME_TOL = _tol("P_REGIME_TOL", 1e-15, "absolute: p against 1/e^2 in the decomposition audit")
 IDENTITY_RTOL = _tol("IDENTITY_RTOL", 1e-9, "max(1, |direct sum|) in the rearrangement identity")
 SIE_VIOLATION_RTOL = _tol("SIE_VIOLATION_RTOL", 1e-9, "the proved bound (at least 1 in the audit)")
@@ -65,16 +64,13 @@ __all__ = [
     "TOLERANCES",
     *TOLERANCES,
     "HermitianOperator",
-    "DensityMatrix",
     "real_if_exact",
     "support_mask",
     "log_on_support",
     "spectral_rebuild",
     "matrix_log_on_support",
-    "partial_trace",
     "partial_trace_matrix",
     "trace_norm",
-    "von_neumann_entropy",
     "operator_norm",
     "commutator",
 ]
@@ -182,38 +178,6 @@ class HermitianOperator:
         return cls._built(np.eye(dim, dtype=complex))
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, PSD (within PSD_TOL), unit-trace operator."""
-
-    op: HermitianOperator
-
-    def __post_init__(self):
-        ev = np.linalg.eigvalsh(self.op.mat)
-        if ev[0] < -PSD_TOL:
-            raise NotPositiveError(f"density matrix has eigenvalue {ev[0]:.3e}")
-        tr = float(np.trace(self.op.mat).real)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace {tr} != 1")
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self.op.mat
-
-    @property
-    def dim(self) -> int:
-        return self.op.dim
-
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "DensityMatrix":
-        return cls(HermitianOperator(m))
-
-    @classmethod
-    def from_pure(cls, psi: np.ndarray) -> "DensityMatrix":
-        psi = np.asarray(psi, dtype=complex).ravel()
-        return cls(HermitianOperator(np.outer(psi, psi.conj())))
-
-
 def real_if_exact(m: np.ndarray) -> np.ndarray:
     """The real part of ``m`` when its imaginary part is exactly zero,
     otherwise ``m`` itself."""
@@ -251,17 +215,6 @@ def matrix_log_on_support(Y: HermitianOperator) -> HermitianOperator:
     return HermitianOperator._built(spectral_rebuild(v, log_on_support(w)[1]))
 
 
-def partial_trace(rho: DensityMatrix, dims: list[int], keep: list[int]) -> DensityMatrix:
-    """Trace out the tensor factors not listed in ``keep``.
-
-    ``dims`` are the factor dimensions in tensor order; their product must
-    equal the dimension of ``rho``.  ``keep`` is a nonempty strict subset of
-    factor indices; factor order among the kept indices is preserved.
-    """
-    m = partial_trace_matrix(rho.mat, dims, keep)
-    return DensityMatrix.from_matrix(m)
-
-
 def partial_trace_matrix(mat: np.ndarray, dims: list[int], keep: list[int]) -> np.ndarray:
     """Partial trace on a raw square matrix (not necessarily unit trace), or
     on each matrix of a stack along the leading axes."""
@@ -291,13 +244,6 @@ def operator_norm(M: HermitianOperator) -> float:
     """Schatten-inf norm: largest absolute eigenvalue."""
     w = np.linalg.eigvalsh(M.mat)
     return float(max(abs(w[0]), abs(w[-1])))
-
-
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """-sum lambda ln(lambda) over the eigenvalues on the support; nats."""
-    w = rho.op.eigh[0]
-    on, f = log_on_support(w)
-    return float(-np.sum(w[on] * f[on]))
 
 
 def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:

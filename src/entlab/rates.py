@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
-    IDENTITY_RTOL, IMAG_RESIDUE_TOL, NORM_TOL, OFF_SUPPORT_TOL, P_REGIME_TOL, PSD_TOL,
+    IDENTITY_RTOL, IMAG_RESIDUE_TOL, NORM_TOL, P_REGIME_TOL, PSD_TOL,
     SIE_VIOLATION_RTOL, TRACE_TOL, ZERO_LAMBDA_TOL,
-    DensityMatrix,
     HermitianOperator,
     commutator,
     log_on_support,
@@ -39,12 +38,10 @@ __all__ = [
     "DecompositionReport",
     "BOUND_CONSTANTS",
     "BoundConstants",
+    "P_SIE_MAX",
     "entanglement_rate",
-    "admissible_from_state",
     "lambda_functional",
-    "lambda_eigenbasis",
     "maximize_over_hamiltonian",
-    "extract_contraction",
     "bucket_eigenvalues",
     "proof_decomposition",
     "sie_lambda_bound",
@@ -66,11 +63,12 @@ class BoundConstants:
     """Fixed registry of the bound constants; never silently changed."""
 
     c_sie: float = 18.0
-    c_sim: float = 1.0
     beta: float = 1.9123
 
 
 BOUND_CONSTANTS = BoundConstants()
+# the regime p <= 1/e^2 of the proved bound 9 p ln(1/p)
+P_SIE_MAX = float(np.exp(-2.0))
 
 
 @dataclass(frozen=True)
@@ -165,7 +163,6 @@ class IntervalBuckets:
 
     index_ranges: list[tuple[int, int]]
     weights: np.ndarray
-    p: float
 
 
 @dataclass
@@ -175,14 +172,13 @@ class DecompositionReport:
     All "values" carry the overall factor 2 of the functional, so
     ``direct_lambda`` is the plain eigenbasis evaluation 2|sum_{i<j} ...|
     and ``reassembled_total`` must match it exactly (the rearrangement is an
-    identity).  ``line3_bound_aggregate`` is p ln(1/p) over all
-    single-interval brackets taken together; the per-bracket entries carry
-    the alternative accounting p_k ln(1/p) each.
+    identity).  The single-interval brackets are bounded by p ln(1/p) taken
+    together; the per-bracket entries carry the alternative accounting
+    p_k ln(1/p) each.
     """
 
     line1_brackets: list[tuple[float, float]]
     line3_brackets: list[tuple[float, float]]
-    line3_bound_aggregate: float
     separated_sum: tuple[float, float]
     reassembled_total: float
     direct_lambda: float
@@ -216,7 +212,7 @@ class DecompositionReport:
 
 def sie_lambda_bound(p: float) -> float:
     """9 p ln(1/p), valid for 0 < p <= 1/e^2."""
-    if not (0.0 < p <= np.exp(-2.0)):
+    if not (0.0 < p <= P_SIE_MAX):
         raise ValueError(f"p = {p} outside (0, 1/e^2]")
     return 9.0 * p * np.log(1.0 / p)
 
@@ -310,46 +306,12 @@ def entanglement_rate(state: BipartiteState, H_AB: HermitianOperator) -> float:
     return float(_entanglement_rates(state.amplitudes[None], state.dims, H_AB.mat)[0])
 
 
-def admissible_from_state(rho_AB: DensityMatrix, d_A: int, d_B: int) -> AdmissiblePair:
-    """Map a bipartite density matrix to its admissible pair.
-
-    X = rho_AB / d_B^2, Y = rho_A (x) I_B / d_B, p = 1/d_B^2.  Admissibility
-    encodes the operator inequality rho_AB <= d_B rho_A (x) I_B; a failure
-    here would falsify that inequality and raises.
-    """
-    if rho_AB.dim != d_A * d_B:
-        raise ValueError(f"rho dim {rho_AB.dim} != d_A*d_B = {d_A * d_B}")
-    rho_A = partial_trace_matrix(rho_AB.mat, [d_A, d_B], [0])
-    p = 1.0 / d_B**2
-    X = HermitianOperator._built(rho_AB.mat * p)
-    Y = HermitianOperator._built(_kron(rho_A, np.eye(d_B)) / d_B)
-    try:
-        return AdmissiblePair(X, Y, p)
-    except AdmissibilityError as exc:
-        raise NumericalConsistencyError(
-            f"state-derived pair failed admissibility (operator inequality "
-            f"rho_AB <= d_B rho_A x I_B violated numerically): {exc}"
-        ) from exc
-
-
 def lambda_functional(H: HermitianOperator, pair: AdmissiblePair) -> float:
     """-i Tr(H [X, log Y]) with the log taken on Y's support."""
     if H.dim != pair.dim:
         raise ValueError(f"H dim {H.dim} != pair dim {pair.dim}")
     logY = matrix_log_on_support(pair.Y).mat
     return float(_commutator_functional(H.mat, pair.X.mat[None], logY[None], "lambda_functional")[0])
-
-
-def lambda_eigenbasis(P: HermitianOperator, pair: AdmissiblePair) -> float:
-    """Explicit double sum 2|sum_{i<j} ln(y_i/y_j)(X_ij P_ji - X_ji P_ij)|.
-
-    Evaluated in the eigenbasis of Y over its support; P must satisfy
-    0 <= P <= I.  Equals 2|Tr(P [X, log Y])| for the same support convention.
-    """
-    # each term c_ij - conj(c_ij) is purely imaginary; the value is 2|Im|
-    T = np.triu(_eigenbasis_terms(pair, P)[2], k=1)
-    s = complex(np.sum(T))
-    return 2.0 * abs(_checked_part(s, lambda: float(np.sum(np.abs(T))), "eigenbasis sum", imaginary=True))
 
 
 def _eigenbasis_terms(pair: AdmissiblePair, P: HermitianOperator):
@@ -387,27 +349,6 @@ def maximize_over_hamiltonian(pair: AdmissiblePair) -> tuple[float, HermitianOpe
     return lam_max, HermitianOperator._built(spectral_rebuild(v, s))
 
 
-def extract_contraction(pair: AdmissiblePair) -> HermitianOperator:
-    """Factor X = Y^{1/2} Z Y^{1/2} with 0 <= Z <= I on the support of Y.
-
-    Uses pseudo-inverse square roots on the support; rejects X with weight
-    off the support beyond tolerance (that would break admissibility).
-    """
-    w, v = pair.Y.eigh
-    on = support_mask(w)
-    inv_sqrt = np.zeros_like(w)
-    inv_sqrt[on] = 1.0 / np.sqrt(w[on])
-    Xb = v.conj().T @ pair.X.mat @ v
-    # off-support block of X must vanish: 0 <= X <= Y forces supp(X) in supp(Y)
-    if (~on).any():
-        off_norm = float(np.max(np.abs(Xb[~on, :])))
-        if off_norm > OFF_SUPPORT_TOL:
-            raise AdmissibilityError(f"X has weight {off_norm:.3e} outside the support of Y")
-    Zb = (inv_sqrt[:, None] * Xb) * inv_sqrt[None, :]
-    Z = (v @ Zb) @ v.conj().T
-    return HermitianOperator._built(Z)
-
-
 # ---------------------------------------------------------------------------
 # interval decomposition
 
@@ -434,7 +375,7 @@ def bucket_eigenvalues(y: np.ndarray, x_diag: np.ndarray, p: float) -> IntervalB
     k = n_edges - np.searchsorted(edges, y, side="right")  # bucket index - 1
     weights = np.bincount(k, weights=x_diag)
     hi = np.cumsum(np.bincount(k)).tolist()
-    return IntervalBuckets(list(zip([0] + hi[:-1], hi)), weights, p)
+    return IntervalBuckets(list(zip([0] + hi[:-1], hi)), weights)
 
 
 def proof_decomposition(pair: AdmissiblePair, P: HermitianOperator) -> DecompositionReport:
@@ -449,7 +390,7 @@ def proof_decomposition(pair: AdmissiblePair, P: HermitianOperator) -> Decomposi
 
     Requires p <= 1/e^2 (the regime of the separated-sum bound).
     """
-    if pair.p > np.exp(-2.0) + P_REGIME_TOL:
+    if pair.p > P_SIE_MAX + P_REGIME_TOL:
         raise ValueError(f"p = {pair.p} > 1/e^2; decomposition bound regime violated")
     p = pair.p
     # signed term matrix: t[i,j] contributes for i<j; total = sum_{i<j} t[i,j]
@@ -495,7 +436,6 @@ def proof_decomposition(pair: AdmissiblePair, P: HermitianOperator) -> Decomposi
     return DecompositionReport(
         line1_brackets=line1,
         line3_brackets=line3,
-        line3_bound_aggregate=p * ln1p,
         separated_sum=sep,
         reassembled_total=reassembled,
         direct_lambda=direct,

@@ -24,17 +24,17 @@ import numpy as np
 
 from . import rates
 from .operators import CONTRACTION_TOL, ROW_TRACE_FLOOR, SIE_VIOLATION_RTOL, SIM_VIOLATION_RTOL
-from .operators import HermitianOperator, log_on_support, operator_norm, spectral_rebuild
+from .operators import HermitianOperator, input_number, log_on_support, operator_norm, spectral_rebuild
 from .rates import (
     AdmissiblePair,
     BipartiteState,
     BOUND_CONSTANTS,
+    P_SIE_MAX,
     sie_lambda_bound,
     sie_rate_bound,
     sim_bound,
 )
 
-P_SIE_MAX = float(np.exp(-2.0))
 # rejection sampling gives up after this many draws in a row
 _MAX_DRAWS = 10_000
 
@@ -68,10 +68,14 @@ class ProvedBoundViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class TrialBudget:
+    """Restarts and ascent steps per restart, integers (``input_number``)."""
+
     restarts: int = 20
     iters: int = 100
 
     def __post_init__(self):
+        for name in ("restarts", "iters"):
+            object.__setattr__(self, name, input_number(name, getattr(self, name), integer=True))
         if self.restarts < 1:
             raise ValueError(f"restarts = {self.restarts} must be >= 1")
         if self.iters < 0:
@@ -186,6 +190,7 @@ def sample_admissible_pair(dim: int, p: float, seed) -> AdmissiblePair:
 
     Deterministic per seed.
     """
+    dim = input_number("dim", dim, integer=True)
     if dim < 2:
         raise ValueError(f"dim = {dim} must be >= 2")
     if not (0.0 < p <= 1.0):
@@ -342,6 +347,7 @@ def maximize_lambda_over_pairs(dim: int, p: float, budget: TrialBudget, seed) ->
     "random").  ``trials`` counts evaluations, ``rejections`` rejected draws.
     The best pair is checked once; the ratio is against the envelope.
     """
+    dim = input_number("dim", dim, integer=True)
     if dim < 2:
         raise ValueError(f"dim = {dim} must be >= 2")
     bound = sim_bound(p)  # raises for p outside (0, 1)
@@ -510,7 +516,7 @@ def conjecture_scan(
     instead: that is a bug, not a discovery.
     """
     tasks = [
-        (int(dim), float(p), budget, int(seed), i, j)
+        (input_number("dim", dim, integer=True), float(p), budget, int(seed), i, j)
         for i, dim in enumerate(dim_list)
         for j, p in enumerate(p_grid)
     ]

@@ -3,14 +3,12 @@ import pytest
 
 from entlab import chains
 from entlab.chains import (
-    AreaLawParams,
     ChainPathSpec,
     GapCollapseError,
     TransportConsistencyError,
     _check_rates,
     _simpson_weights,
     adiabatic_generator,
-    area_law_bound,
     build_chain_hamiltonian,
     centered_generator_term,
     chain_hprime,
@@ -182,15 +180,17 @@ class TestAdiabaticGenerator:
             adiabatic_generator(H, chain_hprime(spec, 0.0))
 
     def test_full_eigenbasis_never_built(self):
-        # every quantity comes from the sector blocks; the inherited dense
-        # eigh of a chain operator is never computed
+        # a chain operator is its real matrix, read-only, and its two sector
+        # decompositions: no HermitianOperator and no dense 2^n eigh
         spec = ramp_spec(n=4)
         H = build_chain_hamiltonian(spec, 0.5)
         Hp = chain_hprime(spec, 0.5)
         ground_state(H)
         adiabatic_generator(H, Hp)
         assert "sectors" in vars(H)
-        assert "eigh" not in vars(H) and "eigh" not in vars(Hp)
+        for op in (H, Hp):
+            assert not isinstance(op, HermitianOperator) and not hasattr(op, "eigh")
+            assert op.mat.dtype == np.float64 and not op.mat.flags.writeable
 
     def test_plain_operators_rejected(self):
         # only operators the chain builders make are accepted
@@ -306,6 +306,10 @@ class TestLocality:
             monkeypatch.setattr(np.linalg, name, recorded(getattr(np.linalg, name)))
         spec = ramp_spec(n=n)
         locality_profile(centered_generator_term(spec, 0.5, 4), spec, 4)
+        assert widths and max(widths) == 2 ** (n - 1)
+        widths.clear()
+        window = ChainPathSpec(n_sites=n, cut=4, J=(1.0,), g=(1.5, 1.0), s_grid=(0.48, 0.5, 0.52))
+        entropy_along_path(window)
         assert widths and max(widths) == 2 ** (n - 1)
 
     def test_centered_terms_sum_to_full_generator(self):
@@ -499,26 +503,3 @@ class TestRateCheck:
         with pytest.raises(TransportConsistencyError):
             _check_rates(grid, entropies, rates)
 
-
-class TestAreaLawBound:
-    def test_arithmetic(self):
-        params = AreaLawParams(
-            D=1, A=1.0, h_norm=3.0, hprime_norm=1.0, gamma=0.5, kappa=2.0, v=1.0,
-            n_filter=6,
-        )
-        assert params.v_lr == pytest.approx(2.0)
-        assert params.xi == pytest.approx(4.0)
-        sum_bound, rate_bound = area_law_bound(params)
-        assert sum_bound == pytest.approx((1.0 / 0.5) * 4.0**3)
-        assert rate_bound == pytest.approx(sum_bound * np.log(2.0))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AreaLawParams(D=1, A=1.0, h_norm=3.0, hprime_norm=1.0, gamma=0.5,
-                          kappa=2.0, v=1.0, n_filter=3)
-        with pytest.raises(ValueError):
-            AreaLawParams(D=1, A=1.0, h_norm=1.0, hprime_norm=1.0, gamma=2.0,
-                          kappa=2.0, v=1.0, n_filter=6)
-        with pytest.raises(ValueError):
-            AreaLawParams(D=1, A=-1.0, h_norm=1.0, hprime_norm=1.0, gamma=0.5,
-                          kappa=2.0, v=1.0, n_filter=6)

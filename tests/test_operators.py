@@ -3,16 +3,15 @@ import json
 import numpy as np
 import pytest
 
+from entlab.chains import _cut_entropy_and_rate
 from entlab.operators import (
-    DensityMatrix,
     HermitianOperator,
     NonHermitianError,
     NotPositiveError,
     matrix_log_on_support,
     operator_norm,
-    partial_trace,
+    partial_trace_matrix,
     trace_norm,
-    von_neumann_entropy,
 )
 
 
@@ -53,12 +52,6 @@ class TestHermitianOperator:
         blob = json.dumps(op.to_json())
         back = HermitianOperator.from_json(json.loads(blob))
         assert np.allclose(back.mat, op.mat)
-
-    def test_density_matrix_validation(self):
-        with pytest.raises(NotPositiveError):
-            DensityMatrix(HermitianOperator(np.diag([1.5, -0.5])))
-        with pytest.raises(ValueError):
-            DensityMatrix(HermitianOperator(np.diag([0.5, 0.3])))
 
 
 class TestCachedEigh:
@@ -130,9 +123,8 @@ class TestPartialTrace:
     def test_bell_state(self):
         bell = np.zeros(4, dtype=complex)
         bell[0] = bell[3] = 1 / np.sqrt(2)
-        rho = DensityMatrix.from_pure(bell)
-        red = partial_trace(rho, [2, 2], [0])
-        assert np.allclose(red.mat, np.eye(2) / 2)
+        red = partial_trace_matrix(np.outer(bell, bell.conj()), [2, 2], [0])
+        assert np.allclose(red, np.eye(2) / 2)
 
     def test_product_state(self):
         rng = np.random.default_rng(3)
@@ -140,9 +132,9 @@ class TestPartialTrace:
         a /= np.trace(a).real
         b = rand_psd(rng, 3)
         b /= np.trace(b).real
-        rho = DensityMatrix(HermitianOperator(np.kron(a, b)))
-        assert np.allclose(partial_trace(rho, [2, 3], [0]).mat, a)
-        assert np.allclose(partial_trace(rho, [2, 3], [1]).mat, b)
+        rho = np.kron(a, b)
+        assert np.allclose(partial_trace_matrix(rho, [2, 3], [0]), a)
+        assert np.allclose(partial_trace_matrix(rho, [2, 3], [1]), b)
 
     def test_schmidt_spectra_agree(self):
         # independent oracle: direct index summation over the pure-state tensor
@@ -152,9 +144,9 @@ class TestPartialTrace:
         t = psi.reshape(2, 3)
         rho_a_direct = np.einsum("ij,kj->ik", t, t.conj())
         rho_b_direct = np.einsum("ij,ik->jk", t, t.conj())
-        rho = DensityMatrix.from_pure(psi)
-        assert np.allclose(partial_trace(rho, [2, 3], [0]).mat, rho_a_direct)
-        assert np.allclose(partial_trace(rho, [2, 3], [1]).mat, rho_b_direct)
+        rho = np.outer(psi, psi.conj())
+        assert np.allclose(partial_trace_matrix(rho, [2, 3], [0]), rho_a_direct)
+        assert np.allclose(partial_trace_matrix(rho, [2, 3], [1]), rho_b_direct)
         wa = np.linalg.eigvalsh(rho_a_direct)
         wb = np.linalg.eigvalsh(rho_b_direct)
         assert np.allclose(wa[-2:], wb[-2:], atol=1e-10)
@@ -164,17 +156,16 @@ class TestPartialTrace:
         for _ in range(20):
             m = rand_psd(rng, 12)
             m /= np.trace(m).real
-            rho = DensityMatrix(HermitianOperator(m))
-            red = partial_trace(rho, [2, 3, 2], [0, 2])
-            assert abs(np.trace(red.mat).real - 1.0) < 1e-12
-            assert np.linalg.eigvalsh(red.mat)[0] > -1e-10
+            red = partial_trace_matrix(m, [2, 3, 2], [0, 2])
+            assert abs(np.trace(red).real - 1.0) < 1e-12
+            assert np.linalg.eigvalsh(red)[0] > -1e-10
 
     def test_dimension_mismatch(self):
-        rho = DensityMatrix(HermitianOperator(np.eye(4) / 4))
+        rho = np.eye(4) / 4
         with pytest.raises(ValueError):
-            partial_trace(rho, [2, 3], [0])
+            partial_trace_matrix(rho, [2, 3], [0])
         with pytest.raises(ValueError):
-            partial_trace(rho, [2, 2], [0, 1])
+            partial_trace_matrix(rho, [2, 2], [0, 1])
 
 
 class TestNorms:
@@ -210,19 +201,29 @@ class TestNorms:
 
 
 class TestEntropy:
+    # the one entropy the program computes: S(rho_L) of a chain state across
+    # its cut, rho_L = M M^dag from the 2^cut x 2^(n-cut) Schmidt matrix M
+    @staticmethod
+    def entropy(psi, cut):
+        return _cut_entropy_and_rate(psi, np.zeros_like(psi), cut)[0]
+
     def test_pure_state(self):
-        rho = DensityMatrix(HermitianOperator(np.diag([1.0, 0.0, 0.0])))
-        assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-12)
+        psi = np.zeros(8)
+        psi[5] = 1.0  # a product basis state: rho_L is pure
+        for cut in (1, 2):
+            assert self.entropy(psi, cut) == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_mixed(self):
-        for d in (2, 3, 5):
-            rho = DensityMatrix(HermitianOperator(np.eye(d) / d))
-            assert von_neumann_entropy(rho) == pytest.approx(np.log(d))
+        # maximally entangled on 2^k x 2^k: rho_L = I / 2^k
+        for k in (1, 2, 3):
+            psi = np.eye(2**k).ravel() / np.sqrt(2**k)
+            assert self.entropy(psi, k) == pytest.approx(k * np.log(2.0))
 
     def test_two_level_value(self):
-        rho = DensityMatrix(HermitianOperator(np.diag([0.8, 0.2])))
+        # Schmidt weights (0.8, 0.2)
+        psi = np.array([np.sqrt(0.8), 0.0, 0.0, np.sqrt(0.2)])
         expected = -0.8 * np.log(0.8) - 0.2 * np.log(0.2)
-        assert von_neumann_entropy(rho) == pytest.approx(expected, abs=1e-12)
+        assert self.entropy(psi, 1) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.500402, abs=1e-6)
 
 

@@ -5,19 +5,16 @@ import pytest
 
 from entlab.operators import (
     SIE_VIOLATION_RTOL,
-    DensityMatrix,
     HermitianOperator,
+    partial_trace_matrix,
     trace_norm,
 )
 from entlab.rates import (
     AdmissiblePair,
     BipartiteState,
     BOUND_CONSTANTS,
-    admissible_from_state,
     bucket_eigenvalues,
     entanglement_rate,
-    extract_contraction,
-    lambda_eigenbasis,
     lambda_functional,
     maximize_over_hamiltonian,
     proof_decomposition,
@@ -30,6 +27,7 @@ from entlab.rates import (
     NumericalConsistencyError,
     _eigenbasis_terms,
     _entanglement_rates,
+    _kron,
 )
 from entlab.search import sample_admissible_pair, sample_bipartite_state
 
@@ -103,7 +101,6 @@ class TestBoundFunctions:
 
     def test_constants_registry(self):
         assert BOUND_CONSTANTS.c_sie == 18.0
-        assert BOUND_CONSTANTS.c_sim == 1.0
         assert BOUND_CONSTANTS.beta == 1.9123
 
 
@@ -157,6 +154,7 @@ class TestLambdaFunctional:
         assert np.allclose(H_opt.mat, np.eye(2))
 
     def test_eigenbasis_sum_matches_commutator_form(self):
+        # the audit's direct eigenbasis double sum is 2|Tr(P [X, log Y])|
         rng = np.random.default_rng(24)
         for dim in (2, 4, 8):
             pair = sample_admissible_pair(dim, 0.09, int(rng.integers(1 << 30)))
@@ -165,7 +163,7 @@ class TestLambdaFunctional:
             P = HermitianOperator(
                 (v * rng.uniform(0.0, 1.0, size=dim)) @ v.conj().T
             )
-            direct = lambda_eigenbasis(P, pair)
+            direct = proof_decomposition(pair, P).direct_lambda
             assert direct == pytest.approx(
                 2.0 * abs(lambda_functional(P, pair)), abs=1e-9
             )
@@ -173,14 +171,12 @@ class TestLambdaFunctional:
     def test_eigenbasis_rejects_bad_projector(self):
         pair = sample_admissible_pair(3, 0.1, 5)
         with pytest.raises(ValueError):
-            lambda_eigenbasis(HermitianOperator(2.0 * np.eye(3)), pair)
+            proof_decomposition(pair, HermitianOperator(2.0 * np.eye(3)))
 
 
 class TestEntanglementRate:
     def _finite_difference_rate(self, state, H, dt=1e-5):
         """Oracle: entropy of the aA factor after evolving by exp(iHt)."""
-        from entlab.operators import partial_trace_matrix
-
         d_a, d_A, d_B, d_b = state.dims
         Hfull = np.kron(
             np.kron(np.eye(d_a), H.mat), np.eye(d_b)
@@ -284,56 +280,21 @@ class TestEntanglementRate:
             _entanglement_rates(np.stack([basis, generic, basis]), dims, H)
 
 
-class TestAdmissibleFromState:
-    def test_y_matches_kron_reference(self):
-        # Y = rho_A (x) I_B / d_B, built by broadcasting, has the bits of np.kron
-        from entlab.operators import partial_trace_matrix
-
+class TestKron:
+    def test_matches_np_kron_bit_for_bit(self):
+        # rho_aA (x) I_B and I_a (x) H of the rate kernel, built by
+        # broadcasting, have the bits of np.kron, one matrix or a stack
         rng = np.random.default_rng(43)
         for dA, dB in ((2, 2), (3, 2), (2, 4)):
             d = dA * dB
             g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             m = g @ g.conj().T
-            rho = DensityMatrix(HermitianOperator(m / np.trace(m).real))
-            rho_A = partial_trace_matrix(rho.mat, [dA, dB], [0])
-            ref = HermitianOperator(np.kron(rho_A, np.eye(dB)) / dB)
-            assert admissible_from_state(rho, dA, dB).Y.mat.tobytes() == ref.mat.tobytes()
-
-    def test_pair_shape(self):
-        rng = np.random.default_rng(41)
-        g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        m = g @ g.conj().T
-        rho = DensityMatrix(HermitianOperator(m / np.trace(m).real))
-        pair = admissible_from_state(rho, 3, 2)
-        assert pair.p == 0.25
-        assert pair.dim == 6
-        assert np.allclose(pair.X.mat, rho.mat / 4)
-
-    def test_many_random_states(self):
-        # admissibility here is the operator inequality rho_AB <= d_B rho_A x I
-        rng = np.random.default_rng(42)
-        for _ in range(100):
-            dA, dB = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-            d = dA * dB
-            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            m = g @ g.conj().T
-            rho = DensityMatrix(HermitianOperator(m / np.trace(m).real))
-            pair = admissible_from_state(rho, dA, dB)
-            assert pair.p == pytest.approx(1.0 / dB**2)
-
-
-class TestContraction:
-    def test_factorization_round_trip(self):
-        rng = np.random.default_rng(51)
-        for dim in (2, 4, 8):
-            pair = sample_admissible_pair(dim, 0.1, int(rng.integers(1 << 30)))
-            Z = extract_contraction(pair)
-            wz = np.linalg.eigvalsh(Z.mat)
-            assert wz[0] > -1e-9
-            assert wz[-1] < 1.0 + 1e-9
-            wy, vy = np.linalg.eigh(pair.Y.mat)
-            sq = (vy * np.sqrt(np.clip(wy, 0, None))) @ vy.conj().T
-            assert np.max(np.abs(sq @ Z.mat @ sq - pair.X.mat)) < 1e-10
+            rho_A = partial_trace_matrix(m / np.trace(m).real, [dA, dB], [0])
+            for a, b in ((rho_A, np.eye(dB)), (np.eye(dB), rho_A)):
+                assert _kron(a, b).tobytes() == np.kron(a, b).tobytes()
+            stack = np.stack([rho_A, 2.0 * rho_A])
+            ref = np.stack([np.kron(r, np.eye(dB)) for r in stack])
+            assert _kron(stack, np.eye(dB)).tobytes() == ref.tobytes()
 
 
 def support_basis(pair):
@@ -450,7 +411,7 @@ class TestProofDecomposition:
         P = HermitianOperator(0.5 * (np.eye(6) - H_opt.mat))
         rep = proof_decomposition(pair, P)
         assert rep.direct_lambda == pytest.approx(
-            lambda_eigenbasis(P, pair), abs=1e-9
+            2.0 * abs(lambda_functional(P, pair)), abs=1e-9
         )
 
     def test_optimal_projector_halves_the_maximum(self):

@@ -58,6 +58,9 @@ class TestSampling:
             sample_admissible_pair(1, 0.1, 0)
         with pytest.raises(ValueError):
             sample_admissible_pair(3, 0.0, 0)
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            sample_admissible_pair(2.5, 0.1, 0)
+        assert sample_admissible_pair(3.0, 0.1, 0).dim == 3
 
     def test_state_unit_norm_and_deterministic(self):
         s1 = sample_bipartite_state((1, 2, 2, 1), 7)
@@ -282,6 +285,12 @@ class TestMaximizeRate:
         with pytest.raises(ValueError, match="iters"):
             TrialBudget(2, -3)
         assert TrialBudget(1, 0).iters == 0
+        # counts are integers: an integral float reads as one, a bool does not
+        for restarts, iters in ((1.8, 0), (True, 0), (2, 0.5), ("2", 0)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                TrialBudget(restarts, iters)
+        budget = TrialBudget(2.0, 1.0)
+        assert (budget.restarts, budget.iters) == (2, 1) and type(budget.restarts) is int
 
 
 def test_row_norms_match_numpy_norm_bit_for_bit():
@@ -342,6 +351,15 @@ class TestScan:
         blob = ev.to_json()
         assert blob["kind"] == "sim"
         assert blob["value"] == 1.0
+
+    def test_fractional_dims_rejected(self):
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            maximize_lambda_over_pairs(2.5, 0.1, TrialBudget(1, 0), 1)
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            conjecture_scan([2.9], [0.1], TrialBudget(2, 0), 1)
+        rec = maximize_lambda_over_pairs(3.0, 0.1, TrialBudget(2, 1), 1)
+        assert type(rec.dim) is int
+        assert rec.to_json() == maximize_lambda_over_pairs(3, 0.1, TrialBudget(2, 1), 1).to_json()
 
     def test_regime_constant(self):
         assert P_SIE_MAX == pytest.approx(np.exp(-2.0))

@@ -67,3 +67,85 @@ def test_checker_finds_stray_tolerances():
 def test_every_tolerance_is_in_the_table(path):
     tree = ast.parse(path.read_text())
     assert stray_tolerances(tree, ASCENT_PARAMETERS.get(path.name, set())) == []
+
+
+# public names no code in src/entlab reads, kept for the tests and entbench
+KEPT_UNREAD = {
+    "trace_norm": "the trace-norm oracle of criteria 5 and 6 and the operator tests",
+    "sample_bipartite_state": "the random input state of criterion 9 and the rate tests",
+    "lambda_functional": "the oracle -i Tr(H [X, log Y]) the closed-form maximum must attain",
+}
+
+
+def _definitions(tree: ast.Module):
+    """(name, code) of each module-level function and class and, as
+    ``Class.method``, of each method but the dunders.  A class's code is its
+    bases, decorators and body less those methods."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, [node]
+        elif isinstance(node, ast.ClassDef):
+            methods = [
+                m for m in node.body if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")
+            ]
+            yield node.name, [n for n in node.body if n not in methods] + node.bases + node.decorator_list
+            for m in methods:
+                yield f"{node.name}.{m.name}", [m]
+
+
+def _reads(nodes) -> set[str]:
+    """Names read in ``nodes``, as a variable or as an attribute."""
+    out = set()
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                out.add(node.attr)
+    return out
+
+
+def unread_definitions(trees: dict[str, ast.Module], kept=frozenset()) -> list[str]:
+    """``module.name`` of each definition (``_definitions``) whose name no
+    live code reads.  Module-level code is live, and so is the code of a
+    definition that is read or named in ``kept``; a definition's reads of
+    itself, or of its own class, do not count."""
+    top, reads = set(), {}
+    for module, tree in trees.items():
+        top |= _reads(n for n in tree.body if not isinstance(n, (ast.FunctionDef, ast.ClassDef)))
+        for name, code in _definitions(tree):
+            reads[f"{module}.{name}"] = _reads(code) - set(name.split("."))
+    live = set(reads)
+    while True:
+        read = top.union(kept, *(reads[d] for d in live))
+        now = {d for d in live if d.rsplit(".", 1)[1] in read}
+        if now == live:
+            return sorted(set(reads) - live)
+        live = now
+
+
+def test_checker_finds_unread_definitions():
+    tree = ast.parse(
+        "def used(): return helper()\n"
+        "def helper(): return 1\n"
+        "def dead(): return Orphan.make()\n"
+        "class Orphan:\n"
+        "    def make(self): return Orphan()\n"
+        "    def __repr__(self): return kept_by_repr()\n"
+        "def kept_by_repr(): return 0\n"
+        "def recursive(n): return recursive(n - 1)\n"
+        "def oracle(): return 0\n"
+        "class Kept:\n"
+        "    def run(self): pass\n"
+        "used()\n"
+        "Kept().run()\n"
+    )
+    # what only dead code reads is dead too; a dunder counts as its class
+    assert unread_definitions({"m": tree}, kept={"oracle"}) == [
+        "m.Orphan", "m.Orphan.make", "m.dead", "m.kept_by_repr", "m.recursive"
+    ]
+
+
+def test_every_definition_is_read():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert unread_definitions(trees, KEPT_UNREAD) == []
