@@ -71,6 +71,17 @@ BOUND_CONSTANTS = BoundConstants()
 P_SIE_MAX = float(np.exp(-2.0))
 
 
+def _psd(m: np.ndarray) -> bool:
+    """Whether the Hermitian ``m``, or each matrix of a stack, has no
+    eigenvalue below -PSD_TOL: whether m + PSD_TOL I has a Cholesky factor.
+    One call for a stack costs little more than one for a matrix."""
+    try:
+        np.linalg.cholesky(m + PSD_TOL * np.eye(m.shape[-1]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class AdmissiblePair:
     """Operators X, Y with Tr X = p, Tr Y = 1 and 0 <= X <= Y."""
@@ -90,12 +101,10 @@ class AdmissiblePair:
             raise AdmissibilityError(f"Tr X = {tx}, expected p = {self.p}")
         if abs(ty - 1.0) > TRACE_TOL:
             raise AdmissibilityError(f"Tr Y = {ty}, expected 1")
-        wx = np.linalg.eigvalsh(self.X.mat)
-        if wx[0] < -PSD_TOL:
-            raise AdmissibilityError(f"X has eigenvalue {wx[0]:.3e} < 0")
-        wyx = np.linalg.eigvalsh(self.Y.mat - self.X.mat)
-        if wyx[0] < -PSD_TOL:
-            raise AdmissibilityError(f"Y - X has eigenvalue {wyx[0]:.3e} < 0")
+        X, YX = self.X.mat, self.Y.mat - self.X.mat
+        if not _psd(np.array([X, YX])):
+            name, m = ("X", X) if not _psd(X) else ("Y - X", YX)
+            raise AdmissibilityError(f"{name} has eigenvalue {np.linalg.eigvalsh(m)[0]:.3e} < 0")
 
     @property
     def dim(self) -> int:
@@ -318,8 +327,8 @@ def _eigenbasis_terms(pair: AdmissiblePair, P: HermitianOperator):
     """Check 0 <= P <= I; return Y's support eigenvalues (descending), X's
     diagonal in their eigenvectors and the signed terms
     T_ij = ln(y_i/y_j)(X_ij P_ji - X_ji P_ij) in that basis."""
-    wp = np.linalg.eigvalsh(P.mat)
-    if wp[0] < -PSD_TOL or wp[-1] > 1.0 + PSD_TOL:
+    if not _psd(np.array([P.mat, np.eye(P.dim) - P.mat])):
+        wp = np.linalg.eigvalsh(P.mat)
         raise ValueError(f"P eigenvalues [{wp[0]:.3e}, {wp[-1]:.3e}] outside [0, 1]")
     w, v = pair.Y.eigh
     n = int(np.sum(support_mask(w)))

@@ -3,12 +3,15 @@ commutator functional and the entanglement rate.
 
 Search is hybrid: random restarts over admissible pairs (or states), each
 refined by gradient ascent.  One driver, ``_ascend``, runs both searches: it
-takes central differences and a backtracking line search over an objective
-that evaluates a stack of parameter rows at once (``_eval_pair_params`` for
-pairs, the stacked rate ``rates._entanglement_rates`` for states).  The inner
-optimization over the Hamiltonian is always the closed form, ||i[X, log Y]||_1
-from one stacked kernel (``_lambda_max``) for a draw and for ascent rows
-alike, so pure random sampling is an ascent of zero steps.
+takes a gradient from its caller and runs a backtracking line search over an
+objective that evaluates a stack of parameter rows at once
+(``_eval_pair_params`` for pairs, the stacked rate
+``rates._entanglement_rates`` for states).  The pair search's gradient is
+exact, one backward pass through its objective (``_pair_gradient``); the
+state search's is a central difference.  The inner optimization over the
+Hamiltonian is always the closed form, ||i[X, log Y]||_1 from one stacked
+kernel (``_lambda_max``) for a draw and for ascent rows alike, so pure
+random sampling is an ascent of zero steps.
 Every record is reproducible from (config, seed): per-restart generators are
 derived from the base seed, and aggregation is a max-reduction, so results do
 not depend on scheduling.
@@ -115,6 +118,9 @@ class SearchRecord:
     ratio: float
     argmax: dict
     seed: int
+    # evaluations: each start point, each line search up to its first gain
+    # (all of it without one), and each gradient, which counts as one for a
+    # pair and as its 2 x (number of parameters) differenced points for a state
     trials: int
     method: str  # random (iters = 0) | hybrid (random restarts refined by ascent)
     restarts_used: int = 0
@@ -164,22 +170,22 @@ def _contraction(tw, zmax, p: float):
 
 def _draw_pair(rng: np.random.Generator, dim: int, p: float):
     """Draw (Y, Z, X) until rescaling keeps the effective contraction below
-    the identity, at most _MAX_DRAWS times.  Returns ((Y, Zm, Xm), the
-    number of rejected draws), with ``Y.eigh`` already taken for Y^{1/2}."""
+    the identity, at most _MAX_DRAWS times.  Returns ((Y, (z, U), Xm), the
+    number of rejected draws), with ``Y.eigh`` already taken for Y^{1/2} and
+    Z = U diag(z) U^dag."""
     for rejections in range(_MAX_DRAWS):
         G = _ginibre(rng, dim)
         Ym = G @ G.conj().T
         Ym /= np.trace(Ym).real
         z_ev = rng.uniform(0.0, 1.0, size=dim)
         U = _haar_unitary(rng, dim)
-        Zm = (U * z_ev) @ U.conj().T
         Y = HermitianOperator._built(Ym)
         wy, vy = Y.eigh
         sq = spectral_rebuild(vy, np.sqrt(np.clip(wy, 0, None)))
-        W = sq @ Zm @ sq
+        W = sq @ spectral_rebuild(U, z_ev) @ sq
         c, ok = _contraction(np.trace(W).real, z_ev.max(), p)
         if ok:
-            return (Y, Zm, c * W), rejections
+            return (Y, (z_ev, U), c * W), rejections
     raise GeneratorFailure(f"no admissible sample in {_MAX_DRAWS} tries (dim={dim}, p={p})")
 
 
@@ -241,31 +247,94 @@ def _vec_to_herm(v: np.ndarray, d: int) -> np.ndarray:
 
 def _eval_pair_params(theta: np.ndarray, d: int, p: float):
     """Project rows of raw Hermitian parameters (Y's, then Z's) onto the
-    admissible set.  Returns (values, Ym, Xm) stacked over the rows; an
-    infeasible row gets the value nan and zero matrices.  Every row goes
-    through the same LAPACK and BLAS calls as it would on its own, so a row's
-    value does not depend on the batch it came in."""
+    admissible set.  Returns (values, Ym, Xm, a, uy, b, uz) stacked over the
+    rows, with (a, uy) and (b, uz) the eigenpairs of the two parameter
+    matrices, as ``_pair_gradient`` reads them; an infeasible row gets the
+    value nan and zero matrices.  Every row goes through the same LAPACK and
+    BLAS calls as it would on its own, so a row's value does not depend on
+    the batch it came in."""
     n = theta.shape[1] // 2
     vals = np.full(theta.shape[0], np.nan)
     Ym = np.zeros((theta.shape[0], d, d), dtype=complex)
     Xm = np.zeros_like(Ym)
-    wy, uy = np.linalg.eigh(_vec_to_herm(theta[:, :n], d))
-    wy = np.clip(wy, 0.0, None)
+    b, uz = np.zeros(theta.shape[:1] + (d,)), np.zeros_like(Ym)
+    a, uy = np.linalg.eigh(_vec_to_herm(theta[:, :n], d))
+    wy = np.clip(a, 0.0, None)
     t = wy.sum(axis=-1)
     rows = np.flatnonzero(t > 0)
-    wy, uy = wy[rows] / t[rows, None], uy[rows]
-    wz, uz = np.linalg.eigh(_vec_to_herm(theta[rows, n:], d))
-    wz = np.clip(wz, 0.0, 1.0)
-    Zm = spectral_rebuild(uz, wz)
-    sq = spectral_rebuild(uy, np.sqrt(wy))
+    wy, vy = wy[rows] / t[rows, None], uy[rows]
+    b[rows], uz[rows] = np.linalg.eigh(_vec_to_herm(theta[rows, n:], d))
+    wz = np.clip(b[rows], 0.0, 1.0)
+    Zm = spectral_rebuild(uz[rows], wz)
+    sq = spectral_rebuild(vy, np.sqrt(wy))
     W = sq @ Zm @ sq
     c, ok = _contraction(np.trace(W, axis1=1, axis2=2).real, wz.max(axis=-1), p)
-    rows, wy, uy = rows[ok], wy[ok], uy[ok]
+    rows, wy, vy = rows[ok], wy[ok], vy[ok]
     X = c[ok, None, None] * W[ok]
-    vals[rows] = _lambda_max(wy, uy, X)
-    Ym[rows] = spectral_rebuild(uy, wy)
+    vals[rows] = _lambda_max(wy, vy, X)
+    Ym[rows] = spectral_rebuild(vy, wy)
     Xm[rows] = X
-    return vals, Ym, Xm
+    return vals, Ym, Xm, a, uy, b, uz
+
+
+def _pair_gradient(row, p: float) -> np.ndarray:
+    """The gradient of the objective of ``_eval_pair_params`` at one of its
+    rows, by one backward pass from the row's eigenpairs (a, uy) of the Y
+    parameter and (b, uz) of the Z parameter.
+
+    The pass runs in the eigenbasis of the Y parameter, where Y^{1/2} =
+    diag(s) and L = log Y = diag(l) on the support, so C = i[X, L] has
+    C_ij = i X_ij (l_j - l_i).  With S = sign(C), the objective ||C||_1 =
+    Tr(S C) pulls back to G_X = i[L, S] and G_L = i[S, X]; then through the
+    rescaling X = c W, c = p / Tr W, and W = Y^{1/2} Z Y^{1/2}; then through
+    the spectral functions sqrt(a+ / t), log(a+ / t) and clip(b, 0, 1) by
+    their divided differences (Daleckii-Krein), plus the diagonal term of
+    t = sum a+.  Each divided difference is in a closed form that needs no
+    threshold: 1/(t (s_i + s_j)) and log1p((a_i - a_j)/a_j)/(a_i - a_j)
+    where both eigenvalues lie on the same side, a plain quotient across."""
+    a, uy, b, uz = row[3:]
+    d = a.size
+    ap = np.maximum(a, 0.0)
+    t = ap.sum()
+    y = ap / t
+    s = np.sqrt(y)
+    on, l = log_on_support(y)
+    Q = uy.conj().T @ uz  # Z's eigenvectors in Y's eigenbasis
+    Z = spectral_rebuild(Q, np.minimum(np.maximum(b, 0.0), 1.0))
+    W = s[:, None] * Z * s
+    tw = W.trace().real
+    c = p / tw
+    X = c * W
+    dl = l - l[:, None]  # l_j - l_i
+    w, v = np.linalg.eigh(1j * X * dl)
+    S = spectral_rebuild(v, np.sign(w))
+    GX = -1j * dl * S
+    GL = 1j * (S @ X - X @ S)
+    GW = c * GX
+    GW.flat[:: d + 1] -= c * (GX * W.T).sum().real / tw
+    GR = Z @ (s[:, None] * GW) + (GW * s) @ Z
+    # the Y parameter: sqrt(a+ / t) and log(a+ / t) at fixed t, then t.  X
+    # does not change with the scale of Y^{1/2}, so t enters only through
+    # log(a+ / t) = log a+ - log t on the support
+    da = a[:, None] - a
+    pos, on2 = a > 0, on[:, None] & on
+    Dh = np.divide(1.0, t * (s[:, None] + s), out=np.zeros((d, d)), where=pos[:, None] & pos)
+    Dh = np.divide(s[:, None] - s, da, out=Dh, where=pos[:, None] ^ pos)
+    x = np.divide(da, a, out=np.zeros((d, d)), where=on2)
+    Dl = np.divide(1.0, a, out=np.zeros((d, d)), where=on2)
+    Dl = np.divide(np.log1p(x), da, out=Dl, where=x != 0)
+    Dl = np.divide(l[:, None] - l, da, out=Dl, where=on[:, None] ^ on)
+    GA = Dh * GR + Dl * GL
+    GA.flat[:: d + 1] -= pos * GL.diagonal().real[on].sum() / t
+    # the Z parameter: clip(b, 0, 1)
+    inside = (b > 0) & (b < 1)
+    db = b[:, None] - b
+    zc = np.minimum(np.maximum(b, 0.0), 1.0)
+    Dz = np.divide(zc[:, None] - zc, db, out=np.outer(inside, inside) * 1.0, where=db != 0)
+    GB = Dz * (Q.conj().T @ (s[:, None] * GW * s) @ Q)
+    # d/dv Tr(G dM) in the layout of _vec_to_herm: G_ii, then 2 Re G_ij, 2 Im G_ij
+    weight = np.where(np.arange(d * d) < d, 1.0, 2.0)
+    return np.concatenate([_herm_to_vec(u @ G @ u.conj().T) * weight for u, G in ((uy, GA), (uz, GB))])
 
 
 def _lambda_max(wy: np.ndarray, uy: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -288,34 +357,28 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 _LINE_STEPS = 0.1 / 2.0 ** np.arange(24)
 
 
-def _ascend(evaluate, theta, start, iters, fd_step, retract=lambda rows: rows):
-    """Gradient ascent from ``theta``: central differences with step
-    ``fd_step`` and a backtracking line search (0.1 halved down to 1e-8),
-    ``retract`` mapping its rows back onto the parameter set.  It stops
-    after ``iters`` steps, at a zero gradient, or after 5 line searches in a
-    row without a gain above 1e-14.
+def _ascend(evaluate, theta, start, iters, gradient, retract=lambda rows: rows):
+    """Gradient ascent from ``theta``: the gradient from ``gradient`` and a
+    backtracking line search (0.1 halved down to 1e-8), ``retract`` mapping
+    its rows back onto the parameter set.  It stops after ``iters`` steps,
+    at a zero gradient, or after 5 line searches in a row without a gain
+    above 1e-14.
 
     ``evaluate`` maps a stack of parameter rows to a tuple of stacks over
     the rows: their values, nan where a row is infeasible, then whatever
     else the caller keeps of the point the ascent ends at.  ``start`` is
-    that tuple's row for ``theta``.  The 2 x (number of parameters)
-    differenced points of a step go to ``evaluate`` as one stack, and so do
-    all the line-search steps; ``evals`` counts the start point, and the
-    line search up to its first gain, as a sequential search would.
-    Returns (theta, its row, evals)."""
-    m = theta.size
+    that tuple's row for ``theta``.  ``gradient(theta, row)`` returns the
+    gradient at ``theta``, whose row of that tuple is ``row``, and the
+    number of evaluations it counts as.  All the line-search steps go to
+    ``evaluate`` as one stack; ``evals`` counts the start point, the
+    gradients, and the line search up to its first gain, as a sequential
+    search would.  Returns (theta, its row, evals)."""
     f = float(start[0])
     evals = 1
     stall = 0
-    diag = np.arange(m)
     for _ in range(iters):
-        shifted = np.tile(theta, (2 * m, 1))
-        shifted[diag, diag] += fd_step
-        shifted[m + diag, diag] -= fd_step
-        vals = evaluate(shifted)[0]
-        evals += 2 * m
-        vals[np.isnan(vals)] = f
-        g = (vals[:m] - vals[m:]) / (2.0 * fd_step)
+        g, cost = gradient(theta, start)
+        evals += cost
         gn = float(np.linalg.norm(g))
         if gn < 1e-12:
             break
@@ -337,33 +400,57 @@ def _ascend(evaluate, theta, start, iters, fd_step, retract=lambda rows: rows):
     return theta, start, evals
 
 
+def _central_differences(evaluate, step):
+    """A ``gradient`` for ``_ascend`` by central differences of ``evaluate``
+    with ``step``.  The 2 x (number of parameters) points go to ``evaluate``
+    as one stack and count as that many evaluations; an infeasible point
+    takes the value at ``theta``."""
+
+    def gradient(theta, row):
+        m = theta.size
+        diag = np.arange(m)
+        shifted = np.tile(theta, (2 * m, 1))
+        shifted[diag, diag] += step
+        shifted[m + diag, diag] -= step
+        vals = evaluate(shifted)[0]
+        vals[np.isnan(vals)] = row[0]
+        return (vals[:m] - vals[m:]) / (2.0 * step), 2 * m
+
+    return gradient
+
+
 def maximize_lambda_over_pairs(dim: int, p: float, budget: TrialBudget, seed) -> SearchRecord:
     """Hunt for the largest closed-form maximum of the functional over
     admissible pairs at fixed (dim, p).
 
     Each of ``restarts`` random draws is valued from its own Y.eigh and X,
     then refined by gradient ascent for up to ``iters`` steps (early-stopped
-    once the line search stalls); ``iters`` = 0 keeps the draws (method
-    "random").  ``trials`` counts evaluations, ``rejections`` rejected draws.
-    The best pair is checked once; the ratio is against the envelope.
+    once the line search stalls), each step on the exact gradient
+    (``_pair_gradient``); ``iters`` = 0 keeps the draws (method "random").
+    ``trials`` counts evaluations, one gradient as one, and ``rejections``
+    rejected draws.  The best pair is checked once; the ratio is against the
+    envelope.
     """
     dim = input_number("dim", dim, integer=True)
     if dim < 2:
         raise ValueError(f"dim = {dim} must be >= 2")
+    p = input_number("p", p)
     bound = sim_bound(p)  # raises for p outside (0, 1)
+    seed = _as_int_seed(seed)
     # the ascent runs over the raw Hermitian parameters of Y and Z
     evaluate = lambda rows: _eval_pair_params(rows, dim, p)
+    gradient = lambda theta, row: (_pair_gradient(row, p), 1)
     best, trials, rejections = (-1.0,), 0, 0
     for r in range(budget.restarts):
-        (Y, Zm, Xm), rej = _draw_pair(_rng([_as_int_seed(seed), r]), dim, p)
+        (Y, (z, uz), Xm), rej = _draw_pair(_rng([seed, r]), dim, p)
         rejections += rej
         wy, uy = Y.eigh
-        start = (_lambda_max(wy[None], uy[None], Xm[None])[0], Y.mat, Xm)
-        theta = np.concatenate([_herm_to_vec(Y.mat), _herm_to_vec(Zm)])
-        _, end, evals = _ascend(evaluate, theta, start, budget.iters, 1e-5)
+        start = (_lambda_max(wy[None], uy[None], Xm[None])[0], Y.mat, Xm, wy, uy, z, uz)
+        theta = np.concatenate([_herm_to_vec(Y.mat), _herm_to_vec(spectral_rebuild(uz, z))])
+        _, end, evals = _ascend(evaluate, theta, start, budget.iters, gradient)
         trials += evals
         best = max(best, end, key=lambda row: row[0])
-    value, Ym, Xm = best
+    value, Ym, Xm = best[:3]
     pair = AdmissiblePair(HermitianOperator._built(Xm), HermitianOperator._built(Ym), p)
     record = SearchRecord(
         dim=dim,
@@ -372,7 +459,7 @@ def maximize_lambda_over_pairs(dim: int, p: float, budget: TrialBudget, seed) ->
         bound_value=bound,
         ratio=float(value) / bound,
         argmax=pair.to_json(),
-        seed=_as_int_seed(seed),
+        seed=seed,
         trials=trials,
         method="hybrid" if budget.iters > 0 else "random",
         restarts_used=budget.restarts,
@@ -383,13 +470,14 @@ def maximize_lambda_over_pairs(dim: int, p: float, budget: TrialBudget, seed) ->
 
 
 def _as_int_seed(seed) -> int:
+    """A seed from outside the program as one integer: an integer
+    (``input_number``), or a list of them folded into one 64-bit word."""
     if isinstance(seed, (list, tuple)):
-        # fold a composite seed into one 64-bit word for the record
         h = 0
         for s in seed:
-            h = (h * 1_000_003 + int(s)) % (1 << 63)
+            h = (h * 1_000_003 + input_number("seed entry", s, integer=True)) % (1 << 63)
         return h
-    return int(seed)
+    return input_number("seed", seed, integer=True)
 
 
 def _check_proved_bound(record: SearchRecord) -> None:
@@ -442,6 +530,7 @@ def maximize_rate_over_states(
 
     evaluate = lambda rows: (rates._entanglement_rates(amplitudes(rows), dims, H_AB.mat),)
     normalise = lambda rows: rows / _row_norms(rows)[:, None]
+    gradient = _central_differences(evaluate, 1e-6)
     best = -np.inf
     best_params = None
     trials = 0
@@ -451,7 +540,7 @@ def maximize_rate_over_states(
         amp /= np.linalg.norm(amp)
         theta = np.concatenate([amp.real, amp.imag])
         f = rates.entanglement_rate(BipartiteState(dims, amplitudes(theta[None])[0]), H_AB)
-        theta, (f,), evals = _ascend(evaluate, theta, (f,), budget.iters, 1e-6, normalise)
+        theta, (f,), evals = _ascend(evaluate, theta, (f,), budget.iters, gradient, normalise)
         trials += evals
         if f > best:
             best = f
@@ -515,8 +604,9 @@ def conjecture_scan(
     against the conjectured envelope.  A proved-bound violation raises
     instead: that is a bug, not a discovery.
     """
+    seed = input_number("seed", seed, integer=True)
     tasks = [
-        (input_number("dim", dim, integer=True), float(p), budget, int(seed), i, j)
+        (input_number("dim", dim, integer=True), input_number("p", p), budget, seed, i, j)
         for i, dim in enumerate(dim_list)
         for j, p in enumerate(p_grid)
     ]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from entlab.operators import (
+    PSD_TOL,
     SIE_VIOLATION_RTOL,
     HermitianOperator,
     partial_trace_matrix,
@@ -64,6 +65,31 @@ class TestAdmissiblePair:
         Y = HermitianOperator(np.diag([0.6, 0.4]))
         with pytest.raises(AdmissibilityError):
             AdmissiblePair(X, Y, 0.1)
+
+    @pytest.mark.parametrize("check", ["X", "Y - X", "P", "I - P"])
+    @pytest.mark.parametrize("factor", [0.99, 1.01])
+    def test_psd_checks_decided_at_the_tolerance(self, check, factor):
+        # the lowest eigenvalue of the checked matrix at -factor * PSD_TOL,
+        # in bases where no matrix is diagonal: accepted within the
+        # tolerance, rejected 1 % beyond it
+        rng = np.random.default_rng(4)
+        U, V = (np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0] for _ in range(2))
+        rot = lambda Q, w: HermitianOperator((Q * np.asarray(w)) @ Q.conj().T)  # noqa: E731
+        low = -factor * PSD_TOL
+        X = rot(U, [low, 0.02, 0.03, 0.05 - low] if check == "X" else [0.01, 0.02, 0.03, 0.04])
+        gap = rot(V, [low, 0.2, 0.3, 0.4 - low] if check == "Y - X" else [0.2, 0.2, 0.25, 0.25])
+        P = rot(V, [low, 0.3, 0.6, 1.0] if check == "P" else [0.0, 0.3, 0.6, 1.0 - low])
+        message = {"X": "X has eigenvalue", "Y - X": "Y - X has eigenvalue"}.get(check, "outside")
+
+        def run():
+            pair = AdmissiblePair(X, HermitianOperator(X.mat + gap.mat), 0.1)
+            _eigenbasis_terms(pair, P)
+
+        if factor < 1.0:
+            run()
+        else:
+            with pytest.raises(ValueError, match=message):
+                run()
 
     def test_json_round_trip(self):
         pair = sample_admissible_pair(4, 0.1, 11)

@@ -18,11 +18,15 @@ from entlab.search import (
 )
 from entlab import rates
 from entlab.rates import BipartiteState, entanglement_rate
+from entlab import search
 from entlab.search import (
+    _LINE_STEPS,
     _as_int_seed,
     _check_proved_bound,
     _eval_pair_params,
+    _haar_unitary,
     _herm_to_vec,
+    _pair_gradient,
     _row_norms,
 )
 
@@ -162,14 +166,16 @@ class TestMaximizeLambda:
         rows = base + 1e-2 * rng.standard_normal((6, base.size))
         rows[2, :d] = -1.0
         rows[4, d * d :] = 0.0
-        vals, Ym, Xm = _eval_pair_params(rows, d, p)
+        stack = _eval_pair_params(rows, d, p)
+        vals = stack[0]
         assert np.isnan(vals[[2, 4]]).all()
         assert not np.isnan(vals[[0, 1, 3, 5]]).any()
         for k in range(rows.shape[0]):
-            v1, Y1, X1 = _eval_pair_params(rows[k : k + 1], d, p)
-            assert v1.tobytes() == vals[k : k + 1].tobytes()
-            assert Y1[0].tobytes() == Ym[k].tobytes()
-            assert X1[0].tobytes() == Xm[k].tobytes()
+            one = _eval_pair_params(rows[k : k + 1], d, p)
+            # the value, Y, X and both parameter eigendecompositions
+            assert len(one) == len(stack) == 7
+            for a, b in zip(one, stack):
+                assert a[0].tobytes() == b[k].tobytes()
 
     def test_proved_bound_check_raises_on_fake_record(self):
         rec = SearchRecord(
@@ -186,6 +192,85 @@ class TestMaximizeLambda:
         with pytest.raises(ProvedBoundViolation) as exc:
             _check_proved_bound(rec)
         assert exc.value.bundle["best_value"] == 10.0
+
+
+class TestPairGradient:
+    """``_pair_gradient`` against central differences of the objective it
+    differentiates, ``_eval_pair_params``, along random directions."""
+
+    @staticmethod
+    def _theta(rng, a, b):
+        """Parameters of the Y parameter U diag(a) U^dag and the Z parameter
+        V diag(b) V^dag, in Haar-random bases."""
+        U, V = _haar_unitary(rng, len(a)), _haar_unitary(rng, len(b))
+        return np.concatenate([_herm_to_vec((U * a) @ U.conj().T), _herm_to_vec((V * b) @ V.conj().T)])
+
+    @staticmethod
+    def _check(theta, d, p=0.1, h=1e-6, directions=4):
+        rng = np.random.default_rng(d)
+        row = tuple(x[0] for x in _eval_pair_params(theta[None], d, p))
+        assert np.isfinite(row[0])
+        g = _pair_gradient(row, p)
+        for _ in range(directions):
+            u = rng.standard_normal(theta.size)
+            u /= np.linalg.norm(u)
+            up, down = _eval_pair_params(np.stack([theta + h * u, theta - h * u]), d, p)[0]
+            fd = (up - down) / (2.0 * h)
+            assert abs(g @ u - fd) <= 1e-6 * abs(fd), (d, g @ u, fd)
+
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    def test_matches_central_differences(self, d):
+        rng = np.random.default_rng([1, d])
+        self._check(self._theta(rng, rng.uniform(1.0, 2.0, d), rng.uniform(0.2, 0.8, d)), d)
+
+    @pytest.mark.parametrize("d", [3, 4, 8])
+    def test_clipped_y_eigenvalue(self, d):
+        # one negative eigenvalue of the Y parameter: off the support, so
+        # the divided differences across the support boundary enter (at
+        # d = 2 the value would be 0: X <= Y of rank 1 commutes with log Y)
+        rng = np.random.default_rng([2, d])
+        a = np.concatenate([[-0.5], rng.uniform(1.0, 2.0, d - 1)])
+        self._check(self._theta(rng, a, rng.uniform(0.2, 0.8, d)), d)
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_clipped_z_eigenvalues(self, d):
+        # Z eigenvalues below 0 and above 1, each far from its kink
+        rng = np.random.default_rng([3, d])
+        b = np.concatenate([[-0.4, 1.3], rng.uniform(0.2, 0.8, d - 2)])
+        self._check(self._theta(rng, rng.uniform(1.0, 2.0, d), b), d)
+
+    def test_ascent_evaluates_no_more_rows_than_a_line_search(self, monkeypatch):
+        rows = []
+
+        def recorded(theta, d, p):
+            rows.append(theta.shape[0])
+            return _eval_pair_params(theta, d, p)
+
+        monkeypatch.setattr(search, "_eval_pair_params", recorded)
+        rec = maximize_lambda_over_pairs(4, 0.1, TrialBudget(2, 5), 3)
+        assert rows and max(rows) <= _LINE_STEPS.size
+        assert rec.method == "hybrid"
+
+    def test_public_input_checked(self):
+        budget = TrialBudget(1, 1)
+        for p in ("0.1", True):
+            with pytest.raises(ValueError, match="p must be a number"):
+                maximize_lambda_over_pairs(2, p, budget, 1)
+            with pytest.raises(ValueError, match="p must be a number"):
+                conjecture_scan([2], [p], budget, 1)
+        for seed in (2.9, "2", True):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                maximize_lambda_over_pairs(2, 0.1, budget, seed)
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                conjecture_scan([2], [0.1], budget, seed)
+        for seed in ([1, 2.5], (1, "2")):
+            with pytest.raises(ValueError, match="seed entry must be an integer"):
+                maximize_lambda_over_pairs(2, 0.1, budget, seed)
+        # an integral float reads as the integer
+        ref = maximize_lambda_over_pairs(2, 0.1, budget, [2, 3])
+        assert maximize_lambda_over_pairs(2, 0.1, budget, [2.0, 3]).to_json() == ref.to_json()
+        scan = lambda seed: [r.to_json() for r in conjecture_scan([2], [0.1], budget, seed)[0]]  # noqa: E731
+        assert scan(2.0) == scan(2)
 
 
 class TestMaximizeRate:
