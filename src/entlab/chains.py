@@ -9,40 +9,44 @@ Each operator is diagonalised at most once, in real arithmetic.
 
 H(s), H'(s) and every centred source commute with the global spin flip
 prod_i X_i (the Z_2 symmetry of the TFIM), so each is block diagonal in the
-flip's +1 and -1 eigenspaces.  The chain builders return such operators
-(``_FlipSymmetric``: the real matrix and its two sector decompositions,
-not a ``HermitianOperator``), and every spectral quantity is read from the
-sector spectra, two exact 2^(n-1) decompositions (``sectors``): the ground
-state from the sector that holds the lowest level, the gap from the two
-lowest levels across both sectors, and the gap quotients H'_mn / (E_m - E_n)
+flip's +1 and -1 eigenspaces.  H(s) and H'(s) have one bond J and one field
+g on every site, so they also commute with the mirror i <-> n-1-i of the open
+chain; a centred source, one field and one bond, does not.  The chain
+builders return such operators, not ``HermitianOperator``s: a centred source
+is a ``_FlipSymmetric``, the real matrix alone, and H(s) and H'(s) are
+``_UniformChain``s, whose spectrum is read from four exact (flip, mirror)
+sector decompositions of about 2^(n-2) each (``sectors``).  The ground state
+comes from the sector that holds the lowest level, the gap from the two
+lowest levels across all four, and the gap quotients H'_mn / (E_m - E_n)
 block by block, since entries between the sectors are zero.  So
 ``ground_state`` and ``adiabatic_generator`` accept only chain operators,
 and ``locality_profile`` only a transport generator i R with R real
 antisymmetric; anything else is a ValueError.
 
-Along a path each grid point diagonalises the two blocks of H(s) once.  The
+Along a path each grid point diagonalises the four blocks of H(s) once.  The
 ground state, the gap and the tangent vector
 d|psi>/ds = sum_{m != 0} |m><m|H'|psi>/(E_0 - E_m) (first-order perturbation
 theory in the parallel-transport gauge) all come from them, and the entropy
 rate across the cut is read off the Schmidt matrices of psi and its tangent.
 The reported norm of the generator, ||K|| = ||H'_mn / (E_m - E_n)|| in the
-eigenbasis, is the larger of the two blocks' norms; no complex 2^n x 2^n
+eigenbasis, is the largest of the four blocks' norms; no complex 2^n x 2^n
 matrix is formed.  The rate is checked against the entropies on the grid.
 The dense transport generator K(s) = i R(s) is built only where a caller
 needs the operator itself (``adiabatic_generator``,
-``centered_generator_term``); its locality is *measured* by compressing it
-onto balls around a center site, each shell's norm read from the shell's
+``centered_generator_term``), from H's eigenvectors in each flip block, the
+two mirror sectors' put together; its locality is *measured* by compressing
+it onto balls around a center site, each shell's norm read from the shell's
 two flip blocks on its ball.
 
-Dense only: K needs every eigenpair of both blocks, so n_sites is capped at
-12.  One path point takes about 0.08 s at n = 10 and about 4.4 s at n = 12
-on one core of a 2-core OpenBLAS host.
+Dense only: K needs every eigenpair of H, so n_sites is capped at 12.  One
+path point takes about 0.06 s at n = 10 and about 2.5 s at n = 12 on one
+core of a 2-core OpenBLAS host.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as _poly
@@ -174,18 +178,32 @@ def _tfim_matrix(n: int, bonds, fields) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# spin-flip sectors
+# symmetry sectors
 #
 # Every matrix of the form above commutes with the global spin flip
 # F = prod_i X_i, which maps basis index b to its complement
 # 2^n - 1 - b.  With h = 2^(n-1), index r < h pairs with 2^n - 1 - r, so the
 # upper half of the basis is the lower half's partners in reverse order.  In
-# the basis (|r> + sign |2^n - 1 - r>)/sqrt(2), r < h, a flip-symmetric M is
-# block diagonal: one h x h block per sector sign = F = +1, -1, with entries
-# M[r, r'] + sign M[r, 2^n - 1 - r'].  This section is the only code that
-# knows that layout.
+# the basis (|r> + f |2^n - 1 - r>)/sqrt(2), r < h, a flip-symmetric M is
+# block diagonal: one h x h flip block per sign f = F = +1, -1, with entries
+# M[r, r'] + f M[r, 2^n - 1 - r'].
+#
+# A uniform chain (one bond J, one field g) also commutes with the mirror
+# site i <-> n-1-i, which maps b to its bit reversal rev(b).  In flip block f
+# the mirror is a signed involution of the folded index: it maps r to
+# sign_r |partner_r>, with partner rev(r) and sign +1 if rev(r) < h, and
+# partner 2^n - 1 - rev(r) and sign f otherwise.  So each flip block splits
+# once more into mirror sectors m = +1, -1.  Sector m has one unit vector
+# (|r> + m sign_r |partner_r>)/sqrt(2) per pair r < partner_r, and the
+# vector |r> for each fixed point r = partner_r with m sign_r = +1.  Its
+# block has entries d_r d_r' (A[r, r'] + m sign_r' A[r, partner_r']), A the
+# flip block, with d = 1 on pairs and 1/sqrt(2) on fixed points.  At n = 10
+# the four (f, m) blocks are 272, 240 (f = +1) and 256, 256 (f = -1) wide;
+# at n = 2 the (+1, -1) block is empty.  This section is the only code that
+# knows these layouts.
 
-_SIGNS = (1.0, -1.0)
+# (flip, mirror) signs of the four sectors; sector k lies in flip block k // 2
+_SECTORS = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
 
 
 def _fold(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -196,13 +214,13 @@ def _fold(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _unfold(u: np.ndarray, sign: float) -> np.ndarray:
-    """Full-basis vectors (columns) of vectors ``u`` in sector ``sign``."""
+    """Full-basis vectors (columns) of vectors ``u`` in flip block ``sign``."""
     return np.concatenate([u, sign * u[::-1]]) / np.sqrt(2.0)
 
 
 def _fold_vector(x: np.ndarray, sign: float) -> np.ndarray:
-    """Components of a full-basis vector in sector ``sign``; the inverse of
-    ``_unfold`` on that sector."""
+    """Components of a full-basis vector in flip block ``sign``; the inverse
+    of ``_unfold`` on that block."""
     h = x.shape[0] // 2
     return (x[:h] + sign * x[h:][::-1]) / np.sqrt(2.0)
 
@@ -213,20 +231,76 @@ def _unfold_matrix(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
     return np.block([[s, d[:, ::-1]], [d[::-1], s[::-1, ::-1]]])
 
 
+@lru_cache(maxsize=None)
+def _mirror_layout(dim: int, k: int) -> tuple[np.ndarray, ...]:
+    """Sector ``_SECTORS[k]`` of a 2^n = ``dim`` chain inside its flip
+    block: the indices r, their partners, m sign_r and d_r, one entry per
+    sector vector.  Kept for four sectors of each n <= MAX_SITES."""
+    flip, mirror = _SECTORS[k]
+    n, h = dim.bit_length() - 1, dim // 2
+    r = np.arange(h)
+    rev = ((r[:, None] >> np.arange(n)) & 1) @ (1 << np.arange(n - 1, -1, -1))
+    upper = rev >= h
+    partner = np.where(upper, dim - 1 - rev, rev)
+    sign = np.where(upper, flip, 1.0)
+    fixed = partner == r
+    keep = (r < partner) | (fixed & (sign == mirror))
+    layout = (r[keep], partner[keep], mirror * sign[keep], np.where(fixed[keep], np.sqrt(0.5), 1.0))
+    for a in layout:
+        a.setflags(write=False)
+    return layout
+
+
+def _sector_blocks(m: np.ndarray) -> list[np.ndarray]:
+    """The four ``_SECTORS`` blocks of a real 2^n matrix that commutes with
+    the flip and the mirror."""
+    flips = _fold(m)
+    blocks = []
+    for k in range(len(_SECTORS)):
+        rows, partners, signs, d = _mirror_layout(m.shape[0], k)
+        a = flips[k // 2][rows]
+        blocks.append((a[:, rows] + a[:, partners] * signs) * d[:, None] * d)
+    return blocks
+
+
+def _sector_to_flip(u: np.ndarray, dim: int, k: int) -> np.ndarray:
+    """Flip-block coordinates of vectors (columns) ``u`` in sector k of a
+    2^n = ``dim`` chain: a signed scatter."""
+    rows, partners, signs, d = _mirror_layout(dim, k)
+    c = (d / np.sqrt(2.0)).reshape((-1,) + (1,) * (u.ndim - 1))
+    x = np.zeros((dim // 2,) + u.shape[1:])
+    x[partners] = c * signs.reshape(c.shape) * u
+    x[rows] += c * u
+    return x
+
+
+def _sector_vector(u: np.ndarray, dim: int, k: int) -> np.ndarray:
+    """Full-basis vector (columns) of a vector ``u`` in sector k."""
+    return _unfold(_sector_to_flip(u, dim, k), _SECTORS[k][0])
+
+
+def _sector_components(x: np.ndarray, k: int) -> np.ndarray:
+    """Components of a full-basis vector in sector k; the inverse of
+    ``_sector_vector`` on that sector."""
+    y = _fold_vector(x, _SECTORS[k][0])
+    rows, partners, signs, d = _mirror_layout(x.shape[0], k)
+    return (y[rows] + signs * y[partners]) * d / np.sqrt(2.0)
+
+
 def _sector_norm(blocks) -> float:
-    """Operator norm of a real operator of definite flip parity, from its two
-    blocks S in the flip basis (``_fold``): the larger sqrt(lambda_max(S^T S))."""
-    return max(float(np.sqrt(np.linalg.eigvalsh(S.T @ S)[-1])) for S in blocks)
+    """Operator norm of a real operator from its blocks S in a basis that
+    splits it (``_fold``, ``_sector_blocks``): the largest
+    sqrt(lambda_max(S^T S)); an empty block has none."""
+    return max(float(np.sqrt(np.linalg.eigvalsh(S.T @ S)[-1])) for S in blocks if S.size)
 
 
 @dataclass(frozen=True)
 class _FlipSymmetric:
     """A chain operator of the form of ``_tfim_matrix``, which commutes with
-    the global spin flip.
+    the global spin flip: a centred source.
 
     ``mat`` is the real matrix as written, exactly symmetric, held as it is
-    and made read-only: no complex copy.  Its spectrum is read from
-    ``sectors``, the two 2^(n-1) blocks; no 2^n decomposition is ever taken.
+    and made read-only: no complex copy.
     """
 
     mat: np.ndarray
@@ -238,17 +312,30 @@ class _FlipSymmetric:
     def dim(self) -> int:
         return self.mat.shape[0]
 
+
+class _UniformChain(_FlipSymmetric):
+    """A chain operator with one bond and one field on every site, which
+    commutes with the spin flip and with the mirror i <-> n-1-i.
+
+    Its spectrum is read from ``sectors``, the four (flip, mirror) blocks of
+    about 2^(n-2); no 2^n or 2^(n-1) decomposition is ever taken.  Only a
+    uniform chain is split by the mirror.
+    """
+
+    def blocks(self) -> list[np.ndarray]:
+        return _sector_blocks(self.mat)
+
     @cached_property
     def sectors(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """``numpy.linalg.eigh`` of the F = +1 and F = -1 blocks."""
-        return tuple(np.linalg.eigh(block) for block in _fold(self.mat))
+        """``numpy.linalg.eigh`` of the four ``_SECTORS`` blocks."""
+        return tuple(np.linalg.eigh(block) for block in self.blocks())
 
 
-def _uniform_chain(n: int, J: float, g: float) -> _FlipSymmetric:
-    return _FlipSymmetric(_tfim_matrix(n, np.full(n - 1, J), np.full(n, g)))
+def _uniform_chain(n: int, J: float, g: float) -> _UniformChain:
+    return _UniformChain(_tfim_matrix(n, np.full(n - 1, J), np.full(n, g)))
 
 
-def build_chain_hamiltonian(spec: ChainPathSpec, s: float) -> _FlipSymmetric:
+def build_chain_hamiltonian(spec: ChainPathSpec, s: float) -> _UniformChain:
     """Dense 2^n x 2^n TFIM Hamiltonian at path parameter s."""
     if not (0.0 <= s <= 1.0):
         raise ValueError(f"s = {s} outside [0, 1]")
@@ -262,16 +349,18 @@ def _fix_phase(psi: np.ndarray) -> np.ndarray:
     return psi / ph
 
 
-def _chain_operators(*ops) -> None:
-    """ValueError unless every operator was built by the chain builders."""
-    if not all(isinstance(op, _FlipSymmetric) for op in ops):
+def _chain_operators(H, *sources) -> None:
+    """ValueError unless H is a uniform chain and every source a chain
+    operator, as the chain builders make them."""
+    if not (isinstance(H, _UniformChain) and all(isinstance(op, _FlipSymmetric) for op in sources)):
         raise ValueError("expected operators built by build_chain_hamiltonian or chain_hprime")
 
 
-def _ground_level(H: _FlipSymmetric) -> tuple[int, float]:
-    """The sector holding the lowest level of H (an index into ``_SIGNS``,
-    F = +1 on a tie) and the gap to the next level in either sector."""
-    levels = sorted((w[j], k) for k, (w, _) in enumerate(H.sectors) for j in (0, 1))
+def _ground_level(H: _UniformChain) -> tuple[int, float]:
+    """The sector holding the lowest level of H (an index into ``_SECTORS``,
+    the first on a tie) and the gap to the next level in any sector.  A
+    sector may be empty or one level wide."""
+    levels = sorted((e, k) for k, (w, _) in enumerate(H.sectors) for e in w[:2])
     (e0, k), (e1, _) = levels[:2]
     gap = float(e1 - e0)
     if gap < GAP_FLOOR:
@@ -279,16 +368,16 @@ def _ground_level(H: _FlipSymmetric) -> tuple[int, float]:
     return k, gap
 
 
-def ground_state(H: _FlipSymmetric) -> tuple[float, np.ndarray, float]:
+def ground_state(H: _UniformChain) -> tuple[float, np.ndarray, float]:
     """Lowest eigenpair of a chain Hamiltonian, from the sector that holds
-    it, and the gap to the first excited state in either sector."""
+    it, and the gap to the first excited state in any sector."""
     _chain_operators(H)
     k, gap = _ground_level(H)
     w, u = H.sectors[k]
-    return float(w[0]), _fix_phase(_unfold(u[:, 0], _SIGNS[k])), gap
+    return float(w[0]), _fix_phase(_sector_vector(u[:, 0], H.dim, k)), gap
 
 
-def chain_hprime(spec: ChainPathSpec, s: float) -> _FlipSymmetric:
+def chain_hprime(spec: ChainPathSpec, s: float) -> _UniformChain:
     """dH/ds from the schedule derivatives (analytic for polynomial J, g)."""
     return _uniform_chain(spec.n_sites, *spec.coupling_derivatives(s))
 
@@ -305,13 +394,23 @@ def _divided_by_gaps(w: np.ndarray, v: np.ndarray, source: np.ndarray) -> np.nda
     return np.divide(A, dE, out=np.zeros_like(A), where=np.abs(dE) > DEGENERACY_TOL)
 
 
-def _sector_quotients(H: _FlipSymmetric, source: _FlipSymmetric) -> list[np.ndarray]:
-    """``_divided_by_gaps`` in each sector of H, from the source's blocks.
-    The entries between sectors are zero, as the source's are."""
-    return [_divided_by_gaps(w, u, block) for (w, u), block in zip(H.sectors, _fold(source.mat))]
+def _sector_quotients(H: _UniformChain, source: _UniformChain) -> list[np.ndarray]:
+    """``_divided_by_gaps`` in each sector of H, from the blocks of a
+    uniform-chain source.  The entries between sectors are zero, as the
+    source's are."""
+    return [_divided_by_gaps(w, u, block) for (w, u), block in zip(H.sectors, source.blocks())]
 
 
-def adiabatic_generator(H: _FlipSymmetric, Hprime: _FlipSymmetric) -> HermitianOperator:
+def _flip_eigenbases(H: _UniformChain):
+    """H's eigenpairs in each flip block, F = +1 then -1: the two mirror
+    sectors' eigenvectors scattered into the block, levels not sorted."""
+    for k in (0, 2):
+        (w0, u0), (w1, u1) = H.sectors[k : k + 2]
+        u = np.hstack([_sector_to_flip(u0, H.dim, k), _sector_to_flip(u1, H.dim, k + 1)])
+        yield np.concatenate([w0, w1]), u
+
+
+def adiabatic_generator(H: _UniformChain, Hprime: _FlipSymmetric) -> HermitianOperator:
     """Exact spectral generator of ground-state transport along the path.
 
     Built in H's eigenbasis as K_mn = i H'_mn / (E_m - E_n) over all
@@ -324,18 +423,23 @@ def adiabatic_generator(H: _FlipSymmetric, Hprime: _FlipSymmetric) -> HermitianO
     assumed.  On the path J = 1, g = 1.5 + s at n = 10 the centered term's
     shell strengths peak at r = 3.
 
-    H and H' must be chain operators (``build_chain_hamiltonian``,
-    ``chain_hprime``); anything else is a ValueError.  Every quantity is read
-    from the sector spectra of H, and K = i R comes back with R real
-    antisymmetric and flip-symmetric: R is antisymmetrised once in real
-    arithmetic and i R stored as it is, exactly Hermitian, without the
-    complex copy and symmetrisation of ``HermitianOperator._built``.
+    H must be a uniform chain (``build_chain_hamiltonian``) and H' a chain
+    operator (``chain_hprime``, or the centred source of
+    ``centered_generator_term``); anything else is a ValueError.  H' need not
+    be mirror-symmetric, so every quantity is read per flip block, from H's
+    four sector spectra put together two by two, and K = i R comes back
+    with R real antisymmetric and flip-symmetric: R is antisymmetrised once
+    in real arithmetic and i R stored as it is, exactly Hermitian, without
+    the complex copy and symmetrisation of ``HermitianOperator._built``.
     """
     _chain_operators(H, Hprime)
     if H.dim != Hprime.dim:
         raise ValueError("H and H' dimensions differ")
     _ground_level(H)
-    plus, minus = (u @ B @ u.T for (_, u), B in zip(H.sectors, _sector_quotients(H, Hprime)))
+    plus, minus = (
+        u @ _divided_by_gaps(w, u, block) @ u.T
+        for (w, u), block in zip(_flip_eigenbases(H), _fold(Hprime.mat))
+    )
     R = _unfold_matrix(plus, minus)
     K = object.__new__(HermitianOperator)
     object.__setattr__(K, "mat", 1j * (0.5 * (R - R.T)))
@@ -472,11 +576,11 @@ def entropy_along_path(spec: ChainPathSpec) -> list[PathPoint]:
     """Ground state, gap, cut entropy, and its rate at every grid point.
 
     The rate comes from the transport generator through the tangent vector
-    iK|psi> (one eigendecomposition of H per point, K never formed).  At
-    interior points it must agree with the entropies on the grid (see
-    ``_check_rates``); ``rate_finite_difference`` reports the central
-    difference of the entropies (one-sided at the ends).  ``K_norm`` is the
-    operator norm of K, taken in H's eigenbasis.
+    iK|psi> (four sector eigendecompositions of H per point, K never
+    formed).  At interior points it must agree with the entropies on the
+    grid (see ``_check_rates``); ``rate_finite_difference`` reports the
+    central difference of the entropies (one-sided at the ends).  ``K_norm``
+    is the operator norm of K, taken in H's eigenbasis.
     """
     grid = spec.s_grid
     rows = []
@@ -484,12 +588,11 @@ def entropy_along_path(spec: ChainPathSpec) -> list[PathPoint]:
         H = build_chain_hamiltonian(spec, s)
         e0, psi, gap = ground_state(H)
         blocks = _sector_quotients(H, chain_hprime(spec, s))
-        # iK|psi> = -U B U^T psi with K = i U B U^T, sector by sector; psi
-        # lies in one sector, so the other contributes exact zeros
-        dpsi = -sum(
-            _unfold(u @ (B @ (u.T @ _fold_vector(psi, sign))), sign)
-            for sign, (_, u), B in zip(_SIGNS, H.sectors, blocks)
-        )
+        # iK|psi> = -U B U^T psi with K = i U B U^T; psi lies in one
+        # sector, and H' keeps it there
+        k, _ = _ground_level(H)
+        _, u = H.sectors[k]
+        dpsi = -_sector_vector(u @ (blocks[k] @ (u.T @ _sector_components(psi, k))), H.dim, k)
         entropy, rate = _cut_entropy_and_rate(psi, dpsi, spec.cut)
         k_norm = _sector_norm(blocks)
         rows.append((s, e0, gap, psi, entropy, rate, k_norm))

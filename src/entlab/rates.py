@@ -23,6 +23,7 @@ from .operators import (
     SIE_VIOLATION_RTOL, TRACE_TOL, ZERO_LAMBDA_TOL,
     HermitianOperator,
     commutator,
+    input_numbers,
     log_on_support,
     matrix_log_on_support,
     partial_trace_matrix,
@@ -133,7 +134,7 @@ class BipartiteState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = input_numbers("dims", self.dims, integer=True)
         if len(dims) != 4 or any(d < 1 for d in dims):
             raise ValueError(f"dims must be four positive integers, got {dims}")
         amp = np.asarray(self.amplitudes, dtype=complex).ravel()

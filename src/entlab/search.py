@@ -27,7 +27,8 @@ import numpy as np
 
 from . import rates
 from .operators import CONTRACTION_TOL, ROW_TRACE_FLOOR, SIE_VIOLATION_RTOL, SIM_VIOLATION_RTOL
-from .operators import HermitianOperator, input_number, log_on_support, operator_norm, spectral_rebuild
+from .operators import HermitianOperator, input_number, input_numbers, log_on_support, operator_norm
+from .operators import spectral_rebuild
 from .rates import (
     AdmissiblePair,
     BipartiteState,
@@ -207,7 +208,7 @@ def sample_admissible_pair(dim: int, p: float, seed) -> AdmissiblePair:
 
 def sample_bipartite_state(dims, seed) -> BipartiteState:
     """Haar-random unit vector on the full a x A x B x b space; deterministic per seed."""
-    dims = tuple(int(d) for d in dims)
+    dims = input_numbers("dims", dims, integer=True)
     n = int(np.prod(dims))
     rng = _rng(seed)
     amp = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -514,7 +515,7 @@ def maximize_rate_over_states(
     (1, 2, 2, 1) and 18 ||H|| ln min(d_A, d_B) otherwise.  A record above
     the proved 18 ||H|| ln min(d_A, d_B) raises ProvedBoundViolation.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = input_numbers("dims", dims, integer=True)
     d_a, d_A, d_B, d_b = dims
     n = int(np.prod(dims))
     h_norm = operator_norm(H_AB)

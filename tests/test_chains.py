@@ -21,6 +21,7 @@ from transport_reference import (
     SIGMA_X,
     SIGMA_Z,
     dense_centered_term,
+    dense_eigh,
     dense_path_point,
     dense_shell_strengths,
     kron_tfim,
@@ -308,9 +309,35 @@ class TestLocality:
         locality_profile(centered_generator_term(spec, 0.5, 4), spec, 4)
         assert widths and max(widths) == 2 ** (n - 1)
         widths.clear()
+        # a path point reads the four flip x mirror blocks of H and H', at
+        # n = 8 72, 56, 64 and 64 wide
         window = ChainPathSpec(n_sites=n, cut=4, J=(1.0,), g=(1.5, 1.0), s_grid=(0.48, 0.5, 0.52))
         entropy_along_path(window)
-        assert widths and max(widths) == 2 ** (n - 1)
+        assert widths and max(widths) == 72
+
+    def test_centred_source_never_split_by_the_mirror(self, monkeypatch):
+        # only uniform chains are cut into the four flip x mirror sectors: a
+        # centred source with a bond is not mirror-symmetric, reaches
+        # adiabatic_generator without sectors, and is never cut
+        n = 5
+        mirror = list(range(n - 1, -1, -1))
+
+        def mirrored(m):
+            return m.reshape([2] * 2 * n).transpose(mirror + [n + i for i in mirror]).reshape(m.shape)
+
+        cut, sources = [], []
+        sector_blocks, generator = chains._sector_blocks, chains.adiabatic_generator
+        monkeypatch.setattr(chains, "_sector_blocks", lambda m: cut.append(m) or sector_blocks(m))
+        monkeypatch.setattr(
+            chains, "adiabatic_generator", lambda H, src: sources.append(src) or generator(H, src)
+        )
+        spec = ChainPathSpec(n_sites=n, cut=2, J=(1.0, 0.2), g=(1.5, 1.0), s_grid=ramp_spec().s_grid)
+        for center in range(n):
+            locality_profile(centered_generator_term(spec, 0.5, center), spec, center)
+        entropy_along_path(spec)
+        assert len(sources) == n and not any(hasattr(src, "sectors") for src in sources)
+        assert not any(np.array_equal(src.mat, mirrored(src.mat)) for src in sources)
+        assert cut and all(np.array_equal(m, mirrored(m)) for m in cut)
 
     def test_centered_terms_sum_to_full_generator(self):
         spec = ramp_spec(n=4)
@@ -368,10 +395,11 @@ class TestEntropyAlongPath:
             assert pt.rate_commutator == pytest.approx(np.log((1 - q) / q) / r**3, rel=1e-12)
 
 
-# The block path against a dense reference (transport_reference): the
+# The sector path against a dense reference (transport_reference): the
 # uniform default path and a ramp at n = 2..8, a negative field at odd n
-# (ground state in the F = -1 sector), and a ferromagnetic point whose gap
-# is the splitting between the two sectors' lowest states.
+# (ground state in the F = -1 sector), a ferromagnetic point whose gap is
+# the splitting between the two flip sectors' lowest states, and the n = 10
+# window J = 1, g = 1.5 + s, cut 5 that entbench times.
 DENSE_CASES = {
     **{
         f"uniform-n{n}": ChainPathSpec(n_sites=n, cut=n // 2, s_grid=(0.0, 0.5, 1.0))
@@ -384,6 +412,9 @@ DENSE_CASES = {
     "ferromagnetic-n4": ChainPathSpec(
         n_sites=4, cut=2, J=(1.0,), g=(0.05, 0.01), s_grid=(0.0, 0.01, 0.02)
     ),
+    "window-n10": ChainPathSpec(
+        n_sites=10, cut=5, J=(1.0,), g=(1.5, 1.0), s_grid=(0.48, 0.5, 0.52)
+    ),
 }
 
 
@@ -393,11 +424,10 @@ def generator_tol(spec, s, ref_scale, source_norm):
     side finds the eigenvectors of two levels delta apart only to about
     eps ||H|| / delta, and the quotient divides by delta again; delta is the
     smallest level spacing above DEGENERACY_TOL."""
-    H = build_chain_hamiltonian(spec, s).mat
-    w = np.linalg.eigvalsh(H)
+    w = dense_eigh(spec, s)[0]
     delta = np.diff(w)[np.diff(w) > DEGENERACY_TOL].min()
     eps = np.finfo(float).eps
-    conditioning = np.linalg.norm(H, 2) * max(1.0, source_norm) / delta**2
+    conditioning = np.abs(w[[0, -1]]).max() * max(1.0, source_norm) / delta**2
     return 1e-12 * max(1.0, ref_scale) + 10 * eps * conditioning
 
 
@@ -410,7 +440,7 @@ class TestDenseReference:
             got = (pt.ground_energy, pt.gap, pt.entropy_left, pt.rate_commutator)
             for value, want in zip(got, (e0, gap, entropy, rate)):
                 assert abs(value - want) <= 1e-12 * max(1.0, abs(want))
-            hp_norm = np.linalg.norm(chain_hprime(spec, pt.s).mat, 2)
+            hp_norm = np.abs(np.linalg.eigvalsh(chain_hprime(spec, pt.s).mat)[[0, -1]]).max()
             assert abs(pt.K_norm - k_norm) <= generator_tol(spec, pt.s, k_norm, hp_norm)
 
     @pytest.mark.parametrize("name", DENSE_CASES)
@@ -420,8 +450,8 @@ class TestDenseReference:
         dJ, dg = spec.coupling_derivatives(s)
         for center in range(spec.n_sites):
             K = centered_generator_term(spec, s, center).mat
-            ref = dense_centered_term(spec, s, center)
-            tol = generator_tol(spec, s, np.linalg.norm(ref, 2), abs(dJ) + abs(dg))
+            ref, ref_norm = dense_centered_term(spec, s, center)
+            tol = generator_tol(spec, s, ref_norm, abs(dJ) + abs(dg))
             assert np.max(np.abs(K - ref)) <= tol
 
     def test_ground_state_sector(self):

@@ -1,9 +1,11 @@
 """Property tests: symmetries that hold whatever the kernel computes."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from entlab.chains import ChainPathSpec, build_chain_hamiltonian, ground_state
+from entlab.chains import _SECTORS, ChainPathSpec, GapCollapseError, _sector_vector
+from entlab.chains import build_chain_hamiltonian, ground_state
 from entlab.operators import HermitianOperator
 from entlab.rates import (
     AdmissiblePair,
@@ -101,9 +103,19 @@ def test_sector_spectrum_is_the_dense_spectrum(n, J, g, s):
     H = build_chain_hamiltonian(spec, s)
     dense = np.linalg.eigvalsh(H.mat)
     scale = np.max(np.abs(dense))
-    # both sectors' eigenvalues together are the spectrum of the full matrix
+    # the four sectors' eigenvalues together are the spectrum of the full
+    # matrix, and each sector's eigenvectors, unfolded, are eigenvectors of
+    # H, of the spin flip F and of the mirror M with the sector's signs
     both = np.sort(np.concatenate([w for w, _ in H.sectors]))
     assert np.max(np.abs(both - dense)) <= 1e-12 * scale
+    V = np.hstack([_sector_vector(u, 2**n, k) for k, (_, u) in enumerate(H.sectors)])
+    W = np.concatenate([w for w, _ in H.sectors])
+    assert np.max(np.abs(V.T @ V - np.eye(2**n))) <= 1e-12
+    assert np.max(np.abs(H.mat @ V - V * W)) <= 1e-12 * scale
+    ends = np.cumsum([w.size for w, _ in H.sectors])[:-1]
+    for (f, m), cols in zip(_SECTORS, np.split(V, ends, axis=1)):
+        assert np.max(np.abs(cols[::-1] - f * cols), initial=0.0) <= 1e-12
+        assert np.max(np.abs(mirrored(cols, n) - m * cols), initial=0.0) <= 1e-12
     e0, psi, gap = ground_state(H)
     assert abs(e0 - dense[0]) <= 1e-12 * scale
     assert abs(gap - (dense[1] - dense[0])) <= 1e-12 * scale
@@ -113,6 +125,32 @@ def test_sector_spectrum_is_the_dense_spectrum(n, J, g, s):
     # each X_i
     parity = 1.0 if g_s > 0 else (-1.0) ** n
     assert np.max(np.abs(psi[::-1] - parity * psi)) <= 1e-12
+
+
+def mirrored(V, n):
+    """The columns of V with site i exchanged for site n - 1 - i."""
+    t = V.reshape([2] * n + [-1])
+    return t.transpose(list(range(n - 1, -1, -1)) + [n]).reshape(V.shape)
+
+
+@pytest.mark.parametrize(
+    "n, widths", [(2, (2, 0, 1, 1)), (3, (3, 1, 3, 1)), (8, (72, 56, 64, 64)), (10, (272, 240, 256, 256))]
+)
+def test_sector_widths(n, widths):
+    # (F, M) = (+1, -1) is empty at n = 2 and one level wide at n = 3; the
+    # ground state, the gap and a closed gap are read across such sectors
+    spec = ChainPathSpec(n_sites=n, cut=1, J=(1.0,), g=(0.8,))
+    H = build_chain_hamiltonian(spec, 0.0)
+    assert tuple(w.size for w, _ in H.sectors) == widths
+    dense = np.linalg.eigvalsh(H.mat)
+    e0, psi, gap = ground_state(H)
+    assert abs(e0 - dense[0]) <= 1e-12 * abs(dense[0])
+    assert abs(gap - (dense[1] - dense[0])) <= 1e-12 * abs(dense[0])
+    assert np.max(np.abs(psi - mirrored(psi[:, None], n)[:, 0])) <= 1e-12
+    if n <= 3:
+        closed = build_chain_hamiltonian(ChainPathSpec(n_sites=n, cut=1, J=(1.0,), g=(0.0,)), 0.0)
+        with pytest.raises(GapCollapseError):
+            ground_state(closed)
 
 
 SIGMA_Z = np.diag([1.0, -1.0])

@@ -377,6 +377,24 @@ class TestMaximizeRate:
         budget = TrialBudget(2.0, 1.0)
         assert (budget.restarts, budget.iters) == (2, 1) and type(budget.restarts) is int
 
+    def test_dims_input_checked(self):
+        # dims are integers: a fractional entry or a string is rejected, not
+        # truncated or parsed, and an integral float reads as the integer
+        H = HermitianOperator(np.diag([1.0, -1.0, -1.0, 1.0]))
+        amp = np.full(4, 0.5)
+        for dims in ((1, 2.7, 2, 1), (1, "2", 2, 1)):
+            with pytest.raises(ValueError, match="dims entry must be an integer"):
+                sample_bipartite_state(dims, 3)
+            with pytest.raises(ValueError, match="dims entry must be an integer"):
+                maximize_rate_over_states(dims, H, TrialBudget(1, 0), 1)
+            with pytest.raises(ValueError, match="dims entry must be an integer"):
+                BipartiteState(dims, amp)
+        dims = (1, 2.0, 2, 1)
+        assert sample_bipartite_state(dims, 3).dims == (1, 2, 2, 1)
+        assert BipartiteState(dims, amp).dims == (1, 2, 2, 1)
+        rec = maximize_rate_over_states(dims, H, TrialBudget(1, 0), 1)
+        assert rec.to_json() == maximize_rate_over_states((1, 2, 2, 1), H, TrialBudget(1, 0), 1).to_json()
+
 
 def test_row_norms_match_numpy_norm_bit_for_bit():
     rng = np.random.default_rng(9)

@@ -1,7 +1,9 @@
 """Dense references for ground-state transport along a chain path, shared by
 the unit and acceptance tests.  Every state and spectrum here comes from
-``numpy.linalg.eigh`` of the full 2^n matrix, never from the spin-flip
-sector blocks that ``entlab.chains`` diagonalises."""
+``numpy.linalg.eigh`` of the full 2^n matrix, never from the flip or
+mirror sector blocks that ``entlab.chains`` diagonalises."""
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,8 +22,9 @@ def kron_tfim(n, bonds, fields):
     """-sum_i bonds[i] Z_i Z_{i+1} - sum_i fields[i] X_i from tensor
     products, site 0 leftmost."""
     H = np.zeros((2**n, 2**n))
+    zz = np.kron(SIGMA_Z, SIGMA_Z)
     for i, b in enumerate(bonds):
-        H -= b * site_op(SIGMA_Z, i, n) @ site_op(SIGMA_Z, i + 1, n)
+        H -= b * np.kron(np.kron(np.eye(2**i), zz), np.eye(2 ** (n - i - 2)))
     for i, f in enumerate(fields):
         H -= f * site_op(SIGMA_X, i, n)
     return H
@@ -34,10 +37,17 @@ def dense_ground_state(H):
     return v * np.sign(v[np.argmax(np.abs(v) > 1e-10)])
 
 
-def dense_quotients(H, source):
+@lru_cache(maxsize=2)
+def dense_eigh(spec, s):
+    """``numpy.linalg.eigh`` of the full matrix of H(s), kept for the next
+    reference at the same point."""
+    return np.linalg.eigh(build_chain_hamiltonian(spec, s).mat)
+
+
+def dense_quotients(spec, s, source):
     """Eigenvalues, eigenvectors and B_mn = <m|source|n> / (E_m - E_n),
-    zero where |E_m - E_n| <= DEGENERACY_TOL, from the full matrix of H."""
-    w, v = np.linalg.eigh(H.mat.real)
+    zero where |E_m - E_n| <= DEGENERACY_TOL, from the full matrix of H(s)."""
+    w, v = dense_eigh(spec, s)
     A = v.T @ source @ v
     dE = w[:, None] - w[None, :]
     return w, v, np.divide(A, dE, out=np.zeros_like(A), where=np.abs(dE) > DEGENERACY_TOL)
@@ -48,8 +58,7 @@ def dense_path_point(spec, s):
     from the singular values of the Schmidt matrix: with p_k = sigma_k^2,
     S = -sum p ln p and dS/ds = -sum ln(p_k) dp_k, where
     dp_k = 2 sigma_k <u_k|dM|w_k>."""
-    H = build_chain_hamiltonian(spec, s)
-    w, v, B = dense_quotients(H, chain_hprime(spec, s).mat.real)
+    w, v, B = dense_quotients(spec, s, chain_hprime(spec, s).mat)
     psi = v[:, 0]
     dpsi = -v @ B[:, 0]  # iK|psi>, K = i v B v^T
     M = psi.reshape(2**spec.cut, -1)
@@ -63,15 +72,16 @@ def dense_path_point(spec, s):
 
 
 def dense_centered_term(spec, s, center):
-    """K = i v B v^T for the source dJ Z_c Z_{c+1} + dg X_c, sign as in H."""
+    """K = i v B v^T for the source dJ Z_c Z_{c+1} + dg X_c, sign as in H,
+    and its norm ||B||."""
     n = spec.n_sites
     dJ, dg = spec.coupling_derivatives(s)
     bonds, fields = np.zeros(n - 1), np.zeros(n)
     fields[center] = dg
     if center < n - 1:
         bonds[center] = dJ
-    _, v, B = dense_quotients(build_chain_hamiltonian(spec, s), kron_tfim(n, bonds, fields))
-    return 1j * (v @ B @ v.T)
+    _, v, B = dense_quotients(spec, s, kron_tfim(n, bonds, fields))
+    return 1j * (v @ B @ v.T), float(np.sqrt(np.linalg.eigvalsh(B.T @ B)[-1]))
 
 
 def _aligned(psi_ref, psi):
