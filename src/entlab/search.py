@@ -9,9 +9,9 @@ objective that evaluates a stack of parameter rows at once
 ``rates._entanglement_rates`` for states).  The pair search's gradient is
 exact, one backward pass through its objective (``_pair_gradient``); the
 state search's is a central difference.  The inner optimization over the
-Hamiltonian is always the closed form, ||i[X, log Y]||_1 from one stacked
-kernel (``_lambda_max``) for a draw and for ascent rows alike, so pure
-random sampling is an ascent of zero steps.
+Hamiltonian is always the closed form, ||i[X, log Y]||_1, from one forward
+pass in Y's eigenbasis (``_pair_forward``) for draws and ascent rows alike,
+so pure random sampling is an ascent of zero steps.
 Every record is reproducible from (config, seed): per-restart generators are
 derived from the base seed, and aggregation is a max-reduction, so results do
 not depend on scheduling.
@@ -200,9 +200,10 @@ def sample_admissible_pair(dim: int, p: float, seed) -> AdmissiblePair:
     dim = input_number("dim", dim, integer=True)
     if dim < 2:
         raise ValueError(f"dim = {dim} must be >= 2")
+    p = input_number("p", p)
     if not (0.0 < p <= 1.0):
         raise ValueError(f"p = {p} outside (0, 1]")
-    (Y, _, Xm), _ = _draw_pair(_rng(seed), dim, p)
+    (Y, _, Xm), _ = _draw_pair(_rng(_input_seed(seed)), dim, p)
     return AdmissiblePair(HermitianOperator._built(Xm), Y, p)
 
 
@@ -210,7 +211,7 @@ def sample_bipartite_state(dims, seed) -> BipartiteState:
     """Haar-random unit vector on the full a x A x B x b space; deterministic per seed."""
     dims = input_numbers("dims", dims, integer=True)
     n = int(np.prod(dims))
-    rng = _rng(seed)
+    rng = _rng(_input_seed(seed))
     amp = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     amp /= np.linalg.norm(amp)
     return BipartiteState(dims, amp)
@@ -246,68 +247,64 @@ def _vec_to_herm(v: np.ndarray, d: int) -> np.ndarray:
     return m.reshape(v.shape[:-1] + (d, d))
 
 
+def _pair_forward(a, uy, b, uz, p: float):
+    """The pair objective up to C = i[X, log Y], for a row or a stack of
+    rows of eigenpairs (a, uy) of the Y parameter and (b, uz) of the Z
+    parameter, in Y's eigenbasis: Y = diag(y), log Y = diag(l), so C_ij =
+    i X_ij dl_ij, dl_ij = l_j - l_i, and a matrix M there is uy M uy^dag.
+    Returns (C, ok, y, X, t, s, on, l, Q, zc, Z, W, tw, c, dl) as the body
+    names them; ``ok`` is ``_contraction``'s test, failed at t = 0 (W = 0)."""
+    ap = np.maximum(a, 0.0)
+    t = ap.sum(axis=-1)
+    y = ap / np.where(t > 0, t, 1.0)[..., None]
+    s = np.sqrt(y)
+    on, l = log_on_support(y)
+    Q = uy.conj().swapaxes(-1, -2) @ uz
+    zc = np.minimum(np.maximum(b, 0.0), 1.0)
+    Z = spectral_rebuild(Q, zc)
+    W = s[..., :, None] * Z * s[..., None, :]
+    tw = np.trace(W, axis1=-2, axis2=-1).real
+    c, ok = _contraction(tw, zc.max(axis=-1), p)
+    X = c[..., None, None] * W
+    dl = l[..., None, :] - l[..., :, None]
+    return 1j * X * dl, ok, y, X, t, s, on, l, Q, zc, Z, W, tw, c, dl
+
+
+def _pair_values(a, uy, b, uz, p: float) -> np.ndarray:
+    """||C||_1 of ``_pair_forward`` per row, nan where a row is infeasible."""
+    C, ok = _pair_forward(a, uy, b, uz, p)[:2]
+    vals = np.full(ok.shape, np.nan)
+    vals[ok] = np.abs(np.linalg.eigvalsh(C[ok])).sum(axis=-1)
+    return vals
+
+
 def _eval_pair_params(theta: np.ndarray, d: int, p: float):
-    """Project rows of raw Hermitian parameters (Y's, then Z's) onto the
-    admissible set.  Returns (values, Ym, Xm, a, uy, b, uz) stacked over the
-    rows, with (a, uy) and (b, uz) the eigenpairs of the two parameter
-    matrices, as ``_pair_gradient`` reads them; an infeasible row gets the
-    value nan and zero matrices.  Every row goes through the same LAPACK and
-    BLAS calls as it would on its own, so a row's value does not depend on
-    the batch it came in."""
+    """Value rows of raw Hermitian parameters (Y's, then Z's) by
+    ``_pair_values``; returns (values, a, uy, b, uz) stacked over the rows,
+    with the eigenpairs of the two parameter matrices.  A row's bits do not
+    depend on its batch: each goes through the same LAPACK and BLAS calls."""
     n = theta.shape[1] // 2
-    vals = np.full(theta.shape[0], np.nan)
-    Ym = np.zeros((theta.shape[0], d, d), dtype=complex)
-    Xm = np.zeros_like(Ym)
-    b, uz = np.zeros(theta.shape[:1] + (d,)), np.zeros_like(Ym)
     a, uy = np.linalg.eigh(_vec_to_herm(theta[:, :n], d))
-    wy = np.clip(a, 0.0, None)
-    t = wy.sum(axis=-1)
-    rows = np.flatnonzero(t > 0)
-    wy, vy = wy[rows] / t[rows, None], uy[rows]
-    b[rows], uz[rows] = np.linalg.eigh(_vec_to_herm(theta[rows, n:], d))
-    wz = np.clip(b[rows], 0.0, 1.0)
-    Zm = spectral_rebuild(uz[rows], wz)
-    sq = spectral_rebuild(vy, np.sqrt(wy))
-    W = sq @ Zm @ sq
-    c, ok = _contraction(np.trace(W, axis1=1, axis2=2).real, wz.max(axis=-1), p)
-    rows, wy, vy = rows[ok], wy[ok], vy[ok]
-    X = c[ok, None, None] * W[ok]
-    vals[rows] = _lambda_max(wy, vy, X)
-    Ym[rows] = spectral_rebuild(vy, wy)
-    Xm[rows] = X
-    return vals, Ym, Xm, a, uy, b, uz
+    b, uz = np.linalg.eigh(_vec_to_herm(theta[:, n:], d))
+    return _pair_values(a, uy, b, uz, p), a, uy, b, uz
 
 
 def _pair_gradient(row, p: float) -> np.ndarray:
-    """The gradient of the objective of ``_eval_pair_params`` at one of its
-    rows, by one backward pass from the row's eigenpairs (a, uy) of the Y
-    parameter and (b, uz) of the Z parameter.
+    """The gradient of the objective at a row of ``_eval_pair_params``, by
+    one backward pass through ``_pair_forward`` at its eigenpairs.
 
-    The pass runs in the eigenbasis of the Y parameter, where Y^{1/2} =
-    diag(s) and L = log Y = diag(l) on the support, so C = i[X, L] has
-    C_ij = i X_ij (l_j - l_i).  With S = sign(C), the objective ||C||_1 =
-    Tr(S C) pulls back to G_X = i[L, S] and G_L = i[S, X]; then through the
-    rescaling X = c W, c = p / Tr W, and W = Y^{1/2} Z Y^{1/2}; then through
-    the spectral functions sqrt(a+ / t), log(a+ / t) and clip(b, 0, 1) by
-    their divided differences (Daleckii-Krein), plus the diagonal term of
-    t = sum a+.  Each divided difference is in a closed form that needs no
-    threshold: 1/(t (s_i + s_j)) and log1p((a_i - a_j)/a_j)/(a_i - a_j)
-    where both eigenvalues lie on the same side, a plain quotient across."""
-    a, uy, b, uz = row[3:]
+    With S = sign(C), the objective ||C||_1 = Tr(S C) pulls back to G_X =
+    i[L, S] and G_L = i[S, X], L = log Y; then through the rescaling X =
+    c W, c = p / Tr W, and W = Y^{1/2} Z Y^{1/2}; then through the spectral
+    functions sqrt(a+ / t), log(a+ / t) and clip(b, 0, 1) by their divided
+    differences (Daleckii-Krein), plus the diagonal term of t = sum a+.
+    Each divided difference is in a closed form that needs no threshold:
+    1/(t (s_i + s_j)) and log1p((a_i - a_j)/a_j)/(a_i - a_j) where both
+    eigenvalues lie on the same side, a plain quotient across."""
+    a, uy, b, uz = row[1:]
+    C, _, _, X, t, s, on, l, Q, zc, Z, W, tw, c, dl = _pair_forward(a, uy, b, uz, p)
     d = a.size
-    ap = np.maximum(a, 0.0)
-    t = ap.sum()
-    y = ap / t
-    s = np.sqrt(y)
-    on, l = log_on_support(y)
-    Q = uy.conj().T @ uz  # Z's eigenvectors in Y's eigenbasis
-    Z = spectral_rebuild(Q, np.minimum(np.maximum(b, 0.0), 1.0))
-    W = s[:, None] * Z * s
-    tw = W.trace().real
-    c = p / tw
-    X = c * W
-    dl = l - l[:, None]  # l_j - l_i
-    w, v = np.linalg.eigh(1j * X * dl)
+    w, v = np.linalg.eigh(C)
     S = spectral_rebuild(v, np.sign(w))
     GX = -1j * dl * S
     GL = 1j * (S @ X - X @ S)
@@ -330,19 +327,11 @@ def _pair_gradient(row, p: float) -> np.ndarray:
     # the Z parameter: clip(b, 0, 1)
     inside = (b > 0) & (b < 1)
     db = b[:, None] - b
-    zc = np.minimum(np.maximum(b, 0.0), 1.0)
     Dz = np.divide(zc[:, None] - zc, db, out=np.outer(inside, inside) * 1.0, where=db != 0)
     GB = Dz * (Q.conj().T @ (s[:, None] * GW * s) @ Q)
     # d/dv Tr(G dM) in the layout of _vec_to_herm: G_ii, then 2 Re G_ij, 2 Im G_ij
     weight = np.where(np.arange(d * d) < d, 1.0, 2.0)
     return np.concatenate([_herm_to_vec(u @ G @ u.conj().T) * weight for u, G in ((uy, GA), (uz, GB))])
-
-
-def _lambda_max(wy: np.ndarray, uy: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """||i[X, log Y]||_1 per row of a stack, from Y's eigenpairs (wy, uy)."""
-    logY = spectral_rebuild(uy, log_on_support(wy)[1])
-    C = 1j * (X @ logY - logY @ X)
-    return np.abs(np.linalg.eigvalsh(C)).sum(axis=-1)
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -424,13 +413,13 @@ def maximize_lambda_over_pairs(dim: int, p: float, budget: TrialBudget, seed) ->
     """Hunt for the largest closed-form maximum of the functional over
     admissible pairs at fixed (dim, p).
 
-    Each of ``restarts`` random draws is valued from its own Y.eigh and X,
-    then refined by gradient ascent for up to ``iters`` steps (early-stopped
-    once the line search stalls), each step on the exact gradient
-    (``_pair_gradient``); ``iters`` = 0 keeps the draws (method "random").
-    ``trials`` counts evaluations, one gradient as one, and ``rejections``
-    rejected draws.  The best pair is checked once; the ratio is against the
-    envelope.
+    Each of ``restarts`` random draws is valued from its own Y.eigh and Z's
+    (z, U), as an ascent row is, then refined by gradient ascent for up to
+    ``iters`` steps (early-stopped once the line search stalls), each step
+    on the exact gradient (``_pair_gradient``); ``iters`` = 0 keeps the
+    draws (method "random").  ``trials`` counts evaluations, one gradient as
+    one, and ``rejections`` rejected draws.  The best row's pair is rebuilt
+    and checked once; the ratio is against the envelope.
     """
     dim = input_number("dim", dim, integer=True)
     if dim < 2:
@@ -443,15 +432,17 @@ def maximize_lambda_over_pairs(dim: int, p: float, budget: TrialBudget, seed) ->
     gradient = lambda theta, row: (_pair_gradient(row, p), 1)
     best, trials, rejections = (-1.0,), 0, 0
     for r in range(budget.restarts):
-        (Y, (z, uz), Xm), rej = _draw_pair(_rng([seed, r]), dim, p)
+        (Y, (z, uz), _), rej = _draw_pair(_rng([seed, r]), dim, p)
         rejections += rej
         wy, uy = Y.eigh
-        start = (_lambda_max(wy[None], uy[None], Xm[None])[0], Y.mat, Xm, wy, uy, z, uz)
+        start = (_pair_values(wy, uy, z, uz, p), wy, uy, z, uz)
         theta = np.concatenate([_herm_to_vec(Y.mat), _herm_to_vec(spectral_rebuild(uz, z))])
         _, end, evals = _ascend(evaluate, theta, start, budget.iters, gradient)
         trials += evals
         best = max(best, end, key=lambda row: row[0])
-    value, Ym, Xm = best[:3]
+    value, a, uy, b, uz = best
+    y, X = _pair_forward(a, uy, b, uz, p)[2:4]
+    Ym, Xm = spectral_rebuild(uy, y), uy @ X @ uy.conj().T
     pair = AdmissiblePair(HermitianOperator._built(Xm), HermitianOperator._built(Ym), p)
     record = SearchRecord(
         dim=dim,
@@ -470,15 +461,22 @@ def maximize_lambda_over_pairs(dim: int, p: float, budget: TrialBudget, seed) ->
     return record
 
 
-def _as_int_seed(seed) -> int:
-    """A seed from outside the program as one integer: an integer
-    (``input_number``), or a list of them folded into one 64-bit word."""
+def _input_seed(seed):
+    """A seed from outside the program: an integer or a list of them."""
     if isinstance(seed, (list, tuple)):
-        h = 0
-        for s in seed:
-            h = (h * 1_000_003 + input_number("seed entry", s, integer=True)) % (1 << 63)
-        return h
+        return input_numbers("seed", seed, integer=True)
     return input_number("seed", seed, integer=True)
+
+
+def _as_int_seed(seed) -> int:
+    """``_input_seed`` as one integer, a list folded into one 64-bit word."""
+    seed = _input_seed(seed)
+    if isinstance(seed, int):
+        return seed
+    h = 0
+    for s in seed:
+        h = (h * 1_000_003 + s) % (1 << 63)
+    return h
 
 
 def _check_proved_bound(record: SearchRecord) -> None:
@@ -516,6 +514,7 @@ def maximize_rate_over_states(
     the proved 18 ||H|| ln min(d_A, d_B) raises ProvedBoundViolation.
     """
     dims = input_numbers("dims", dims, integer=True)
+    seed = _as_int_seed(seed)
     d_a, d_A, d_B, d_b = dims
     n = int(np.prod(dims))
     h_norm = operator_norm(H_AB)
@@ -536,7 +535,7 @@ def maximize_rate_over_states(
     best_params = None
     trials = 0
     for r in range(budget.restarts):
-        rng = _rng([_as_int_seed(seed), r])
+        rng = _rng([seed, r])
         amp = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         amp /= np.linalg.norm(amp)
         theta = np.concatenate([amp.real, amp.imag])
@@ -553,7 +552,7 @@ def maximize_rate_over_states(
         bound_value=float(bound),
         ratio=float(best / bound),
         argmax=BipartiteState(dims, amplitudes(best_params[None])[0]).to_json(),
-        seed=_as_int_seed(seed),
+        seed=seed,
         trials=trials,
         method="hybrid",
         restarts_used=budget.restarts,
@@ -612,7 +611,7 @@ def conjecture_scan(
         for j, p in enumerate(p_grid)
     ]
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             records = list(pool.map(_scan_cell, tasks))
     else:
         records = [_scan_cell(t) for t in tasks]

@@ -66,6 +66,27 @@ class TestSampling:
             sample_admissible_pair(2.5, 0.1, 0)
         assert sample_admissible_pair(3.0, 0.1, 0).dim == 3
 
+    def test_sampler_numbers_checked(self):
+        # p and the seed are numbers from outside the program: a string, a
+        # bool or a fractional seed is rejected, not parsed or truncated
+        for p in ("0.1", True):
+            with pytest.raises(ValueError, match="p must be a number"):
+                sample_admissible_pair(2, p, 0)
+        for seed in (2.9, "3", True):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                sample_admissible_pair(2, 0.1, seed)
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                sample_bipartite_state((1, 2, 2, 1), seed)
+        for seed in ([1, 2.5], (1, "2")):
+            with pytest.raises(ValueError, match="seed entry must be an integer"):
+                sample_admissible_pair(2, 0.1, seed)
+        # an integral float reads as the integer, alone or in a list
+        for seed, same in ((2.0, 2), ([2.0, 5], [2, 5])):
+            a, b = sample_admissible_pair(3, 0.1, seed), sample_admissible_pair(3, 0.1, same)
+            assert a.X.mat.tobytes() == b.X.mat.tobytes()
+            a, b = sample_bipartite_state((1, 2, 2, 1), seed), sample_bipartite_state((1, 2, 2, 1), same)
+            assert a.amplitudes.tobytes() == b.amplitudes.tobytes()
+
     def test_state_unit_norm_and_deterministic(self):
         s1 = sample_bipartite_state((1, 2, 2, 1), 7)
         s2 = sample_bipartite_state((1, 2, 2, 1), 7)
@@ -106,13 +127,17 @@ class TestMaximizeLambda:
             rec = maximize_lambda_over_pairs(4, 0.05, TrialBudget(5, 20), seed)
             assert rec.best_value <= sie_lambda_bound(0.05) * (1 + 1e-9)
 
-    def test_argmax_reproduces_value(self):
+    @pytest.mark.parametrize("dim", [2, 3, 8, 16])
+    def test_argmax_reproduces_value(self, dim):
+        # the record's pair, rebuilt from the best row's forward pass in Y's
+        # eigenbasis, valued in the original basis by another path
         from entlab.rates import AdmissiblePair, maximize_over_hamiltonian
 
-        rec = maximize_lambda_over_pairs(3, 0.1, TrialBudget(4, 15), 2)
+        rec = maximize_lambda_over_pairs(dim, 0.1, TrialBudget(4, 15), 2)
+        assert rec.method == "hybrid"
         pair = AdmissiblePair.from_json(rec.argmax)
         val, _ = maximize_over_hamiltonian(pair)
-        assert val == pytest.approx(rec.best_value, rel=1e-10)
+        assert val == pytest.approx(rec.best_value, rel=1e-12)
 
     @pytest.mark.parametrize(
         "budget", [TrialBudget(3, 0), TrialBudget(2, 5)], ids=["random", "ascent"]
@@ -172,8 +197,8 @@ class TestMaximizeLambda:
         assert not np.isnan(vals[[0, 1, 3, 5]]).any()
         for k in range(rows.shape[0]):
             one = _eval_pair_params(rows[k : k + 1], d, p)
-            # the value, Y, X and both parameter eigendecompositions
-            assert len(one) == len(stack) == 7
+            # the value and both parameter eigendecompositions
+            assert len(one) == len(stack) == 5
             for a, b in zip(one, stack):
                 assert a[0].tobytes() == b[k].tobytes()
 
@@ -423,6 +448,30 @@ class TestScan:
         serial, _ = conjecture_scan([2, 3], [0.1, 0.2], budget, 6, workers=1)
         parallel, _ = conjecture_scan([2, 3], [0.1, 0.2], budget, 6, workers=2)
         assert [r.to_json() for r in serial] == [r.to_json() for r in parallel]
+
+    def test_pool_no_larger_than_the_cells(self, monkeypatch):
+        # a pool starts all its workers at once, so it gets one per cell at
+        # most; the stand-in records the size and starts no process
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", Pool)
+        budget = TrialBudget(1, 0)
+        serial, _ = conjecture_scan([2], [0.1, 0.2], budget, 3)
+        parallel, _ = conjecture_scan([2], [0.1, 0.2], budget, 3, workers=5000)
+        assert sizes == [2]
+        assert [r.to_json() for r in parallel] == [r.to_json() for r in serial]
 
     def test_zero_iterations_mean_random_sampling_at_every_dim(self):
         records, _ = conjecture_scan([2, 3, 8], [0.1], TrialBudget(4, 0), 2)
