@@ -208,24 +208,10 @@ def _cmd_sim_scan(args) -> int:
     }
     records, events = conjecture_scan(dims, p_grid, budget, seed, workers=args.workers)
     lines = _header_lines(config, seed)
-    lines.append("dim,p,best,sim_bound,sie_bound,ratio_sim,ratio_sie,seed,trials")
+    columns = ("dim", "p", "best", "sim_bound", "sie_bound", "ratio_sim", "ratio_sie", "seed", "trials")
+    lines.append(",".join(columns))
     for row in scan_rows(records):
-        lines.append(
-            ",".join(
-                _fmt(row[k])
-                for k in (
-                    "dim",
-                    "p",
-                    "best",
-                    "sim_bound",
-                    "sie_bound",
-                    "ratio_sim",
-                    "ratio_sie",
-                    "seed",
-                    "trials",
-                )
-            )
-        )
+        lines.append(",".join(_fmt(row[k]) for k in columns))
     _write_report(args.out, lines)
     if events:
         path = _write_bundle(args.out, {"events": [e.to_json() for e in events]})

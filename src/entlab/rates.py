@@ -24,6 +24,7 @@ from .operators import (
     HermitianOperator,
     commutator,
     input_numbers,
+    log_divided_differences,
     log_on_support,
     matrix_log_on_support,
     partial_trace_matrix,
@@ -284,12 +285,11 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
-def _entanglement_rates(amps: np.ndarray, dims, H: np.ndarray) -> np.ndarray:
-    """The rate of ``entanglement_rate`` for each row of a stack of unit
-    amplitude rows, with H the H_AB matrix.  Every row goes through the same
-    LAPACK and BLAS calls as it would on its own, so a row's rate does not
-    depend on its batch (given that the batch's reduced states are either
-    all exactly real or not: ``real_if_exact`` acts on the whole stack)."""
+def _rate_forward(amps: np.ndarray, dims, H: np.ndarray):
+    """The rate's forward pass for each row of a stack of amplitude rows,
+    with H the H_AB matrix: (rho_aAB, L, H~, w, v, on, l), with L = log
+    rho_aA (x) I_B, H~ = I_a (x) H, (w, v) the eigenpairs of rho_aA and
+    (on, l) ``log_on_support`` of w."""
     d_a, d_A, d_B, d_b = dims
     # symmetrised in complex arithmetic, as HermitianOperator stores a matrix
     herm = lambda m: 0.5 * (m + m.conj().swapaxes(-1, -2))
@@ -297,10 +297,38 @@ def _entanglement_rates(amps: np.ndarray, dims, H: np.ndarray) -> np.ndarray:
     rho_aAB = partial_trace_matrix(rho, [d_a, d_A, d_B, d_b], [0, 1, 2])
     rho_aA = partial_trace_matrix(rho_aAB, [d_a * d_A, d_B], [0])
     w, v = np.linalg.eigh(real_if_exact(herm(rho_aA)))
-    logr = herm(np.asarray(spectral_rebuild(v, log_on_support(w)[1]), dtype=complex))
+    on, l = log_on_support(w)
+    logr = herm(np.asarray(spectral_rebuild(v, l), dtype=complex))
     L = _kron(logr, np.eye(d_B))
     Ht = H if d_a == 1 else _kron(np.eye(d_a), H)
+    return rho_aAB, L, Ht, w, v, on, l
+
+
+def _entanglement_rates(amps: np.ndarray, dims, H: np.ndarray) -> np.ndarray:
+    """The rate of ``entanglement_rate`` for each row of a stack of unit
+    amplitude rows, with H the H_AB matrix.  Every row goes through the same
+    LAPACK and BLAS calls as it would on its own, so a row's rate does not
+    depend on its batch (given that the batch's reduced states are either
+    all exactly real or not: ``real_if_exact`` acts on the whole stack)."""
+    rho_aAB, L, Ht = _rate_forward(amps, dims, H)[:3]
     return _commutator_functional(Ht, rho_aAB, L, "entanglement_rate")
+
+
+def _rate_gradient(amp: np.ndarray, dims, H: np.ndarray) -> np.ndarray:
+    """The gradient of the rate at ``amp`` in (Re amp, Im amp), one backward
+    pass through ``_rate_forward``.  The rate is Tr(rho_aAB G), G = -i[L, H~],
+    and changes through L by Tr(dlog rho_aA N), N = Tr_B(-i[H~, rho_aAB]),
+    that is by Tr(d rho_aA K), K = v (D o v^dag N v) v^dag with D from
+    ``log_divided_differences``.  So the gradient is 2 (Re, Im) of ((G + K (x)
+    I_B) (x) I_b) amp; a form of degree 2, its part along a unit amp is 2 rate."""
+    d_a, d_A, d_B, d_b = dims
+    rho_aAB, L, Ht, w, v, on, l = _rate_forward(amp[None], dims, H)
+    rho_aAB, L, w, v, on, l = rho_aAB[0], L[0], w[0], v[0], on[0], l[0]
+    G = -1j * commutator(L, Ht)
+    N = partial_trace_matrix(-1j * commutator(Ht, rho_aAB), [d_a * d_A, d_B], [0])
+    K = v @ (log_divided_differences(w, on, l) * (v.conj().T @ N @ v)) @ v.conj().T
+    Mamp = 2.0 * ((G + _kron(K, np.eye(d_B))) @ amp.reshape(-1, d_b)).ravel()
+    return np.concatenate([Mamp.real, Mamp.imag])
 
 
 def entanglement_rate(state: BipartiteState, H_AB: HermitianOperator) -> float:

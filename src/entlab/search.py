@@ -3,12 +3,12 @@ commutator functional and the entanglement rate.
 
 Search is hybrid: random restarts over admissible pairs (or states), each
 refined by gradient ascent.  One driver, ``_ascend``, runs both searches: it
-takes a gradient from its caller and runs a backtracking line search over an
-objective that evaluates a stack of parameter rows at once
+takes an exact gradient from its caller and runs a backtracking line search
+over an objective that evaluates a stack of parameter rows at once
 (``_eval_pair_params`` for pairs, the stacked rate
-``rates._entanglement_rates`` for states).  The pair search's gradient is
-exact, one backward pass through its objective (``_pair_gradient``); the
-state search's is a central difference.  The inner optimization over the
+``rates._entanglement_rates`` for states).  Each gradient is one backward
+pass through its objective's forward pass (``_pair_gradient`` for pairs,
+``rates._rate_gradient`` for states).  The inner optimization over the
 Hamiltonian is always the closed form, ||i[X, log Y]||_1, from one forward
 pass in Y's eigenbasis (``_pair_forward``) for draws and ascent rows alike,
 so pure random sampling is an ascent of zero steps.
@@ -20,7 +20,7 @@ not depend on scheduling.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -28,7 +28,7 @@ import numpy as np
 from . import rates
 from .operators import CONTRACTION_TOL, ROW_TRACE_FLOOR, SIE_VIOLATION_RTOL, SIM_VIOLATION_RTOL
 from .operators import HermitianOperator, input_number, input_numbers, log_on_support, operator_norm
-from .operators import spectral_rebuild
+from .operators import log_divided_differences, spectral_rebuild
 from .rates import (
     AdmissiblePair,
     BipartiteState,
@@ -99,15 +99,7 @@ class FalsificationEvent:
     seed: int
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "dim": self.dim,
-            "p": self.p,
-            "value": self.value,
-            "bound": self.bound,
-            "instance": self.instance,
-            "seed": self.seed,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass
@@ -119,28 +111,15 @@ class SearchRecord:
     ratio: float
     argmax: dict
     seed: int
-    # evaluations: each start point, each line search up to its first gain
-    # (all of it without one), and each gradient, which counts as one for a
-    # pair and as its 2 x (number of parameters) differenced points for a state
+    # evaluations: each start point, each gradient, and each line search up
+    # to its first gain (all of it without one)
     trials: int
     method: str  # random (iters = 0) | hybrid (random restarts refined by ascent)
     restarts_used: int = 0
     rejections: int = 0
 
     def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "p": self.p,
-            "best_value": self.best_value,
-            "bound_value": self.bound_value,
-            "ratio": self.ratio,
-            "argmax": self.argmax,
-            "seed": self.seed,
-            "trials": self.trials,
-            "method": self.method,
-            "restarts_used": self.restarts_used,
-            "rejections": self.rejections,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +276,10 @@ def _pair_gradient(row, p: float) -> np.ndarray:
     i[L, S] and G_L = i[S, X], L = log Y; then through the rescaling X =
     c W, c = p / Tr W, and W = Y^{1/2} Z Y^{1/2}; then through the spectral
     functions sqrt(a+ / t), log(a+ / t) and clip(b, 0, 1) by their divided
-    differences (Daleckii-Krein), plus the diagonal term of t = sum a+.
-    Each divided difference is in a closed form that needs no threshold:
-    1/(t (s_i + s_j)) and log1p((a_i - a_j)/a_j)/(a_i - a_j) where both
-    eigenvalues lie on the same side, a plain quotient across."""
+    differences (Daleckii-Krein; log's is ``log_divided_differences``),
+    plus the diagonal term of t = sum a+.  sqrt's needs no threshold either:
+    1/(t (s_i + s_j)) where both eigenvalues are positive, a plain quotient
+    across."""
     a, uy, b, uz = row[1:]
     C, _, _, X, t, s, on, l, Q, zc, Z, W, tw, c, dl = _pair_forward(a, uy, b, uz, p)
     d = a.size
@@ -315,14 +294,10 @@ def _pair_gradient(row, p: float) -> np.ndarray:
     # does not change with the scale of Y^{1/2}, so t enters only through
     # log(a+ / t) = log a+ - log t on the support
     da = a[:, None] - a
-    pos, on2 = a > 0, on[:, None] & on
+    pos = a > 0
     Dh = np.divide(1.0, t * (s[:, None] + s), out=np.zeros((d, d)), where=pos[:, None] & pos)
     Dh = np.divide(s[:, None] - s, da, out=Dh, where=pos[:, None] ^ pos)
-    x = np.divide(da, a, out=np.zeros((d, d)), where=on2)
-    Dl = np.divide(1.0, a, out=np.zeros((d, d)), where=on2)
-    Dl = np.divide(np.log1p(x), da, out=Dl, where=x != 0)
-    Dl = np.divide(l[:, None] - l, da, out=Dl, where=on[:, None] ^ on)
-    GA = Dh * GR + Dl * GL
+    GA = Dh * GR + log_divided_differences(a, on, l) * GL
     GA.flat[:: d + 1] -= pos * GL.diagonal().real[on].sum() / t
     # the Z parameter: clip(b, 0, 1)
     inside = (b > 0) & (b < 1)
@@ -358,17 +333,17 @@ def _ascend(evaluate, theta, start, iters, gradient, retract=lambda rows: rows):
     the rows: their values, nan where a row is infeasible, then whatever
     else the caller keeps of the point the ascent ends at.  ``start`` is
     that tuple's row for ``theta``.  ``gradient(theta, row)`` returns the
-    gradient at ``theta``, whose row of that tuple is ``row``, and the
-    number of evaluations it counts as.  All the line-search steps go to
-    ``evaluate`` as one stack; ``evals`` counts the start point, the
-    gradients, and the line search up to its first gain, as a sequential
-    search would.  Returns (theta, its row, evals)."""
+    exact gradient at ``theta``, whose row of that tuple is ``row``.  All
+    the line-search steps go to ``evaluate`` as one stack; ``evals`` counts
+    the start point, each gradient as one, and the line search up to its
+    first gain, as a sequential search would.  Returns (theta, its row,
+    evals)."""
     f = float(start[0])
     evals = 1
     stall = 0
     for _ in range(iters):
-        g, cost = gradient(theta, start)
-        evals += cost
+        g = gradient(theta, start)
+        evals += 1
         gn = float(np.linalg.norm(g))
         if gn < 1e-12:
             break
@@ -388,25 +363,6 @@ def _ascend(evaluate, theta, start, iters, gradient, retract=lambda rows: rows):
             if stall >= 5:
                 break
     return theta, start, evals
-
-
-def _central_differences(evaluate, step):
-    """A ``gradient`` for ``_ascend`` by central differences of ``evaluate``
-    with ``step``.  The 2 x (number of parameters) points go to ``evaluate``
-    as one stack and count as that many evaluations; an infeasible point
-    takes the value at ``theta``."""
-
-    def gradient(theta, row):
-        m = theta.size
-        diag = np.arange(m)
-        shifted = np.tile(theta, (2 * m, 1))
-        shifted[diag, diag] += step
-        shifted[m + diag, diag] -= step
-        vals = evaluate(shifted)[0]
-        vals[np.isnan(vals)] = row[0]
-        return (vals[:m] - vals[m:]) / (2.0 * step), 2 * m
-
-    return gradient
 
 
 def maximize_lambda_over_pairs(dim: int, p: float, budget: TrialBudget, seed) -> SearchRecord:
@@ -429,7 +385,7 @@ def maximize_lambda_over_pairs(dim: int, p: float, budget: TrialBudget, seed) ->
     seed = _as_int_seed(seed)
     # the ascent runs over the raw Hermitian parameters of Y and Z
     evaluate = lambda rows: _eval_pair_params(rows, dim, p)
-    gradient = lambda theta, row: (_pair_gradient(row, p), 1)
+    gradient = lambda theta, row: _pair_gradient(row, p)
     best, trials, rejections = (-1.0,), 0, 0
     for r in range(budget.restarts):
         (Y, (z, uz), _), rej = _draw_pair(_rng([seed, r]), dim, p)
@@ -507,7 +463,9 @@ def maximize_rate_over_states(
     entropy, so restarts are what escape it).  Each restart's start point
     goes through ``rates.entanglement_rate``; the ascent evaluates stacks
     of parameter rows (real parts, then imaginary parts) through the same
-    kernel, normalising every row.
+    kernel, normalising every row, and steps on the exact gradient of the
+    rate (``rates._rate_gradient``); ``iters`` = 0 keeps the start points
+    (method "random").
 
     The reference bound is beta ||H|| for the plain two-qubit case
     (1, 2, 2, 1) and 18 ||H|| ln min(d_A, d_B) otherwise.  A record above
@@ -528,9 +486,15 @@ def maximize_rate_over_states(
         amp = rows[:, :n] + 1j * rows[:, n:]
         return amp / _row_norms(amp)[:, None]
 
-    evaluate = lambda rows: (rates._entanglement_rates(amplitudes(rows), dims, H_AB.mat),)
+    H = H_AB.mat
+    evaluate = lambda rows: (rates._entanglement_rates(amplitudes(rows), dims, H),)
     normalise = lambda rows: rows / _row_norms(rows)[:, None]
-    gradient = _central_differences(evaluate, 1e-6)
+
+    # a row's value is the rate at the row over its squared norm, so at a
+    # unit theta the step drops the rate gradient's component 2 f theta
+    def gradient(theta, row):
+        return rates._rate_gradient(amplitudes(theta[None])[0], dims, H) - 2.0 * row[0] * theta
+
     best = -np.inf
     best_params = None
     trials = 0
@@ -554,7 +518,7 @@ def maximize_rate_over_states(
         argmax=BipartiteState(dims, amplitudes(best_params[None])[0]).to_json(),
         seed=seed,
         trials=trials,
-        method="hybrid",
+        method="hybrid" if budget.iters > 0 else "random",
         restarts_used=budget.restarts,
     )
     # at min(d_A, d_B) = 1 the bound is 0, so the slack scales with ||H||
@@ -605,6 +569,9 @@ def conjecture_scan(
     instead: that is a bug, not a discovery.
     """
     seed = input_number("seed", seed, integer=True)
+    workers = input_number("workers", workers, integer=True)
+    if workers < 1:
+        raise ValueError(f"workers = {workers} must be >= 1")
     tasks = [
         (input_number("dim", dim, integer=True), input_number("p", p), budget, seed, i, j)
         for i, dim in enumerate(dim_list)

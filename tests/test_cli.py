@@ -378,6 +378,11 @@ class TestFailureTaxonomy:
     def test_workers_only_on_sim_scan(self, capsys):
         assert main(["bounds", "--d", "3", "--workers", "2"]) == EXIT_INPUT
 
+    def test_zero_workers_exits_1_with_one_line(self, capsys):
+        assert main(["sim-scan", "--workers", "0"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: workers") and err.count("\n") == 1
+
 
 class TestDeterminism:
     def test_repeat_runs_identical(self, tmp_path):

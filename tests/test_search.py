@@ -298,6 +298,37 @@ class TestPairGradient:
         assert scan(2.0) == scan(2)
 
 
+class TestRateGradient:
+    """``rates._rate_gradient`` against central differences of the stacked
+    rate it differentiates, ``rates._entanglement_rates``, along random
+    directions of the real parameters (Re amp, Im amp)."""
+
+    @pytest.mark.parametrize(
+        "dims",
+        # (2, 2, 3, 1): rho_aA is 4 x 4 of rank at most 3, so the divided
+        # differences across the support boundary enter
+        [(1, 2, 2, 1), (1, 2, 3, 1), (2, 2, 2, 2), (1, 3, 3, 1), (1, 3, 3, 2), (2, 2, 3, 1)],
+    )
+    def test_matches_central_differences(self, dims, h=1e-6):
+        rng = np.random.default_rng(list(dims))
+        n, d = int(np.prod(dims)), dims[1] * dims[2]
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        H = (g + g.conj().T) / 2
+        amp = sample_bipartite_state(dims, 7).amplitudes
+        theta = np.concatenate([amp.real, amp.imag])
+        grad = rates._rate_gradient(amp, dims, H)
+        # a form of degree 2 in the amplitudes: its radial derivative is 2 rate
+        rate = rates._entanglement_rates(amp[None], dims, H)[0]
+        assert theta @ grad == pytest.approx(2.0 * rate, rel=1e-12, abs=1e-12)
+        for _ in range(4):
+            u = rng.standard_normal(2 * n)
+            u /= np.linalg.norm(u)
+            rows = np.stack([theta + h * u, theta - h * u])
+            up, down = rates._entanglement_rates(rows[:, :n] + 1j * rows[:, n:], dims, H)
+            fd = (up - down) / (2.0 * h)
+            assert abs(grad @ u - fd) <= 1e-7 * abs(fd), (dims, grad @ u, fd)
+
+
 class TestMaximizeRate:
     def test_two_qubit_record(self):
         sz = np.diag([1.0, -1.0])
@@ -330,13 +361,14 @@ class TestMaximizeRate:
     @staticmethod
     def _sequential_search(dims, H, budget, seed):
         """Reference: the ascent one point at a time, each through
-        entanglement_rate, every coordinate differenced on its own."""
+        entanglement_rate, the exact gradient taken at each point."""
         n = int(np.prod(dims))
 
-        def rate(theta):
+        def unit(theta):
             amp = theta[:n] + 1j * theta[n:]
-            return entanglement_rate(BipartiteState(dims, amp / np.linalg.norm(amp)), H)
+            return amp / np.linalg.norm(amp)
 
+        rate = lambda theta: entanglement_rate(BipartiteState(dims, unit(theta)), H)  # noqa: E731
         best, best_theta, trials = -np.inf, None, 0
         for r in range(budget.restarts):
             rng = np.random.default_rng(np.random.SeedSequence([seed, r]))
@@ -345,13 +377,8 @@ class TestMaximizeRate:
             theta = np.concatenate([amp.real, amp.imag])
             f, trials, stall = rate(theta), trials + 1, 0
             for _ in range(budget.iters):
-                g = np.zeros_like(theta)
-                for i in range(theta.size):
-                    tp, tm = theta.copy(), theta.copy()
-                    tp[i] += 1e-6
-                    tm[i] -= 1e-6
-                    g[i] = (rate(tp) - rate(tm)) / 2e-6
-                    trials += 2
+                g = rates._rate_gradient(unit(theta), dims, H.mat) - 2.0 * f * theta
+                trials += 1
                 gn = float(np.linalg.norm(g))
                 if gn < 1e-12:
                     break
@@ -388,6 +415,12 @@ class TestMaximizeRate:
         assert rec.best_value == best
         assert rec.trials == trials
         assert rec.argmax == BipartiteState(dims, amp).to_json()
+
+    def test_zero_iterations_mean_random_sampling(self):
+        H = HermitianOperator(np.kron(np.diag([1.0, -1.0]), np.diag([1.0, -1.0])))
+        rec = maximize_rate_over_states((1, 2, 2, 1), H, TrialBudget(3, 0), 2)
+        assert (rec.method, rec.trials) == ("random", 3)
+        assert maximize_rate_over_states((1, 2, 2, 1), H, TrialBudget(3, 1), 2).method == "hybrid"
 
     def test_budget_validation(self):
         with pytest.raises(ValueError, match="restarts"):
@@ -449,9 +482,10 @@ class TestScan:
         parallel, _ = conjecture_scan([2, 3], [0.1, 0.2], budget, 6, workers=2)
         assert [r.to_json() for r in serial] == [r.to_json() for r in parallel]
 
-    def test_pool_no_larger_than_the_cells(self, monkeypatch):
-        # a pool starts all its workers at once, so it gets one per cell at
-        # most; the stand-in records the size and starts no process
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The size of each pool the scan opens, recorded by a stand-in for
+        ``ProcessPoolExecutor`` that starts no process."""
         sizes = []
 
         class Pool:
@@ -467,11 +501,25 @@ class TestScan:
             map = staticmethod(map)
 
         monkeypatch.setattr(search, "ProcessPoolExecutor", Pool)
+        return sizes
+
+    def test_pool_no_larger_than_the_cells(self, pool_sizes):
+        # a pool starts all its workers at once, so it gets one per cell at most
         budget = TrialBudget(1, 0)
         serial, _ = conjecture_scan([2], [0.1, 0.2], budget, 3)
         parallel, _ = conjecture_scan([2], [0.1, 0.2], budget, 3, workers=5000)
-        assert sizes == [2]
+        assert pool_sizes == [2]
         assert [r.to_json() for r in parallel] == [r.to_json() for r in serial]
+
+    def test_worker_count_checked(self, pool_sizes):
+        # an integer of at least 1, checked before any pool opens
+        budget = TrialBudget(1, 0)
+        for workers in ("2", True, 2.5, 0):
+            with pytest.raises(ValueError, match="workers"):
+                conjecture_scan([2, 3], [0.1, 0.2], budget, 3, workers=workers)
+        assert pool_sizes == []
+        conjecture_scan([2], [0.1, 0.2], budget, 3, workers=2.0)
+        assert pool_sizes == [2]
 
     def test_zero_iterations_mean_random_sampling_at_every_dim(self):
         records, _ = conjecture_scan([2, 3, 8], [0.1], TrialBudget(4, 0), 2)

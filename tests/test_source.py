@@ -31,7 +31,7 @@ def test_no_unused_imports(path):
 
 
 # the step sizes and stopping thresholds of search._ascend and its callers
-ASCENT_PARAMETERS = {"search.py": {1e-6, 1e-12, 1e-14}}
+ASCENT_PARAMETERS = {"search.py": {1e-12, 1e-14}}
 
 
 def stray_tolerances(tree: ast.Module, allowed=frozenset()) -> list[float]:
