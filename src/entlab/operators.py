@@ -204,14 +204,16 @@ def log_divided_differences(w: np.ndarray, on: np.ndarray, f: np.ndarray) -> np.
     with its ``(on, f)``, f the log of w or of a rescaled w: the first-order
     change of the log is V (D o V^dag dM V) V^dag.  In a closed form that
     needs no threshold: log1p((w_i - w_j)/w_j)/(w_i - w_j) on the support (1/w
-    on the diagonal), a plain quotient across it, 0 off it."""
-    d = w.size
-    dw = w[:, None] - w
-    on2 = on[:, None] & on
-    x = np.divide(dw, w, out=np.zeros((d, d)), where=on2)
-    D = np.divide(1.0, w, out=np.zeros((d, d)), where=on2)
+    on the diagonal), a plain quotient across it, 0 off it.  One row of
+    eigenvalues, or a stack of them along the leading axes."""
+    col = lambda u: u[..., :, None]
+    row = lambda u: u[..., None, :]
+    dw = col(w) - row(w)
+    on2 = col(on) & row(on)
+    x = np.divide(dw, row(w), out=np.zeros(dw.shape), where=on2)
+    D = np.divide(1.0, row(w), out=np.zeros(dw.shape), where=on2)
     D = np.divide(np.log1p(x), dw, out=D, where=x != 0)
-    return np.divide(f[:, None] - f, dw, out=D, where=on[:, None] ^ on)
+    return np.divide(col(f) - row(f), dw, out=D, where=col(on) ^ row(on))
 
 
 def spectral_rebuild(v: np.ndarray, f: np.ndarray) -> np.ndarray:

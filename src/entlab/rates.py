@@ -124,6 +124,15 @@ class AdmissiblePair:
         )
 
 
+def _input_dims(dims) -> tuple:
+    """The factor dimensions (d_a, d_A, d_B, d_b) of a state, from outside
+    the program: four integers, each at least 1."""
+    dims = input_numbers("dims", dims, integer=True)
+    if len(dims) != 4 or any(d < 1 for d in dims):
+        raise ValueError(f"dims must be four positive integers, got {dims}")
+    return dims
+
+
 @dataclass(frozen=True)
 class BipartiteState:
     """Pure state on a (x) A (x) B (x) b with explicit factor dimensions.
@@ -135,9 +144,7 @@ class BipartiteState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        dims = input_numbers("dims", self.dims, integer=True)
-        if len(dims) != 4 or any(d < 1 for d in dims):
-            raise ValueError(f"dims must be four positive integers, got {dims}")
+        dims = _input_dims(self.dims)
         amp = np.asarray(self.amplitudes, dtype=complex).ravel()
         if amp.size != int(np.prod(dims)):
             raise ValueError(f"amplitude length {amp.size} != product of dims {np.prod(dims)}")
@@ -271,11 +278,11 @@ def _commutator_functional(H: np.ndarray, X: np.ndarray, L: np.ndarray, context:
     and H_ij L_jk X_ki add up to at most 2 ||H||_F ||X||_F ||L||_F in
     magnitude, the scale of the residue check."""
     z = -1j * np.trace(H @ commutator(X, L), axis1=-2, axis2=-1)
-    out = np.empty(z.size)
-    for k in range(z.size):
+    # only a row whose residue passes IMAG_RESIDUE_TOL |z| needs its scale
+    for k in np.flatnonzero(np.abs(z.imag) > IMAG_RESIDUE_TOL * np.abs(z)):
         scale = lambda: 2.0 * float(np.linalg.norm(H) * np.linalg.norm(X[k]) * np.linalg.norm(L[k]))
-        out[k] = _checked_part(complex(z[k]), scale, context)
-    return out
+        _checked_part(complex(z[k]), scale, context)
+    return z.real.copy()
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -285,23 +292,26 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
-def _rate_forward(amps: np.ndarray, dims, H: np.ndarray):
-    """The rate's forward pass for each row of a stack of amplitude rows,
-    with H the H_AB matrix: (rho_aAB, L, H~, w, v, on, l), with L = log
-    rho_aA (x) I_B, H~ = I_a (x) H, (w, v) the eigenpairs of rho_aA and
-    (on, l) ``log_on_support`` of w."""
+def _h_tilde(H: np.ndarray, d_a: int) -> np.ndarray:
+    """H~ = I_a (x) H for the H_AB matrix H."""
+    return H if d_a == 1 else _kron(np.eye(d_a), H)
+
+
+def _rate_forward(amps: np.ndarray, dims):
+    """The rate's forward pass for a row of amplitudes, or for each row of a
+    stack: (rho_aAB, L, w, v, on, l), with L = log rho_aA (x) I_B, (w, v) the
+    eigenpairs of rho_aA and (on, l) ``log_on_support`` of w.  The rate is
+    -i Tr(H~ [rho_aAB, L]), H~ from ``_h_tilde``."""
     d_a, d_A, d_B, d_b = dims
     # symmetrised in complex arithmetic, as HermitianOperator stores a matrix
     herm = lambda m: 0.5 * (m + m.conj().swapaxes(-1, -2))
-    rho = amps[:, :, None] * amps.conj()[:, None, :]
+    rho = amps[..., :, None] * amps.conj()[..., None, :]
     rho_aAB = partial_trace_matrix(rho, [d_a, d_A, d_B, d_b], [0, 1, 2])
     rho_aA = partial_trace_matrix(rho_aAB, [d_a * d_A, d_B], [0])
     w, v = np.linalg.eigh(real_if_exact(herm(rho_aA)))
     on, l = log_on_support(w)
     logr = herm(np.asarray(spectral_rebuild(v, l), dtype=complex))
-    L = _kron(logr, np.eye(d_B))
-    Ht = H if d_a == 1 else _kron(np.eye(d_a), H)
-    return rho_aAB, L, Ht, w, v, on, l
+    return rho_aAB, _kron(logr, np.eye(d_B)), w, v, on, l
 
 
 def _entanglement_rates(amps: np.ndarray, dims, H: np.ndarray) -> np.ndarray:
@@ -310,25 +320,30 @@ def _entanglement_rates(amps: np.ndarray, dims, H: np.ndarray) -> np.ndarray:
     LAPACK and BLAS calls as it would on its own, so a row's rate does not
     depend on its batch (given that the batch's reduced states are either
     all exactly real or not: ``real_if_exact`` acts on the whole stack)."""
-    rho_aAB, L, Ht = _rate_forward(amps, dims, H)[:3]
-    return _commutator_functional(Ht, rho_aAB, L, "entanglement_rate")
+    rho_aAB, L = _rate_forward(amps, dims)[:2]
+    return _commutator_functional(_h_tilde(H, dims[0]), rho_aAB, L, "entanglement_rate")
 
 
-def _rate_gradient(amp: np.ndarray, dims, H: np.ndarray) -> np.ndarray:
-    """The gradient of the rate at ``amp`` in (Re amp, Im amp), one backward
-    pass through ``_rate_forward``.  The rate is Tr(rho_aAB G), G = -i[L, H~],
-    and changes through L by Tr(dlog rho_aA N), N = Tr_B(-i[H~, rho_aAB]),
-    that is by Tr(d rho_aA K), K = v (D o v^dag N v) v^dag with D from
-    ``log_divided_differences``.  So the gradient is 2 (Re, Im) of ((G + K (x)
-    I_B) (x) I_b) amp; a form of degree 2, its part along a unit amp is 2 rate."""
+def _rate_gradient(amps: np.ndarray, dims, H: np.ndarray, forward=None) -> np.ndarray:
+    """The gradient of the rate at a row of amplitudes, or at each row of a
+    stack, in (Re amp, Im amp): one backward pass from ``forward``, the
+    pass of ``_rate_forward`` there (taken here when not given).  The rate
+    is Tr(rho_aAB G), G = -i[L, H~], and changes through L by Tr(dlog
+    rho_aA N), N = Tr_B(-i[H~, rho_aAB]), that is by Tr(d rho_aA K), K = v
+    (D o v^dag N v) v^dag with D from ``log_divided_differences``.  So the
+    gradient is 2 (Re, Im) of ((G + K (x) I_B) (x) I_b) amp; a form of
+    degree 2, its part along a unit amp is 2 rate.  A row's bits do not
+    depend on its batch, as in ``_entanglement_rates``."""
     d_a, d_A, d_B, d_b = dims
-    rho_aAB, L, Ht, w, v, on, l = _rate_forward(amp[None], dims, H)
-    rho_aAB, L, w, v, on, l = rho_aAB[0], L[0], w[0], v[0], on[0], l[0]
+    rho_aAB, L, w, v, on, l = _rate_forward(amps, dims) if forward is None else forward
+    Ht = _h_tilde(H, d_a)
     G = -1j * commutator(L, Ht)
     N = partial_trace_matrix(-1j * commutator(Ht, rho_aAB), [d_a * d_A, d_B], [0])
-    K = v @ (log_divided_differences(w, on, l) * (v.conj().T @ N @ v)) @ v.conj().T
-    Mamp = 2.0 * ((G + _kron(K, np.eye(d_B))) @ amp.reshape(-1, d_b)).ravel()
-    return np.concatenate([Mamp.real, Mamp.imag])
+    vh = v.conj().swapaxes(-1, -2)
+    K = v @ (log_divided_differences(w, on, l) * (vh @ N @ v)) @ vh
+    M = G + _kron(K, np.eye(d_B))
+    Mamp = 2.0 * (M @ amps.reshape(amps.shape[:-1] + (-1, d_b))).reshape(amps.shape)
+    return np.concatenate([Mamp.real, Mamp.imag], axis=-1)
 
 
 def entanglement_rate(state: BipartiteState, H_AB: HermitianOperator) -> float:

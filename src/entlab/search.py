@@ -2,16 +2,20 @@
 commutator functional and the entanglement rate.
 
 Search is hybrid: random restarts over admissible pairs (or states), each
-refined by gradient ascent.  One driver, ``_ascend``, runs both searches: it
-takes an exact gradient from its caller and runs a backtracking line search
-over an objective that evaluates a stack of parameter rows at once
-(``_eval_pair_params`` for pairs, the stacked rate
-``rates._entanglement_rates`` for states).  Each gradient is one backward
-pass through its objective's forward pass (``_pair_gradient`` for pairs,
-``rates._rate_gradient`` for states).  The inner optimization over the
-Hamiltonian is always the closed form, ||i[X, log Y]||_1, from one forward
-pass in Y's eigenbasis (``_pair_forward``) for draws and ascent rows alike,
-so pure random sampling is an ascent of zero steps.
+refined by gradient ascent.  One routine, ``_ascend``, runs both searches, and
+it steps the restarts of a search in lockstep: each step takes one stacked
+exact gradient of the live restarts from its caller and sends the rows of
+all their backtracking line searches to an objective that evaluates a stack
+of parameter rows at once (``_eval_pair_params`` for pairs, the stacked
+forward pass of the rate ``rates._rate_forward`` for states).  Each gradient
+is one backward pass through its objective's forward pass
+(``_pair_gradient`` for pairs, ``rates._rate_gradient`` for states).  A
+row's bits do not depend on its batch, so a record does not depend on how
+many restarts step together; restarts go in groups (``_groups``) that bound
+the memory of one stack.  The inner optimization over the Hamiltonian is
+always the closed form, ||i[X, log Y]||_1, from one forward pass in Y's
+eigenbasis (``_pair_forward``) for draws and ascent rows alike, so pure
+random sampling is an ascent of zero steps.
 Every record is reproducible from (config, seed): per-restart generators are
 derived from the base seed, and aggregation is a max-reduction, so results do
 not depend on scheduling.
@@ -111,8 +115,9 @@ class SearchRecord:
     ratio: float
     argmax: dict
     seed: int
-    # evaluations: each start point, each gradient, and each line search up
-    # to its first gain (all of it without one)
+    # evaluations, summed over the restarts: each start point, each gradient,
+    # and each line search up to its first gain (all of it without one), as
+    # if every restart ascended on its own
     trials: int
     method: str  # random (iters = 0) | hybrid (random restarts refined by ascent)
     restarts_used: int = 0
@@ -209,9 +214,13 @@ def _herm_layout(d: int):
 
 
 def _herm_to_vec(m: np.ndarray) -> np.ndarray:
-    diag, upper, _ = _herm_layout(m.shape[0])
-    flat = m.ravel()
-    return np.concatenate([flat[diag].real, flat[upper].real, flat[upper].imag])
+    """Real parameters of a Hermitian matrix (its diagonal, then the real and
+    imaginary parts of its strict upper triangle), or of each matrix of a
+    stack along the leading axes."""
+    diag, upper, _ = _herm_layout(m.shape[-1])
+    flat = m.reshape(m.shape[:-2] + (-1,))
+    up = flat.take(upper, axis=-1)
+    return np.concatenate([flat.take(diag, axis=-1).real, up.real, up.imag], axis=-1)
 
 
 def _vec_to_herm(v: np.ndarray, d: int) -> np.ndarray:
@@ -268,9 +277,10 @@ def _eval_pair_params(theta: np.ndarray, d: int, p: float):
     return _pair_values(a, uy, b, uz, p), a, uy, b, uz
 
 
-def _pair_gradient(row, p: float) -> np.ndarray:
-    """The gradient of the objective at a row of ``_eval_pair_params``, by
-    one backward pass through ``_pair_forward`` at its eigenpairs.
+def _pair_gradient(rows, p: float) -> np.ndarray:
+    """The gradient of the objective at each row of a stack of rows of
+    ``_eval_pair_params``, by one backward pass through ``_pair_forward`` at
+    their eigenpairs; a row's bits do not depend on its batch.
 
     With S = sign(C), the objective ||C||_1 = Tr(S C) pulls back to G_X =
     i[L, S] and G_L = i[S, X], L = log Y; then through the rescaling X =
@@ -280,38 +290,52 @@ def _pair_gradient(row, p: float) -> np.ndarray:
     plus the diagonal term of t = sum a+.  sqrt's needs no threshold either:
     1/(t (s_i + s_j)) where both eigenvalues are positive, a plain quotient
     across."""
-    a, uy, b, uz = row[1:]
+    a, uy, b, uz = rows[1:]
     C, _, _, X, t, s, on, l, Q, zc, Z, W, tw, c, dl = _pair_forward(a, uy, b, uz, p)
-    d = a.size
+    n, d = a.shape
+    col = lambda u: u[:, :, None]
+    row = lambda u: u[:, None, :]
+    adj = lambda u: u.conj().swapaxes(-1, -2)
+    diag = lambda m: m.reshape(n, -1)[:, :: d + 1]  # a view of each diagonal
+    sc, sr = col(s), row(s)
     w, v = np.linalg.eigh(C)
     S = spectral_rebuild(v, np.sign(w))
     GX = -1j * dl * S
     GL = 1j * (S @ X - X @ S)
-    GW = c * GX
-    GW.flat[:: d + 1] -= c * (GX * W.T).sum().real / tw
-    GR = Z @ (s[:, None] * GW) + (GW * s) @ Z
+    GW = c[:, None, None] * GX
+    tr_gxw = (GX * W.swapaxes(-1, -2)).reshape(n, -1).sum(axis=-1).real
+    diag(GW)[...] -= (c * tr_gxw / tw)[:, None]
+    GR = Z @ (sc * GW) + (GW * sr) @ Z
     # the Y parameter: sqrt(a+ / t) and log(a+ / t) at fixed t, then t.  X
     # does not change with the scale of Y^{1/2}, so t enters only through
     # log(a+ / t) = log a+ - log t on the support
-    da = a[:, None] - a
+    da = col(a) - row(a)
     pos = a > 0
-    Dh = np.divide(1.0, t * (s[:, None] + s), out=np.zeros((d, d)), where=pos[:, None] & pos)
-    Dh = np.divide(s[:, None] - s, da, out=Dh, where=pos[:, None] ^ pos)
+    Dh = np.divide(1.0, t[:, None, None] * (sc + sr), out=np.zeros(da.shape), where=col(pos) & row(pos))
+    Dh = np.divide(sc - sr, da, out=Dh, where=col(pos) ^ row(pos))
     GA = Dh * GR + log_divided_differences(a, on, l) * GL
-    GA.flat[:: d + 1] -= pos * GL.diagonal().real[on].sum() / t
+    # the support is a suffix of the ascending spectrum: each row sums the
+    # diagonal over its own, in the order a sum over that row alone takes
+    gl, off = np.ascontiguousarray(diag(GL).real), d - on.sum(axis=-1)
+    gl_on = gl.sum(axis=-1)
+    for k in set(off.tolist()) - {0}:
+        gl_on[off == k] = gl[off == k, k:].sum(axis=-1)
+    diag(GA)[...] -= pos * gl_on[:, None] / t[:, None]
     # the Z parameter: clip(b, 0, 1)
     inside = (b > 0) & (b < 1)
-    db = b[:, None] - b
-    Dz = np.divide(zc[:, None] - zc, db, out=np.outer(inside, inside) * 1.0, where=db != 0)
-    GB = Dz * (Q.conj().T @ (s[:, None] * GW * s) @ Q)
+    db = col(b) - row(b)
+    Dz = np.divide(col(zc) - row(zc), db, out=(col(inside) & row(inside)) * 1.0, where=db != 0)
+    GB = Dz * (adj(Q) @ (sc * GW * sr) @ Q)
     # d/dv Tr(G dM) in the layout of _vec_to_herm: G_ii, then 2 Re G_ij, 2 Im G_ij
     weight = np.where(np.arange(d * d) < d, 1.0, 2.0)
-    return np.concatenate([_herm_to_vec(u @ G @ u.conj().T) * weight for u, G in ((uy, GA), (uz, GB))])
+    return (_herm_to_vec(np.stack([uy @ GA @ adj(uy), uz @ GB @ adj(uz)], axis=1)) * weight).reshape(n, -1)
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     """``np.linalg.norm`` of each row, bit for bit: matmul takes the same
-    BLAS dot of the same (real and imaginary) views, one row at a time."""
+    BLAS dot of the same (real and imaginary) views of C-ordered rows, one
+    row at a time (a strided row would take another summation order)."""
+    rows = np.ascontiguousarray(rows)
     dot = lambda x: (x[:, None, :] @ x[:, :, None])[:, 0, 0]
     if np.iscomplexobj(rows):
         return np.sqrt(dot(rows.real) + dot(rows.imag))
@@ -320,49 +344,84 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 
 # backtracking line-search steps: 0.1, halved down to the floor 1e-8
 _LINE_STEPS = 0.1 / 2.0 ** np.arange(24)
+# restarts ascend together in groups whose line-search stack holds at most
+# this many matrix entries, as one restart's does at d = 64
+_GROUP_ENTRIES = _LINE_STEPS.size * 64**2
+
+
+def _groups(restarts: int, side: int) -> list[range]:
+    """The restarts of a search in groups that ascend together, each line
+    search of a group holding at most _GROUP_ENTRIES entries of the side x
+    side matrices its rows are valued through."""
+    size = max(1, _GROUP_ENTRIES // (_LINE_STEPS.size * side * side))
+    return [range(lo, min(lo + size, restarts)) for lo in range(0, restarts, size)]
 
 
 def _ascend(evaluate, theta, start, iters, gradient, retract=lambda rows: rows):
-    """Gradient ascent from ``theta``: the gradient from ``gradient`` and a
-    backtracking line search (0.1 halved down to 1e-8), ``retract`` mapping
-    its rows back onto the parameter set.  It stops after ``iters`` steps,
-    at a zero gradient, or after 5 line searches in a row without a gain
-    above 1e-14.
+    """Gradient ascent from each row of the stack ``theta``, all of them in
+    lockstep: the gradient from ``gradient`` and a backtracking line search
+    (0.1 halved down to 1e-8), ``retract`` mapping its rows back onto the
+    parameter set.  Each restart stops on its own after ``iters`` steps, at
+    a zero gradient, or after 5 line searches in a row without a gain above
+    1e-14; the ascent goes on while any restart is live.
 
     ``evaluate`` maps a stack of parameter rows to a tuple of stacks over
     the rows: their values, nan where a row is infeasible, then whatever
     else the caller keeps of the point the ascent ends at.  ``start`` is
-    that tuple's row for ``theta``.  ``gradient(theta, row)`` returns the
-    exact gradient at ``theta``, whose row of that tuple is ``row``.  All
-    the line-search steps go to ``evaluate`` as one stack; ``evals`` counts
-    the start point, each gradient as one, and the line search up to its
-    first gain, as a sequential search would.  Returns (theta, its row,
-    evals)."""
-    f = float(start[0])
-    evals = 1
-    stall = 0
+    that tuple for ``theta``.  ``gradient(theta, rows)`` returns the exact
+    gradients at a stack of points, whose rows of that tuple are ``rows``.
+    Each step takes one gradient of the live restarts and sends all their
+    line-search steps to ``evaluate`` as one stack; a row's bits do not
+    depend on its batch, so neither does any restart's path.  ``evals``
+    counts, per restart, the start point, each gradient as one, and the line
+    search up to its first gain, as a sequential search would.  Returns
+    (theta, start, evals) at the end of each restart."""
+    n = _LINE_STEPS.size
+    # the live restarts: their places in the result, points, rows of the
+    # tuple, counts and stalls
+    live, th, row = np.arange(len(theta)), theta.copy(), tuple(s.copy() for s in start)
+    ev, stall = np.ones(len(theta), dtype=int), np.zeros(len(theta), dtype=int)
+    theta, start, evals = np.empty_like(th), [np.empty_like(r) for r in row], np.empty_like(ev)
+
+    def drop(done):
+        # the result of each restart that stops; the others stay live
+        theta[live[done]], evals[live[done]] = th[done], ev[done]
+        for s, r in zip(start, row):
+            s[live[done]] = r[done]
+        keep = ~done
+        return live[keep], th[keep], tuple(r[keep] for r in row), ev[keep], stall[keep]
+
     for _ in range(iters):
-        g = gradient(theta, start)
-        evals += 1
-        gn = float(np.linalg.norm(g))
-        if gn < 1e-12:
-            break
-        trial = retract(theta + _LINE_STEPS[:, None] * g / gn)
-        out = evaluate(trial)
-        up = np.flatnonzero(out[0] > f + 1e-14)
-        if up.size:
-            # the backtracking search stops at the first (largest) step that gains
-            j = int(up[0])
-            evals += j + 1
-            theta, start = trial[j], tuple(a[j] for a in out)
-            f = float(start[0])
-            stall = 0
-        else:
-            evals += _LINE_STEPS.size
-            stall += 1
-            if stall >= 5:
+        g = gradient(th, row)
+        ev += 1
+        gn = _row_norms(g)
+        zero = gn < 1e-12
+        if np.count_nonzero(zero):
+            g, gn = g[~zero], gn[~zero]
+            live, th, row, ev, stall = drop(zero)
+            if not live.size:
                 break
-    return theta, start, evals
+        steps = th[:, None] + _LINE_STEPS[:, None] * g[:, None] / gn[:, None, None]
+        trial = retract(steps.reshape(-1, th.shape[1]))
+        out = evaluate(trial)
+        gain = out[0].reshape(-1, n) > (row[0] + 1e-14)[:, None]
+        # each backtracking search stops at its first (largest) step that gains
+        up, j = gain.any(axis=1), gain.argmax(axis=1)
+        ev += np.where(up, j + 1, n)
+        at = up.nonzero()[0]
+        pick = at * n + j[at]
+        th[at] = trial[pick]
+        for r, o in zip(row, out):
+            r[at] = o[pick]
+        stall += 1
+        stall[at] = 0
+        done = stall >= 5
+        if np.count_nonzero(done):
+            live, th, row, ev, stall = drop(done)
+            if not live.size:
+                break
+    drop(np.ones(live.size, dtype=bool))
+    return theta, tuple(start), evals
 
 
 def maximize_lambda_over_pairs(dim: int, p: float, budget: TrialBudget, seed) -> SearchRecord:
@@ -372,8 +431,9 @@ def maximize_lambda_over_pairs(dim: int, p: float, budget: TrialBudget, seed) ->
     Each of ``restarts`` random draws is valued from its own Y.eigh and Z's
     (z, U), as an ascent row is, then refined by gradient ascent for up to
     ``iters`` steps (early-stopped once the line search stalls), each step
-    on the exact gradient (``_pair_gradient``); ``iters`` = 0 keeps the
-    draws (method "random").  ``trials`` counts evaluations, one gradient as
+    on the exact gradient (``_pair_gradient``), the draws of a group
+    (``_groups``) in lockstep; ``iters`` = 0 keeps the draws (method
+    "random").  ``trials`` counts evaluations, one gradient as
     one, and ``rejections`` rejected draws.  The best row's pair is rebuilt
     and checked once; the ratio is against the envelope.
     """
@@ -385,17 +445,21 @@ def maximize_lambda_over_pairs(dim: int, p: float, budget: TrialBudget, seed) ->
     seed = _as_int_seed(seed)
     # the ascent runs over the raw Hermitian parameters of Y and Z
     evaluate = lambda rows: _eval_pair_params(rows, dim, p)
-    gradient = lambda theta, row: _pair_gradient(row, p)
+    gradient = lambda theta, rows: _pair_gradient(rows, p)
     best, trials, rejections = (-1.0,), 0, 0
-    for r in range(budget.restarts):
-        (Y, (z, uz), _), rej = _draw_pair(_rng([seed, r]), dim, p)
-        rejections += rej
-        wy, uy = Y.eigh
+    for group in _groups(budget.restarts, dim):
+        draws, rej = zip(*(_draw_pair(_rng([seed, r]), dim, p) for r in group))
+        rejections += sum(rej)
+        wy, uy = map(np.stack, zip(*(Y.eigh for Y, _, _ in draws)))
+        z, uz = map(np.stack, zip(*(zu for _, zu, _ in draws)))
         start = (_pair_values(wy, uy, z, uz, p), wy, uy, z, uz)
-        theta = np.concatenate([_herm_to_vec(Y.mat), _herm_to_vec(spectral_rebuild(uz, z))])
+        Ym = np.stack([Y.mat for Y, _, _ in draws])
+        theta = np.concatenate([_herm_to_vec(Ym), _herm_to_vec(spectral_rebuild(uz, z))], axis=-1)
         _, end, evals = _ascend(evaluate, theta, start, budget.iters, gradient)
-        trials += evals
-        best = max(best, end, key=lambda row: row[0])
+        trials += int(evals.sum())
+        k = int(np.argmax(end[0]))
+        if end[0][k] > best[0]:
+            best = tuple(e[k] for e in end)
     value, a, uy, b, uz = best
     y, X = _pair_forward(a, uy, b, uz, p)[2:4]
     Ym, Xm = spectral_rebuild(uy, y), uy @ X @ uy.conj().T
@@ -461,19 +525,23 @@ def maximize_rate_over_states(
     """Gradient ascent of the entanglement rate on the unit sphere of states,
     with random restarts (a pure product start is a stationary point of the
     entropy, so restarts are what escape it).  Each restart's start point
-    goes through ``rates.entanglement_rate``; the ascent evaluates stacks
-    of parameter rows (real parts, then imaginary parts) through the same
-    kernel, normalising every row, and steps on the exact gradient of the
-    rate (``rates._rate_gradient``); ``iters`` = 0 keeps the start points
-    (method "random").
+    goes through ``rates.entanglement_rate``; the restarts then ascend in
+    lockstep, evaluating stacks of parameter rows (real parts, then
+    imaginary parts) through the same forward pass (``rates._rate_forward``),
+    normalising every row, and stepping on the exact gradient of the rate:
+    one backward pass (``rates._rate_gradient``) from the forward pass the
+    line search took at the accepted row.  ``iters`` = 0 keeps the start
+    points (method "random").
 
     The reference bound is beta ||H|| for the plain two-qubit case
     (1, 2, 2, 1) and 18 ||H|| ln min(d_A, d_B) otherwise.  A record above
     the proved 18 ||H|| ln min(d_A, d_B) raises ProvedBoundViolation.
     """
-    dims = input_numbers("dims", dims, integer=True)
+    dims = rates._input_dims(dims)
     seed = _as_int_seed(seed)
     d_a, d_A, d_B, d_b = dims
+    if H_AB.dim != d_A * d_B:
+        raise ValueError(f"H_AB dim {H_AB.dim} != d_A*d_B = {d_A * d_B}")
     n = int(np.prod(dims))
     h_norm = operator_norm(H_AB)
     if dims == (1, 2, 2, 1):
@@ -486,29 +554,32 @@ def maximize_rate_over_states(
         amp = rows[:, :n] + 1j * rows[:, n:]
         return amp / _row_norms(amp)[:, None]
 
-    H = H_AB.mat
-    evaluate = lambda rows: (rates._entanglement_rates(amplitudes(rows), dims, H),)
+    Ht = rates._h_tilde(H_AB.mat, d_a)
     normalise = lambda rows: rows / _row_norms(rows)[:, None]
+
+    # a row's value, then its forward pass, which the gradient reads
+    def evaluate(rows):
+        forward = rates._rate_forward(amplitudes(rows), dims)
+        return (rates._commutator_functional(Ht, *forward[:2], "entanglement_rate"), *forward)
 
     # a row's value is the rate at the row over its squared norm, so at a
     # unit theta the step drops the rate gradient's component 2 f theta
-    def gradient(theta, row):
-        return rates._rate_gradient(amplitudes(theta[None])[0], dims, H) - 2.0 * row[0] * theta
+    def gradient(theta, rows):
+        grad = rates._rate_gradient(amplitudes(theta), dims, H_AB.mat, rows[1:])
+        return grad - 2.0 * rows[0][:, None] * theta
 
-    best = -np.inf
-    best_params = None
-    trials = 0
-    for r in range(budget.restarts):
-        rng = _rng([seed, r])
-        amp = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        amp /= np.linalg.norm(amp)
-        theta = np.concatenate([amp.real, amp.imag])
-        f = rates.entanglement_rate(BipartiteState(dims, amplitudes(theta[None])[0]), H_AB)
-        theta, (f,), evals = _ascend(evaluate, theta, (f,), budget.iters, gradient, normalise)
-        trials += evals
-        if f > best:
-            best = f
-            best_params = theta
+    best, best_params, trials = -np.inf, None, 0
+    for group in _groups(budget.restarts, n):
+        draws = np.array([sample_bipartite_state(dims, [seed, r]).amplitudes for r in group])
+        theta = np.concatenate([draws.real, draws.imag], axis=1)
+        amps = amplitudes(theta)
+        f = [rates.entanglement_rate(BipartiteState(dims, amp), H_AB) for amp in amps]
+        start = (np.array(f), *rates._rate_forward(amps, dims))
+        theta, (f, *_), evals = _ascend(evaluate, theta, start, budget.iters, gradient, normalise)
+        trials += int(evals.sum())
+        k = int(np.argmax(f))
+        if f[k] > best:
+            best, best_params = f[k], theta[k]
     record = SearchRecord(
         dim=min(d_A, d_B),
         p=1.0 / min(d_A, d_B) ** 2,

@@ -369,6 +369,11 @@ class TestFailureTaxonomy:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert flags[0][2:] in err
 
+    def test_three_beta_search_dims_exit_1_with_one_line(self, capsys):
+        assert main(["beta-search", "--dims", "1,2,2"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == "error: dims must be four positive integers, got (1, 2, 2)\n"
+
     def test_zero_restart_scan_exits_1_with_one_line(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", {"dims": [2], "p_grid": [0.1], "restarts": 0})
         assert main(["sim-scan", "--config", cfg]) == EXIT_INPUT

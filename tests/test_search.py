@@ -26,9 +26,11 @@ from entlab.search import (
     _eval_pair_params,
     _haar_unitary,
     _herm_to_vec,
+    _pair_forward,
     _pair_gradient,
     _row_norms,
 )
+from entlab.operators import log_divided_differences, spectral_rebuild
 
 
 class TestSampling:
@@ -219,6 +221,33 @@ class TestMaximizeLambda:
         assert exc.value.bundle["best_value"] == 10.0
 
 
+def _one_row_pair_gradient(row, p):
+    """Reference: ``_pair_gradient`` one row at a time, as it was before it
+    took stacks, for the stacked gradient to match bit for bit."""
+    a, uy, b, uz = row[1:]
+    C, _, _, X, t, s, on, l, Q, zc, Z, W, tw, c, dl = _pair_forward(a, uy, b, uz, p)
+    d = a.size
+    w, v = np.linalg.eigh(C)
+    S = spectral_rebuild(v, np.sign(w))
+    GX = -1j * dl * S
+    GL = 1j * (S @ X - X @ S)
+    GW = c * GX
+    GW.flat[:: d + 1] -= c * (GX * W.T).sum().real / tw
+    GR = Z @ (s[:, None] * GW) + (GW * s) @ Z
+    da = a[:, None] - a
+    pos = a > 0
+    Dh = np.divide(1.0, t * (s[:, None] + s), out=np.zeros((d, d)), where=pos[:, None] & pos)
+    Dh = np.divide(s[:, None] - s, da, out=Dh, where=pos[:, None] ^ pos)
+    GA = Dh * GR + log_divided_differences(a, on, l) * GL
+    GA.flat[:: d + 1] -= pos * GL.diagonal().real[on].sum() / t
+    inside = (b > 0) & (b < 1)
+    db = b[:, None] - b
+    Dz = np.divide(zc[:, None] - zc, db, out=np.outer(inside, inside) * 1.0, where=db != 0)
+    GB = Dz * (Q.conj().T @ (s[:, None] * GW * s) @ Q)
+    weight = np.where(np.arange(d * d) < d, 1.0, 2.0)
+    return np.concatenate([_herm_to_vec(u @ G @ u.conj().T) * weight for u, G in ((uy, GA), (uz, GB))])
+
+
 class TestPairGradient:
     """``_pair_gradient`` against central differences of the objective it
     differentiates, ``_eval_pair_params``, along random directions."""
@@ -233,9 +262,9 @@ class TestPairGradient:
     @staticmethod
     def _check(theta, d, p=0.1, h=1e-6, directions=4):
         rng = np.random.default_rng(d)
-        row = tuple(x[0] for x in _eval_pair_params(theta[None], d, p))
-        assert np.isfinite(row[0])
-        g = _pair_gradient(row, p)
+        rows = _eval_pair_params(theta[None], d, p)
+        assert np.isfinite(rows[0][0])
+        g = _pair_gradient(rows, p)[0]
         for _ in range(directions):
             u = rng.standard_normal(theta.size)
             u /= np.linalg.norm(u)
@@ -264,17 +293,42 @@ class TestPairGradient:
         b = np.concatenate([[-0.4, 1.3], rng.uniform(0.2, 0.8, d - 2)])
         self._check(self._theta(rng, rng.uniform(1.0, 2.0, d), b), d)
 
-    def test_ascent_evaluates_no_more_rows_than_a_line_search(self, monkeypatch):
-        rows = []
-
-        def recorded(theta, d, p):
-            rows.append(theta.shape[0])
-            return _eval_pair_params(theta, d, p)
-
-        monkeypatch.setattr(search, "_eval_pair_params", recorded)
-        rec = maximize_lambda_over_pairs(4, 0.1, TrialBudget(2, 5), 3)
-        assert rows and max(rows) <= _LINE_STEPS.size
+    def test_each_line_search_stacks_the_live_restarts_of_its_group(self, monkeypatch):
+        # every evaluation of an ascent holds the line-search rows of each
+        # restart its gradient was taken for, and no more than the group cap
+        d, n = 4, _LINE_STEPS.size
+        grads, rows = [], []
+        gradient, evaluate = search._pair_gradient, search._eval_pair_params
+        monkeypatch.setattr(search, "_pair_gradient", lambda r, p: grads.append(len(r[0])) or gradient(r, p))
+        monkeypatch.setattr(
+            search, "_eval_pair_params", lambda t, d, p: rows.append(len(t)) or evaluate(t, d, p)
+        )
+        monkeypatch.setattr(search, "_GROUP_ENTRIES", 3 * n * d * d)
+        rec = maximize_lambda_over_pairs(d, 0.1, TrialBudget(7, 40), 3)
+        assert rows == [n * k for k in grads]
+        assert max(rows) * d * d <= search._GROUP_ENTRIES and max(grads) == 3
         assert rec.method == "hybrid"
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+    def test_stacked_gradient_matches_row_by_row(self, d):
+        # Y parameters with one or two eigenvalues off the support in some
+        # rows, Z parameters beyond [0, 1] in others
+        rng = np.random.default_rng([4, d])
+        thetas = []
+        for k in range(6):
+            a, b = rng.uniform(1.0, 2.0, d), rng.uniform(0.2, 0.8, d)
+            if d > 2:
+                a[: k % 3] = -0.5
+            if k % 2:
+                b[:2] = -0.4, 1.3
+            thetas.append(self._theta(rng, a, b))
+        stack = _eval_pair_params(np.stack(thetas), d, 0.1)
+        assert np.isfinite(stack[0]).all()
+        g = _pair_gradient(stack, 0.1)
+        for k in range(len(thetas)):
+            one = _pair_gradient(tuple(x[k : k + 1] for x in stack), 0.1)[0]
+            ref = _one_row_pair_gradient(tuple(x[k] for x in stack), 0.1)
+            assert one.tobytes() == g[k].tobytes() == ref.tobytes()
 
     def test_public_input_checked(self):
         budget = TrialBudget(1, 1)
@@ -303,12 +357,11 @@ class TestRateGradient:
     rate it differentiates, ``rates._entanglement_rates``, along random
     directions of the real parameters (Re amp, Im amp)."""
 
-    @pytest.mark.parametrize(
-        "dims",
-        # (2, 2, 3, 1): rho_aA is 4 x 4 of rank at most 3, so the divided
-        # differences across the support boundary enter
-        [(1, 2, 2, 1), (1, 2, 3, 1), (2, 2, 2, 2), (1, 3, 3, 1), (1, 3, 3, 2), (2, 2, 3, 1)],
-    )
+    # (2, 2, 3, 1): rho_aA is 4 x 4 of rank at most 3, so the divided
+    # differences across the support boundary enter
+    _DIMS = [(1, 2, 2, 1), (1, 2, 3, 1), (2, 2, 2, 2), (1, 3, 3, 1), (1, 3, 3, 2), (2, 2, 3, 1)]
+
+    @pytest.mark.parametrize("dims", _DIMS)
     def test_matches_central_differences(self, dims, h=1e-6):
         rng = np.random.default_rng(list(dims))
         n, d = int(np.prod(dims)), dims[1] * dims[2]
@@ -328,6 +381,17 @@ class TestRateGradient:
             fd = (up - down) / (2.0 * h)
             assert abs(grad @ u - fd) <= 1e-7 * abs(fd), (dims, grad @ u, fd)
 
+    @pytest.mark.parametrize("dims", _DIMS)
+    def test_stacked_gradient_matches_row_by_row(self, dims):
+        d = dims[1] * dims[2]
+        rng = np.random.default_rng([6, *dims])
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        H = (g + g.conj().T) / 2
+        amps = np.stack([sample_bipartite_state(dims, k).amplitudes for k in range(5)])
+        grads = rates._rate_gradient(amps, dims, H)
+        for k, amp in enumerate(amps):
+            assert rates._rate_gradient(amp, dims, H).tobytes() == grads[k].tobytes()
+
 
 class TestMaximizeRate:
     def test_two_qubit_record(self):
@@ -339,8 +403,8 @@ class TestMaximizeRate:
         assert rec.best_value <= rec.bound_value * (1 + 1e-9)
 
     def test_proved_rate_bound_violation_raises(self, monkeypatch):
-        # a rate above 18 ||H|| ln 2 is a bug; force one through the objective
-        # (the kernel behind both the start point and the stacked ascent)
+        # a rate above 18 ||H|| ln 2 is a bug; force one through the kernel
+        # that values each start point
         monkeypatch.setattr(
             rates, "_entanglement_rates", lambda amps, dims, H: np.full(len(amps), 100.0)
         )
@@ -435,6 +499,18 @@ class TestMaximizeRate:
         budget = TrialBudget(2.0, 1.0)
         assert (budget.restarts, budget.iters) == (2, 1) and type(budget.restarts) is int
 
+    def test_dims_and_hamiltonian_checked_before_any_restart(self, monkeypatch):
+        # four dims, each at least 1, and H_AB of width d_A d_B; no start
+        # point is valued before the check
+        monkeypatch.setattr(search, "_rng", lambda seed: pytest.fail("a restart began"))
+        H = HermitianOperator(np.diag([1.0, -1.0, -1.0, 1.0]))
+        for dims in ((1, 2, 2), (1, 2, 2, 1, 1), (0, 2, 2, 1), (1, 2, 2, -1)):
+            with pytest.raises(ValueError, match="dims must be four positive integers"):
+                maximize_rate_over_states(dims, H, TrialBudget(1, 0), 1)
+        for dims in ((1, 2, 3, 1), (2, 1, 2, 2)):
+            with pytest.raises(ValueError, match=r"H_AB dim 4 != d_A\*d_B"):
+                maximize_rate_over_states(dims, H, TrialBudget(1, 0), 1)
+
     def test_dims_input_checked(self):
         # dims are integers: a fractional entry or a string is rejected, not
         # truncated or parsed, and an integral float reads as the integer
@@ -455,13 +531,82 @@ class TestMaximizeRate:
 
 
 def test_row_norms_match_numpy_norm_bit_for_bit():
+    # C-ordered rows, and F-ordered or column-sliced stacks, whose rows
+    # are strided
     rng = np.random.default_rng(9)
-    for n in (4, 8, 12, 40):
+    for n in (4, 8, 12, 32, 40):
         rows = rng.standard_normal((5, 2 * n))
         amps = rows[:, :n] + 1j * rows[:, n:]
-        for stack in (rows, amps):
+        wide = rng.standard_normal((5, 3 * n))
+        strided = (np.asfortranarray(rows), np.asfortranarray(amps), wide[:, ::3], wide[:, n:])
+        for stack in (rows, amps, *strided):
             ref = np.array([np.linalg.norm(r) for r in stack])
             assert _row_norms(stack).tobytes() == ref.tobytes()
+
+
+class TestLockstep:
+    """``_ascend`` steps the restarts of a search together, in groups of at
+    most ``_GROUP_ENTRIES``; no restart's path depends on the others."""
+
+    @staticmethod
+    def _ascents(monkeypatch, cap, search_call):
+        """The record of ``search_call`` with the group cap at ``cap``, and
+        the size of each group and the end point, row and evaluation count
+        of each restart, in restart order."""
+        calls = []
+        ascend = search._ascend
+
+        def recorded(*args):
+            calls.append(ascend(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(search, "_ascend", recorded)
+        monkeypatch.setattr(search, "_GROUP_ENTRIES", cap)
+        rec = search_call()
+        ends = [np.concatenate([c[0] for c in calls]), np.concatenate([c[2] for c in calls])]
+        ends += [np.concatenate(parts) for parts in zip(*(c[1] for c in calls))]
+        return rec, [len(c[2]) for c in calls], ends
+
+    def _check(self, monkeypatch, side, search_call):
+        # one restart per group, as R one-start ascents; groups of two; and
+        # every restart in one group
+        n = _LINE_STEPS.size
+        caps = (1, 2 * n * side**2, search._GROUP_ENTRIES)
+        runs = [self._ascents(monkeypatch, cap, search_call) for cap in caps]
+        R = len(runs[0][1])
+        assert [r[1] for r in runs] == [[1] * R, [2] * (R // 2) + [1] * (R % 2), [R]]
+        for rec, _, ends in runs[1:]:
+            assert rec.to_json() == runs[0][0].to_json()
+            assert [e.tobytes() for e in ends] == [e.tobytes() for e in runs[0][2]]
+        # the restarts stop at different steps
+        assert len(set(runs[0][2][1])) > 1
+
+    @pytest.mark.parametrize("d, budget", [(2, (5, 200)), (4, (5, 60)), (8, (3, 20))])
+    def test_pair_restarts_match_one_start_ascents(self, monkeypatch, d, budget):
+        self._check(monkeypatch, d, lambda: maximize_lambda_over_pairs(d, 0.2, TrialBudget(*budget), 6))
+
+    @pytest.mark.parametrize("dims", [(1, 2, 2, 1), (1, 2, 3, 1)])
+    def test_state_restarts_match_one_start_ascents(self, monkeypatch, dims):
+        rng = np.random.default_rng(5)
+        d = dims[1] * dims[2]
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        H = HermitianOperator((g + g.conj().T) / 2)
+        search_call = lambda: maximize_rate_over_states(dims, H, TrialBudget(5, 100), 2)  # noqa: E731
+        self._check(monkeypatch, int(np.prod(dims)), search_call)
+
+    def test_zero_gradient_stops_its_restart_only(self):
+        # f(x) = -|x|^2 from x = 0, a stationary point, and from x = (1, 0):
+        # the first stops after its gradient, the second climbs to 0
+        evaluate = lambda rows: (-(rows**2).sum(axis=1),)  # noqa: E731
+        gradient = lambda theta, rows: -2.0 * theta  # noqa: E731
+        theta = np.array([[0.0, 0.0], [1.0, 0.0]])
+        both = search._ascend(evaluate, theta, evaluate(theta), 50, gradient)
+        assert both[2][0] == 2 and both[2][1] > 2
+        for k in range(2):
+            one = search._ascend(evaluate, theta[k : k + 1], evaluate(theta[k : k + 1]), 50, gradient)
+            assert [x[0].tobytes() for x in (one[0], one[1][0], one[2])] == [
+                x[k].tobytes() for x in (both[0], both[1][0], both[2])
+            ]
 
 
 class TestScan:
