@@ -14,32 +14,38 @@ g on every site, so they also commute with the mirror i <-> n-1-i of the open
 chain; a centred source, one field and one bond, does not.  The chain
 builders return such operators, not ``HermitianOperator``s: a centred source
 is a ``_FlipSymmetric``, the real matrix alone, and H(s) and H'(s) are
-``_UniformChain``s, whose spectrum is read from four exact (flip, mirror)
-sector decompositions of about 2^(n-2) each (``sectors``).  The ground state
-comes from the sector that holds the lowest level, the gap from the two
-lowest levels across all four, and the gap quotients H'_mn / (E_m - E_n)
-block by block, since entries between the sectors are zero.  So
-``ground_state`` and ``adiabatic_generator`` accept only chain operators,
-and ``locality_profile`` only a transport generator i R with R real
-antisymmetric; anything else is a ValueError.
+``_UniformChain``s, held as their two coefficients (J, g) on the terms
+sum ZZ and sum X.  The terms are cut into the four exact (flip, mirror)
+sectors of about 2^(n-2) once per n and kept (``_chain_terms``), so a
+sector block of H(s) is -J diag(z) - g X, with no 2^n matrix; the matrix
+itself (``mat``) is built only when read.  The spectrum of H(s) is read from
+the four block decompositions (``sectors``).  The ground state comes from the
+sector that holds the lowest level, the gap from the two lowest levels across
+all four, and the gap quotients H'_mn / (E_m - E_n) block by block, since
+entries between the sectors are zero.  So ``ground_state`` and
+``adiabatic_generator`` accept only chain operators, and ``locality_profile``
+only a transport generator i R with R real antisymmetric; anything else is a
+ValueError.
 
 Along a path each grid point diagonalises the four blocks of H(s) once.  The
 ground state, the gap and the tangent vector
 d|psi>/ds = sum_{m != 0} |m><m|H'|psi>/(E_0 - E_m) (first-order perturbation
 theory in the parallel-transport gauge) all come from them, and the entropy
 rate across the cut is read off the Schmidt matrices of psi and its tangent.
-The reported norm of the generator, ||K|| = ||H'_mn / (E_m - E_n)|| in the
-eigenbasis, is the largest of the four blocks' norms; no complex 2^n x 2^n
-matrix is formed.  The rate is checked against the entropies on the grid.
-The dense transport generator K(s) = i R(s) is built only where a caller
-needs the operator itself (``adiabatic_generator``,
-``centered_generator_term``), from H's eigenvectors in each flip block, the
-two mirror sectors' put together; its locality is *measured* by compressing
-it onto balls around a center site, each shell's norm read from the shell's
-two flip blocks on its ball.
+H' is a coefficient pair too, and H's eigenvectors diagonalise -J Z - g X, so
+in each sector H'_mn = ((g'J - gJ') / g) <m|Z|n> for m != n: one product per
+sector (``_sector_quotients``).  The reported norm of the generator,
+||K|| = ||H'_mn / (E_m - E_n)|| in the eigenbasis, is the largest of the four
+blocks' norms; no complex 2^n x 2^n matrix is formed.  The rate is checked
+against the entropies on the grid.  The dense transport generator
+K(s) = i R(s) is built only where a caller needs the operator itself
+(``adiabatic_generator``, ``centered_generator_term``), from H's eigenvectors
+in each flip block, the two mirror sectors' put together; its locality is
+*measured* by compressing it onto balls around a center site, each shell's
+norm read from the shell's two flip blocks on its ball.
 
 Dense only: K needs every eigenpair of H, so n_sites is capped at 12.  One
-path point takes about 0.06 s at n = 10 and about 2.5 s at n = 12 on one
+path point takes about 0.044 s at n = 10 and about 1.7 s at n = 12 on one
 core of a 2-core OpenBLAS host.
 """
 
@@ -294,6 +300,21 @@ def _sector_norm(blocks) -> float:
     return max(float(np.sqrt(np.linalg.eigvalsh(S.T @ S)[-1])) for S in blocks if S.size)
 
 
+@lru_cache(maxsize=None)
+def _chain_terms(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The two terms of a uniform chain of n sites cut into the four
+    ``_SECTORS``: per sector, sum_i Z_i Z_{i+1} as the vector z of its
+    block's diagonal (the block is diagonal, as sum ZZ is in the basis) and
+    sum_i X_i as the block X, both read off the cut of their 2^n matrices.
+    Cut once for each n <= MAX_SITES and kept (2.1 MB at n = 10)."""
+    zz = _sector_blocks(_tfim_matrix(n, np.full(n - 1, -1.0), np.zeros(n)))
+    xs = _sector_blocks(_tfim_matrix(n, np.zeros(n - 1), np.full(n, -1.0)))
+    terms = tuple((np.diagonal(z).copy(), x) for z, x in zip(zz, xs))
+    for a in (a for term in terms for a in term):
+        a.setflags(write=False)
+    return terms
+
+
 @dataclass(frozen=True)
 class _FlipSymmetric:
     """A chain operator of the form of ``_tfim_matrix``, which commutes with
@@ -313,17 +334,41 @@ class _FlipSymmetric:
         return self.mat.shape[0]
 
 
-class _UniformChain(_FlipSymmetric):
-    """A chain operator with one bond and one field on every site, which
-    commutes with the spin flip and with the mirror i <-> n-1-i.
+@dataclass(frozen=True)
+class _UniformChain:
+    """-J sum Z_i Z_{i+1} - g sum X_i on n sites: a chain operator with one
+    bond and one field on every site, which commutes with the spin flip and
+    with the mirror i <-> n-1-i.
 
-    Its spectrum is read from ``sectors``, the four (flip, mirror) blocks of
-    about 2^(n-2); no 2^n or 2^(n-1) decomposition is ever taken.  Only a
-    uniform chain is split by the mirror.
+    It is held as its two coefficients.  Its four (flip, mirror) blocks of
+    about 2^(n-2) are -J diag(z) - g X from the terms of ``_chain_terms``,
+    and its spectrum is read from their decompositions (``sectors``); no
+    2^n or 2^(n-1) decomposition is ever taken.  ``mat``, the real 2^n
+    matrix, is built only when read, read-only.  Only a uniform chain is
+    split by the mirror.
     """
 
+    n: int
+    J: float
+    g: float
+
+    @property
+    def dim(self) -> int:
+        return 2**self.n
+
+    @cached_property
+    def mat(self) -> np.ndarray:
+        m = _tfim_matrix(self.n, np.full(self.n - 1, self.J), np.full(self.n, self.g))
+        m.setflags(write=False)
+        return m
+
     def blocks(self) -> list[np.ndarray]:
-        return _sector_blocks(self.mat)
+        blocks = []
+        for z, x in _chain_terms(self.n):
+            b = -self.g * x
+            b[np.diag_indices(len(z))] -= self.J * z
+            blocks.append(b)
+        return blocks
 
     @cached_property
     def sectors(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -331,15 +376,11 @@ class _UniformChain(_FlipSymmetric):
         return tuple(np.linalg.eigh(block) for block in self.blocks())
 
 
-def _uniform_chain(n: int, J: float, g: float) -> _UniformChain:
-    return _UniformChain(_tfim_matrix(n, np.full(n - 1, J), np.full(n, g)))
-
-
 def build_chain_hamiltonian(spec: ChainPathSpec, s: float) -> _UniformChain:
-    """Dense 2^n x 2^n TFIM Hamiltonian at path parameter s."""
+    """The TFIM Hamiltonian at path parameter s, a uniform chain."""
     if not (0.0 <= s <= 1.0):
         raise ValueError(f"s = {s} outside [0, 1]")
-    return _uniform_chain(spec.n_sites, *spec.couplings(s))
+    return _UniformChain(spec.n_sites, *spec.couplings(s))
 
 
 def _fix_phase(psi: np.ndarray) -> np.ndarray:
@@ -352,7 +393,8 @@ def _fix_phase(psi: np.ndarray) -> np.ndarray:
 def _chain_operators(H, *sources) -> None:
     """ValueError unless H is a uniform chain and every source a chain
     operator, as the chain builders make them."""
-    if not (isinstance(H, _UniformChain) and all(isinstance(op, _FlipSymmetric) for op in sources)):
+    chain_ops = (_UniformChain, _FlipSymmetric)
+    if not (isinstance(H, _UniformChain) and all(isinstance(op, chain_ops) for op in sources)):
         raise ValueError("expected operators built by build_chain_hamiltonian or chain_hprime")
 
 
@@ -379,26 +421,38 @@ def ground_state(H: _UniformChain) -> tuple[float, np.ndarray, float]:
 
 def chain_hprime(spec: ChainPathSpec, s: float) -> _UniformChain:
     """dH/ds from the schedule derivatives (analytic for polynomial J, g)."""
-    return _uniform_chain(spec.n_sites, *spec.coupling_derivatives(s))
+    return _UniformChain(spec.n_sites, *spec.coupling_derivatives(s))
 
 
 # ---------------------------------------------------------------------------
 # exact transport generator
 
 
-def _divided_by_gaps(w: np.ndarray, v: np.ndarray, source: np.ndarray) -> np.ndarray:
-    """B_mn = <m|source|n> / (E_m - E_n) in the real eigenbasis (w, v), zero
-    on (near-)degenerate pairs.  The transport generator is K = i v B v^T."""
-    A = v.T @ source @ v
+def _divided_by_gaps(w: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """B_mn = A_mn / (E_m - E_n) for A_mn = <m|source|n> in the real
+    eigenbasis (w, v), zero on the diagonal and on (near-)degenerate pairs.
+    The transport generator is K = i v B v^T."""
     dE = w[:, None] - w[None, :]
     return np.divide(A, dE, out=np.zeros_like(A), where=np.abs(dE) > DEGENERACY_TOL)
 
 
-def _sector_quotients(H: _UniformChain, source: _UniformChain) -> list[np.ndarray]:
-    """``_divided_by_gaps`` in each sector of H, from the blocks of a
-    uniform-chain source.  The entries between sectors are zero, as the
-    source's are."""
-    return [_divided_by_gaps(w, u, block) for (w, u), block in zip(H.sectors, source.blocks())]
+def _sector_quotients(H: _UniformChain, Hprime: _UniformChain) -> list[np.ndarray]:
+    """``_divided_by_gaps`` in each sector of H for the source
+    H' = -J' sum ZZ - g' sum X, one product per sector.
+
+    The eigenvectors u of a block -J diag(z) - g X diagonalise it, so
+    <m|X|n> = -(J/g) <m|Z|n> for m != n, and
+    H'_mn = ((g'J - gJ') / g) (u^T diag(z) u)_mn.  The diagonal of that
+    matrix is not H'_mm, but no quotient reads it.  This needs g != 0; at
+    g = 0 the two flip partners of every level are degenerate, so
+    ``_ground_level`` raises GapCollapseError first.  The entries between
+    sectors are zero, as those of H' are.
+    """
+    c = (Hprime.g * H.J - H.g * Hprime.J) / H.g
+    return [
+        _divided_by_gaps(w, (u.T * (c * z)) @ u)
+        for (w, u), (z, _) in zip(H.sectors, _chain_terms(H.n))
+    ]
 
 
 def _flip_eigenbases(H: _UniformChain):
@@ -428,21 +482,22 @@ def adiabatic_generator(H: _UniformChain, Hprime: _FlipSymmetric) -> HermitianOp
     ``centered_generator_term``); anything else is a ValueError.  H' need not
     be mirror-symmetric, so every quantity is read per flip block, from H's
     four sector spectra put together two by two, and K = i R comes back
-    with R real antisymmetric and flip-symmetric: R is antisymmetrised once
-    in real arithmetic and i R stored as it is, exactly Hermitian, without
-    the complex copy and symmetrisation of ``HermitianOperator._built``.
+    with R real antisymmetric and flip-symmetric: R's two flip blocks are
+    antisymmetrised in real arithmetic, so R unfolds exactly antisymmetric,
+    and i R is stored as it is, exactly Hermitian, without the complex copy
+    and symmetrisation of ``HermitianOperator._built``.
     """
     _chain_operators(H, Hprime)
     if H.dim != Hprime.dim:
         raise ValueError("H and H' dimensions differ")
     _ground_level(H)
     plus, minus = (
-        u @ _divided_by_gaps(w, u, block) @ u.T
+        u @ _divided_by_gaps(w, u.T @ block @ u) @ u.T
         for (w, u), block in zip(_flip_eigenbases(H), _fold(Hprime.mat))
     )
-    R = _unfold_matrix(plus, minus)
+    R = _unfold_matrix(0.5 * (plus - plus.T), 0.5 * (minus - minus.T))
     K = object.__new__(HermitianOperator)
-    object.__setattr__(K, "mat", 1j * (0.5 * (R - R.T)))
+    object.__setattr__(K, "mat", 1j * R)
     K.mat.setflags(write=False)
     return K
 

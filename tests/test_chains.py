@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -146,13 +148,63 @@ class TestHamiltonian:
             ground_state(build_chain_hamiltonian(spec, 0.0))
 
 
+class TestChainTerms:
+    """A uniform chain is its two coefficients on the sum ZZ and sum X terms,
+    cut into the four sectors once per n."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_blocks_match_the_cut_of_the_matrix(self, n):
+        rng = np.random.default_rng(n)
+        for J, g in rng.uniform(-2.0, 2.0, (3, 2)):
+            H = chains._UniformChain(n, J, g)
+            cut = chains._sector_blocks(chains._tfim_matrix(n, np.full(n - 1, J), np.full(n, g)))
+            blocks = H.blocks()
+            scale = max(np.abs(b).max() for b in cut if b.size)
+            for block, ref in zip(blocks, cut):
+                assert block.shape == ref.shape
+                assert np.all(np.abs(block - ref) <= 1e-15 * scale)
+            if n == 2:
+                assert blocks[1].shape == (0, 0)
+
+    def test_terms_are_read_only_and_kept(self):
+        terms = chains._chain_terms(6)
+        assert terms is chains._chain_terms(6)
+        for z, x in terms:
+            assert z.ndim == 1 and x.shape == (len(z), len(z))
+            assert not z.flags.writeable and not x.flags.writeable
+
+    def test_matrix_built_only_when_read(self):
+        spec = ramp_spec(n=6, cut=3, pts=3)
+        H = build_chain_hamiltonian(spec, 0.5)
+        ground_state(H)
+        assert "mat" not in vars(H)
+        J, g = spec.couplings(0.5)
+        ref = chains._tfim_matrix(6, np.full(5, J), np.full(6, g))
+        assert H.mat.dtype == np.float64 and np.array_equal(H.mat, ref)
+        assert not H.mat.flags.writeable and H.mat is H.mat
+
+    def test_warm_path_cuts_no_matrix(self, monkeypatch):
+        # every block of a path point comes from the cached terms
+        spec = ChainPathSpec(n_sites=8, cut=4, J=(1.0,), g=(1.5, 1.0), s_grid=(0.48, 0.5, 0.52))
+        entropy_along_path(spec)
+        calls = []
+        for name in ("_tfim_matrix", "_sector_blocks"):
+            f = getattr(chains, name)
+            monkeypatch.setattr(
+                chains, name, lambda *a, f=f, name=name: calls.append(name) or f(*a)
+            )
+        assert len(entropy_along_path(spec)) == 3
+        assert calls == []
+
+
 class TestAdiabaticGenerator:
     def test_hermitian_and_gauge(self):
         spec = ramp_spec(n=4)
         H = build_chain_hamiltonian(spec, 0.5)
         K = adiabatic_generator(H, chain_hprime(spec, 0.5))
         _, psi, _ = ground_state(H)
-        assert np.max(np.abs(K.mat - K.mat.conj().T)) < 1e-12
+        # antisymmetric flip blocks unfold to an exactly antisymmetric R
+        assert np.array_equal(K.mat, K.mat.conj().T)
         assert abs(np.vdot(psi, K.mat @ psi)) < 1e-12
 
     def test_transports_ground_state(self):
@@ -309,8 +361,8 @@ class TestLocality:
         locality_profile(centered_generator_term(spec, 0.5, 4), spec, 4)
         assert widths and max(widths) == 2 ** (n - 1)
         widths.clear()
-        # a path point reads the four flip x mirror blocks of H and H', at
-        # n = 8 72, 56, 64 and 64 wide
+        # a path point reads the four flip x mirror blocks of H, at n = 8
+        # 72, 56, 64 and 64 wide
         window = ChainPathSpec(n_sites=n, cut=4, J=(1.0,), g=(1.5, 1.0), s_grid=(0.48, 0.5, 0.52))
         entropy_along_path(window)
         assert widths and max(widths) == 72
@@ -318,7 +370,9 @@ class TestLocality:
     def test_centred_source_never_split_by_the_mirror(self, monkeypatch):
         # only uniform chains are cut into the four flip x mirror sectors: a
         # centred source with a bond is not mirror-symmetric, reaches
-        # adiabatic_generator without sectors, and is never cut
+        # adiabatic_generator without sectors, and is never cut.  The terms
+        # of a uniform chain are cut once per n, so the cache starts empty
+        chains._chain_terms.cache_clear()
         n = 5
         mirror = list(range(n - 1, -1, -1))
 
@@ -482,6 +536,61 @@ class TestDenseReference:
             adiabatic_generator(H, chain_hprime(spec, 0.0))
         with pytest.raises(GapCollapseError):
             entropy_along_path(spec)
+
+
+class TestSectorQuotients:
+    """The gap quotients of a path point take one product per sector: in
+    H's eigenbasis <m|H'|n> = ((g'J - gJ') / g) <m|sum ZZ|n> for m != n."""
+
+    @staticmethod
+    def quotients(H, Hp):
+        """The one-product quotients, checked against the eigenbasis
+        matrices u^T H'_k u of the cut of H'; compared as numerators
+        H'_mn, since both sides divide by the same gaps."""
+        got = chains._sector_quotients(H, Hp)
+        cut = chains._sector_blocks(Hp.mat)
+        scale = max(np.abs(b).max() for b in cut if b.size)
+        for (w, u), block, quotients in zip(H.sectors, cut, got):
+            ref = chains._divided_by_gaps(w, u.T @ block @ u)
+            dE = np.abs(w[:, None] - w[None, :])
+            assert np.all(np.abs(quotients - ref) * dE <= 1e-12 * scale)
+        return got
+
+    @pytest.mark.parametrize("n", (2, 3, 4, 7, 8))
+    def test_match_the_cut_of_hprime(self, n):
+        rng = np.random.default_rng(10 + n)
+        for J, g, dJ, dg in rng.uniform(-2.0, 2.0, (3, 4)):
+            g = np.copysign(max(abs(g), 0.1), g)
+            got = self.quotients(chains._UniformChain(n, J, g), chains._UniformChain(n, dJ, dg))
+            assert any(q.any() for q in got)
+
+    @pytest.mark.parametrize("n", (3, 6))
+    def test_source_proportional_to_h_gives_zero(self, n):
+        H = chains._UniformChain(n, 0.7, 1.3)
+        got = self.quotients(H, chains._UniformChain(n, 2 * 0.7, 2 * 1.3))
+        assert not any(q.any() for q in got)
+        # J = 1 + s, g = 2 (1 + s): H' is H / (1 + s), and psi never moves
+        spec = ChainPathSpec(n_sites=n, cut=1, J=(1.0, 1.0), g=(2.0, 2.0), s_grid=(0.0, 0.5, 1.0))
+        points = entropy_along_path(spec)
+        assert all(pt.rate_commutator == 0.0 and pt.K_norm == 0.0 for pt in points)
+        assert np.ptp([pt.entropy_left for pt in points]) < 1e-12
+
+    def test_near_ordered_point(self):
+        # J / g = 20 at s = 0, where the gap is about 1e-5
+        spec = DENSE_CASES["ferromagnetic-n4"]
+        got = self.quotients(build_chain_hamiltonian(spec, 0.0), chain_hprime(spec, 0.0))
+        assert any(q.any() for q in got)
+
+    @pytest.mark.parametrize("n", (2, 3, 4, 7))
+    def test_zero_field_inside_the_path_raises(self, n):
+        # g = s - 1/2 is zero at the grid point s = 1/2 only
+        grid = (0.0, 0.25, 0.5, 0.75, 1.0)
+        spec = ChainPathSpec(n_sites=n, cut=1, J=(1.0,), g=(-0.5, 1.0), s_grid=grid)
+        assert spec.couplings(0.5) == (1.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GapCollapseError):
+                entropy_along_path(spec)
 
 
 @pytest.fixture(scope="module")
