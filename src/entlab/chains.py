@@ -572,7 +572,9 @@ def locality_profile(
         in_lo, in_hi = (max(0, center - r + 1), min(n - 1, center + r - 1)) if r else (center, center - 1)
         dims = (2 ** (in_lo - lo), 2 ** (in_hi - in_lo + 1), 2 ** (hi - in_hi))
         inner = partial_trace_matrix(cur, dims, [1]) / (dims[0] * dims[2])
-        shell = cur - np.kron(np.kron(np.eye(dims[0]), inner), np.eye(dims[2]))
+        # shell = cur - I (x) inner (x) I, inner taken off each diagonal block
+        shell = cur.copy()
+        np.einsum("iakibk->ikab", shell.reshape(dims + dims))[...] -= inner
         # the shell keeps R's flip parity on its ball, and ||i S|| = ||S||
         strengths[r] = _sector_norm(_fold(shell))
         cur, lo, hi = inner, in_lo, in_hi

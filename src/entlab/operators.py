@@ -21,6 +21,7 @@ Operations are pure functions of their inputs and hold no shared state.
 
 from __future__ import annotations
 
+import math
 import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -234,21 +235,23 @@ def matrix_log_on_support(Y: HermitianOperator) -> HermitianOperator:
 
 def partial_trace_matrix(mat: np.ndarray, dims: list[int], keep: list[int]) -> np.ndarray:
     """Partial trace on a raw square matrix (not necessarily unit trace), or
-    on each matrix of a stack along the leading axes."""
+    on each matrix of a stack along the leading axes.  A traced factor of
+    dimension 1 is reshaped away, not traced, so the result may be a view of
+    ``mat``; a trace over it would differ only by turning -0.0 into +0.0."""
     dims = [int(d) for d in dims]
     n = len(dims)
-    if int(np.prod(dims)) != mat.shape[-1]:
+    if math.prod(dims) != mat.shape[-1]:
         raise ValueError(f"product of dims {dims} != matrix dimension {mat.shape[-1]}")
     keep = sorted(set(int(k) for k in keep))
     if not keep or len(keep) >= n or any(k < 0 or k >= n for k in keep):
         raise ValueError(f"keep={keep} must be a nonempty strict subset of 0..{n-1}")
-    lead = mat.shape[:-2]
-    t = mat.reshape(lead + tuple(dims + dims))
-    traced = [i for i in range(n) if i not in keep]
+    lead, left = mat.shape[:-2], [i for i in range(n) if i in keep or dims[i] != 1]
+    t = mat.reshape(lead + tuple(dims[i] for i in left + left))
+    traced = [j for j, i in enumerate(left) if i not in keep]
     for off, i in enumerate(traced):
         ax = len(lead) + i - off
         t = np.trace(t, axis1=ax, axis2=ax + (t.ndim - len(lead)) // 2)
-    d_keep = int(np.prod([dims[k] for k in keep]))
+    d_keep = math.prod(dims[k] for k in keep)
     return t.reshape(lead + (d_keep, d_keep))
 
 

@@ -12,10 +12,13 @@ is one backward pass through its objective's forward pass
 (``_pair_gradient`` for pairs, ``rates._rate_gradient`` for states).  A
 row's bits do not depend on its batch, so a record does not depend on how
 many restarts step together; restarts go in groups (``_groups``) that bound
-the memory of one stack.  The inner optimization over the Hamiltonian is
-always the closed form, ||i[X, log Y]||_1, from one forward pass in Y's
-eigenbasis (``_pair_forward``) for draws and ascent rows alike, so pure
-random sampling is an ascent of zero steps.
+the memory of one stack.  A restart ends at its first line search without a
+gain: its point stays, so the four more a five-stall rule would run there
+repeat it bit for bit, and ``trials`` counts them without running them.  The
+inner optimization over the Hamiltonian is always the closed form,
+||i[X, log Y]||_1, from one forward pass in Y's eigenbasis
+(``_pair_forward``) for draws and ascent rows alike, so pure random sampling
+is an ascent of zero steps.
 Every record is reproducible from (config, seed): per-restart generators are
 derived from the base seed, and aggregation is a max-reduction, so results do
 not depend on scheduling.
@@ -117,7 +120,8 @@ class SearchRecord:
     seed: int
     # evaluations, summed over the restarts: each start point, each gradient,
     # and each line search up to its first gain (all of it without one), as
-    # if every restart ascended on its own
+    # if every restart ascended on its own until 5 searches in a row gained
+    # nothing
     trials: int
     method: str  # random (iters = 0) | hybrid (random restarts refined by ascent)
     restarts_used: int = 0
@@ -362,8 +366,9 @@ def _ascend(evaluate, theta, start, iters, gradient, retract=lambda rows: rows):
     lockstep: the gradient from ``gradient`` and a backtracking line search
     (0.1 halved down to 1e-8), ``retract`` mapping its rows back onto the
     parameter set.  Each restart stops on its own after ``iters`` steps, at
-    a zero gradient, or after 5 line searches in a row without a gain above
-    1e-14; the ascent goes on while any restart is live.
+    a zero gradient, or at its first line search without a gain above 1e-14,
+    which leaves its point where it was; the ascent goes on while any
+    restart is live.
 
     ``evaluate`` maps a stack of parameter rows to a tuple of stacks over
     the rows: their values, nan where a row is infeasible, then whatever
@@ -374,13 +379,16 @@ def _ascend(evaluate, theta, start, iters, gradient, retract=lambda rows: rows):
     line-search steps to ``evaluate`` as one stack; a row's bits do not
     depend on its batch, so neither does any restart's path.  ``evals``
     counts, per restart, the start point, each gradient as one, and the line
-    search up to its first gain, as a sequential search would.  Returns
-    (theta, start, evals) at the end of each restart."""
+    search up to its first gain, as a sequential search would that stops
+    after 5 searches in a row without a gain: after the first, it repeats
+    gradient and search bit for bit up to 4 more times within ``iters``
+    steps, and these are counted, not run.  Returns (theta, start, evals) at
+    the end of each restart."""
     n = _LINE_STEPS.size
     # the live restarts: their places in the result, points, rows of the
-    # tuple, counts and stalls
+    # tuple and counts
     live, th, row = np.arange(len(theta)), theta.copy(), tuple(s.copy() for s in start)
-    ev, stall = np.ones(len(theta), dtype=int), np.zeros(len(theta), dtype=int)
+    ev = np.ones(len(theta), dtype=int)
     theta, start, evals = np.empty_like(th), [np.empty_like(r) for r in row], np.empty_like(ev)
 
     def drop(done):
@@ -389,16 +397,16 @@ def _ascend(evaluate, theta, start, iters, gradient, retract=lambda rows: rows):
         for s, r in zip(start, row):
             s[live[done]] = r[done]
         keep = ~done
-        return live[keep], th[keep], tuple(r[keep] for r in row), ev[keep], stall[keep]
+        return live[keep], th[keep], tuple(r[keep] for r in row), ev[keep]
 
-    for _ in range(iters):
+    for step in range(iters):
         g = gradient(th, row)
         ev += 1
         gn = _row_norms(g)
         zero = gn < 1e-12
         if np.count_nonzero(zero):
             g, gn = g[~zero], gn[~zero]
-            live, th, row, ev, stall = drop(zero)
+            live, th, row, ev = drop(zero)
             if not live.size:
                 break
         steps = th[:, None] + _LINE_STEPS[:, None] * g[:, None] / gn[:, None, None]
@@ -413,11 +421,10 @@ def _ascend(evaluate, theta, start, iters, gradient, retract=lambda rows: rows):
         th[at] = trial[pick]
         for r, o in zip(row, out):
             r[at] = o[pick]
-        stall += 1
-        stall[at] = 0
-        done = stall >= 5
-        if np.count_nonzero(done):
-            live, th, row, ev, stall = drop(done)
+        # a search without a gain leaves its point: the repeats are counted, not run
+        if not up.all():
+            ev[~up] += min(4, iters - 1 - step) * (1 + n)
+            live, th, row, ev = drop(~up)
             if not live.size:
                 break
     drop(np.ones(live.size, dtype=bool))
@@ -430,12 +437,12 @@ def maximize_lambda_over_pairs(dim: int, p: float, budget: TrialBudget, seed) ->
 
     Each of ``restarts`` random draws is valued from its own Y.eigh and Z's
     (z, U), as an ascent row is, then refined by gradient ascent for up to
-    ``iters`` steps (early-stopped once the line search stalls), each step
-    on the exact gradient (``_pair_gradient``), the draws of a group
+    ``iters`` steps (stopped at the first line search without a gain), each
+    step on the exact gradient (``_pair_gradient``), the draws of a group
     (``_groups``) in lockstep; ``iters`` = 0 keeps the draws (method
-    "random").  ``trials`` counts evaluations, one gradient as
-    one, and ``rejections`` rejected draws.  The best row's pair is rebuilt
-    and checked once; the ratio is against the envelope.
+    "random").  ``trials`` counts evaluations as ``_ascend`` does, one
+    gradient as one, and ``rejections`` rejected draws.  The best row's pair
+    is rebuilt and checked once; the ratio is against the envelope.
     """
     dim = input_number("dim", dim, integer=True)
     if dim < 2:
@@ -530,8 +537,10 @@ def maximize_rate_over_states(
     imaginary parts) through the same forward pass (``rates._rate_forward``),
     normalising every row, and stepping on the exact gradient of the rate:
     one backward pass (``rates._rate_gradient``) from the forward pass the
-    line search took at the accepted row.  ``iters`` = 0 keeps the start
-    points (method "random").
+    line search took at the accepted row.  A restart stops at its first
+    line search without a gain, and ``trials`` counts evaluations as
+    ``_ascend`` does.  ``iters`` = 0 keeps the start points (method
+    "random").
 
     The reference bound is beta ||H|| for the plain two-qubit case
     (1, 2, 2, 1) and 18 ||H|| ln min(d_A, d_B) otherwise.  A record above

@@ -167,6 +167,62 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             partial_trace_matrix(rho, [2, 2], [0, 1])
 
+    @staticmethod
+    def _trace_every_factor(mat, dims, keep):
+        """Reference: np.trace over each traced factor in turn, those of
+        dimension 1 included."""
+        lead, n = mat.shape[:-2], len(dims)
+        t = mat.reshape(lead + tuple(dims) * 2)
+        for off, i in enumerate(i for i in range(n) if i not in keep):
+            ax = len(lead) + i - off
+            t = np.trace(t, axis1=ax, axis2=ax + (t.ndim - len(lead)) // 2)
+        d = int(np.prod([dims[k] for k in keep]))
+        return t.reshape(lead + (d, d))
+
+    def test_factors_of_dimension_one_are_reshaped_away(self):
+        # tracing out a trivial factor leaves the input as it is, -0.0 and
+        # all, where np.trace over it turns -0.0 into +0.0
+        rng = np.random.default_rng(6)
+        m = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        m[:, 0, 0] = complex(-0.0, -0.0)
+        red = partial_trace_matrix(m, [1, 2, 2, 1], [0, 1, 2])
+        assert red.shape == m.shape and red.tobytes() == m.tobytes()
+        ref = self._trace_every_factor(m, [1, 2, 2, 1], [0, 1, 2])
+        assert np.array_equal(red, ref)
+        moved = np.signbit(red.view(float)) != np.signbit(ref.view(float))
+        assert np.all(red.view(float)[moved] == 0.0) and np.count_nonzero(moved) == 6
+
+    @pytest.mark.parametrize(
+        "dims, keep",
+        [
+            ([1, 2, 2, 1], [1]), ([1, 2, 2, 1], [1, 2]), ([1, 2, 2, 1], [0, 3]), ([1, 2, 2, 1], [3]),
+            ([2, 1, 3], [0]), ([2, 1, 3], [1]), ([2, 1, 3], [2]), ([2, 1, 3], [0, 1]), ([2, 1, 3], [0, 2]),
+            ([3, 1, 1, 2], [1, 2]), ([3, 1, 1, 2], [0, 3]), ([1, 1, 4], [2]), ([1, 1, 4], [0]),
+        ],
+    )
+    def test_mixed_factors_match_tracing_each(self, dims, keep):
+        rng = np.random.default_rng(7)
+        n = int(np.prod(dims))
+        for shape in ((n, n), (5, n, n), (2, 3, n, n)):
+            m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            red = partial_trace_matrix(m, dims, keep)
+            ref = self._trace_every_factor(m, dims, keep)
+            assert red.shape == ref.shape and np.array_equal(red, ref)
+
+    def test_input_errors_kept_with_trivial_factors(self):
+        m = np.eye(4)
+        for dims, keep, match in (
+            ([1, 2, 3, 1], [1], "product of dims"),
+            ([1, 4, 2], [1], "product of dims"),
+            ([1, 2, 2, 1], [], "nonempty strict subset"),
+            ([1, 2, 2, 1], [0, 1, 2, 3], "nonempty strict subset"),
+            ([1, 2, 2, 1], [4], "nonempty strict subset"),
+            ([1, 2, 2, 1], [-1], "nonempty strict subset"),
+            ([1, 4], [0, 1], "nonempty strict subset"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                partial_trace_matrix(m, dims, keep)
+
 
 class TestNorms:
     def test_trace_norm_values(self):

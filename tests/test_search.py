@@ -609,6 +609,128 @@ class TestLockstep:
             ]
 
 
+def _five_stall_ascent(evaluate, theta, start, iters, gradient, retract=lambda rows: rows):
+    """Reference for one restart of ``_ascend``, one row at a time, with the
+    stall rule run out: stop after ``iters`` steps, at a zero gradient, or
+    after 5 line searches in a row without a gain.  Returns the end point,
+    its row of the tuple, the evaluations, and the step of the first line
+    search without a gain (None if every search gained)."""
+    th, row, evals, stall, first = theta[None], tuple(s[None] for s in start), 1, 0, None
+    for step in range(iters):
+        g = gradient(th, row)
+        evals += 1
+        gn = _row_norms(g)
+        if gn[0] < 1e-12:
+            break
+        for alpha in _LINE_STEPS:
+            trial = retract(th + alpha * g / gn[:, None])
+            out = evaluate(trial)
+            evals += 1
+            if out[0][0] > row[0][0] + 1e-14:
+                th, row, stall = trial, out, 0
+                break
+        else:
+            first = step if first is None else first
+            stall += 1
+            if stall >= 5:
+                break
+    return th[0], tuple(r[0] for r in row), evals, first
+
+
+def _random_hamiltonian(d, seed=5):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return HermitianOperator((g + g.conj().T) / 2)
+
+
+ZZ = HermitianOperator(np.kron(np.diag([1.0, -1.0]), np.diag([1.0, -1.0])))
+# searches as functions of their ascent steps per restart; "state-zz" is criterion 4's
+SEARCHES = {
+    "pair-d2": lambda iters: maximize_lambda_over_pairs(2, 0.2, TrialBudget(5, iters), 6),
+    "pair-d4": lambda iters: maximize_lambda_over_pairs(4, 0.35, TrialBudget(3, iters), 1),
+    "state-zz": lambda iters: maximize_rate_over_states((1, 2, 2, 1), ZZ, TrialBudget(5, iters), 0),
+    "state-1231": lambda iters: maximize_rate_over_states(
+        (1, 2, 3, 1), _random_hamiltonian(6), TrialBudget(2, iters), 2
+    ),
+}
+
+
+class TestEarlyStop:
+    """A restart ends at its first line search without a gain, which leaves
+    its point where it was, and counts the evaluations of the (up to four)
+    identical searches the stall rule would have run there."""
+
+    @pytest.mark.parametrize("name", sorted(SEARCHES))
+    def test_no_restart_is_valued_after_a_search_without_gain(self, monkeypatch, name):
+        # each block of 24 rows is the line search of one live restart, from
+        # the point its gradient was taken at
+        ascend, n = search._ascend, _LINE_STEPS.size
+        fruitless, searches = set(), [0]
+
+        def traced(evaluate, theta, start, iters, gradient, *rest):
+            pending = []
+
+            def grad(th, rows):
+                g = gradient(th, rows)
+                pending[:] = [(t.tobytes(), v) for t, v, gn in zip(th, rows[0], _row_norms(g)) if gn >= 1e-12]
+                return g
+
+            def ev(rows):
+                out = evaluate(rows)
+                assert len(rows) == n * len(pending)
+                for (point, value), block in zip(pending, out[0].reshape(-1, n)):
+                    assert point not in fruitless, "a restart stepped again from a point without a gain"
+                    searches[0] += 1
+                    if not (block > value + 1e-14).any():
+                        fruitless.add(point)
+                return out
+
+            return ascend(ev, theta, start, iters, grad, *rest)
+
+        monkeypatch.setattr(search, "_ascend", traced)
+        SEARCHES[name](300)
+        assert fruitless and searches[0] > len(fruitless)
+
+    @staticmethod
+    def _checked(monkeypatch, search_call):
+        """``search_call`` with every ``_ascend`` checked, restart by restart,
+        against ``_five_stall_ascent``: the same end point, row and
+        evaluations.  Returns the record, each restart's first search
+        without a gain, and the sum of the evaluations."""
+        ascend = search._ascend
+        firsts, total = [], [0]
+
+        def checked(evaluate, theta, start, iters, gradient, *rest):
+            got = ascend(evaluate, theta, start, iters, gradient, *rest)
+            for k in range(len(theta)):
+                ref = _five_stall_ascent(evaluate, theta[k], tuple(s[k] for s in start), iters, gradient, *rest)
+                assert got[0][k].tobytes() == ref[0].tobytes()
+                assert [r[k].tobytes() for r in got[1]] == [r.tobytes() for r in ref[1]]
+                assert got[2][k] == ref[2], f"restart {k}: {got[2][k]} evaluations, five-stall rule {ref[2]}"
+                firsts.append(ref[3])
+            total[0] += int(got[2].sum())
+            return got
+
+        monkeypatch.setattr(search, "_ascend", checked)
+        rec = search_call()
+        monkeypatch.setattr(search, "_ascend", ascend)
+        return rec, firsts, total[0]
+
+    @pytest.mark.parametrize("name", sorted(SEARCHES))
+    def test_evaluations_match_the_five_stall_rule(self, monkeypatch, name):
+        # at a full budget, then with iters ending 0-4 steps after step k,
+        # the first search without a gain, so that the stall rule runs
+        # min(4, iters - 1 - k) = 0-4 more searches before iters stops it
+        rec, firsts, total = self._checked(monkeypatch, lambda: SEARCHES[name](300))
+        assert rec.trials == total
+        k = min(f for f in firsts if f is not None)
+        for extra in range(5):
+            iters = k + 1 + extra
+            rec, cut, total = self._checked(monkeypatch, lambda: SEARCHES[name](iters))
+            assert rec.trials == total
+            assert k in cut  # the restart that stalls first does so at step k again
+
+
 class TestScan:
     def test_records_in_grid_order_and_no_events(self):
         budget = TrialBudget(3, 5)
