@@ -36,7 +36,9 @@ H' is a coefficient pair too, and H's eigenvectors diagonalise -J Z - g X, so
 in each sector H'_mn = ((g'J - gJ') / g) <m|Z|n> for m != n: one product per
 sector (``_sector_quotients``).  The reported norm of the generator,
 ||K|| = ||H'_mn / (E_m - E_n)|| in the eigenbasis, is the largest of the four
-blocks' norms; no complex 2^n x 2^n matrix is formed.  The rate is checked
+blocks' norms, each block's largest singular value (``_sector_norm``, by
+Lanczos on S^T S for a block at least 192 wide, as every block is from
+n = 10 on); no complex 2^n x 2^n matrix is formed.  The rate is checked
 against the entropies on the grid.  The dense transport generator
 K(s) = i R(s) is built only where a caller needs the operator itself
 (``adiabatic_generator``, ``centered_generator_term``), from H's eigenvectors
@@ -45,8 +47,9 @@ in each flip block, the two mirror sectors' put together; its locality is
 norm read from the shell's two flip blocks on its ball.
 
 Dense only: K needs every eigenpair of H, so n_sites is capped at 12.  One
-path point takes about 0.044 s at n = 10 and about 1.7 s at n = 12 on one
-core of a 2-core OpenBLAS host.
+path point takes about 0.05 s at n = 10 and about 1.6 s at n = 12 on one
+core of a 2-core OpenBLAS host (0.06 s and 2.2 s with a full eigvalsh per
+block norm, measured back to back).
 """
 
 from __future__ import annotations
@@ -293,11 +296,59 @@ def _sector_components(x: np.ndarray, k: int) -> np.ndarray:
     return (y[rows] + signs * y[partners]) * d / np.sqrt(2.0)
 
 
+# A block at least this wide takes its norm by Lanczos, a narrower one by a
+# full eigvalsh of S^T S, which is faster there (one BLAS thread: eigvalsh
+# wins at widths up to 136, Lanczos from 240 on; CHANGES.md has the table).
+_LANCZOS_WIDTH = 192
+
+
+def _lanczos_norm(S: np.ndarray) -> float:
+    """Largest singular value of S: the top Ritz value of a Lanczos iteration
+    on S^T S, with full reorthogonalisation and two products with S per step;
+    S^T S is never formed.
+
+    It stops when the residual of the top Ritz pair is at most
+    width * eps * theta, the rounding level of the products that form it.
+    The start vector q is a fixed pseudo-random one, so every call on the
+    same S gives the same bits.  With full reorthogonalisation the Krylov
+    space, which lies in q plus S's row space, stops growing after at most
+    rank(S) + 1 steps; there the residual is at rounding level and the Ritz
+    values are eigenvalues of S^T S, so the iteration needs no cap beyond
+    the width.
+    """
+    width = S.shape[1]
+    Q = np.empty((width, width))  # Lanczos vectors, one per row
+    T = np.zeros((width, width))  # the tridiagonal Q S^T S Q^T
+    q = np.random.default_rng(0).standard_normal(width)
+    Q[0] = q / np.linalg.norm(q)
+    for k in range(width):
+        p = S @ Q[k]
+        w = S.T @ p
+        T[k, k] = p @ p
+        V = Q[: k + 1]
+        w -= (V @ w) @ V
+        w -= (V @ w) @ V  # twice is enough
+        b = np.sqrt(w @ w)
+        theta, y = np.linalg.eigh(T[: k + 1, : k + 1])
+        if b * abs(y[-1, -1]) <= width * np.finfo(float).eps * theta[-1] or k + 1 == width:
+            return float(np.sqrt(theta[-1]))
+        T[k, k + 1] = T[k + 1, k] = b
+        Q[k + 1] = w / b
+
+
 def _sector_norm(blocks) -> float:
     """Operator norm of a real operator from its blocks S in a basis that
-    splits it (``_fold``, ``_sector_blocks``): the largest
-    sqrt(lambda_max(S^T S)); an empty block has none."""
-    return max(float(np.sqrt(np.linalg.eigvalsh(S.T @ S)[-1])) for S in blocks if S.size)
+    splits it (``_fold``, ``_sector_blocks``): the largest singular value of
+    any block, sqrt(lambda_max(S^T S)) from a full ``eigvalsh`` for a block
+    narrower than ``_LANCZOS_WIDTH`` and ``_lanczos_norm`` for a wider one;
+    an empty block has none."""
+    return max(
+        _lanczos_norm(S)
+        if S.shape[1] >= _LANCZOS_WIDTH
+        else float(np.sqrt(np.linalg.eigvalsh(S.T @ S)[-1]))
+        for S in blocks
+        if S.size
+    )
 
 
 @lru_cache(maxsize=None)
@@ -550,7 +601,10 @@ def locality_profile(
     so each shell commutes or anticommutes with its ball's flip, and the
     two blocks ``_fold`` reads are its diagonal blocks in the flip basis or
     its two off-diagonal ones.  Either way its norm is the larger of theirs
-    (``_sector_norm``).
+    (``_sector_norm``), each block's largest singular value: from a full
+    ``eigvalsh`` of S^T S on a ball of up to 8 sites, and by Lanczos on a
+    wider one (at n = 10 the r = 4 and r = 5 shells of a centre in the
+    middle).
     """
     n = spec.n_sites
     if not (0 <= center < n):

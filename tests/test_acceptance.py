@@ -50,6 +50,7 @@ def test_criterion_1_proved_bound_suite():
     dim in {2,...,64}, p in {0.02, 0.05, 0.1}, zero tolerance past 1e-9."""
     p_values = (0.02, 0.05, 0.1)
     per_p = 3334  # 3 x 3334 >= 1e4 pairs per dimension
+    worst_by_dim = {}
     for dim in (2, 4, 8, 16, 32, 64):
         for p in p_values:
             bound = sie_lambda_bound(p)
@@ -61,13 +62,16 @@ def test_criterion_1_proved_bound_suite():
             assert worst <= 1.0 + 1e-9, (
                 f"bound violated at dim={dim}, p={p}: ratio {worst}"
             )
-    print("criterion 1: proved-bound suite clean over 6 dims x 3 p x 3334 pairs")
+            worst_by_dim[dim] = max(worst_by_dim.get(dim, 0.0), worst)
+    ratios = ", ".join(f"d{dim} {w:.4f}" for dim, w in worst_by_dim.items())
+    print(f"criterion 1: proved-bound suite clean over 6 dims x 3 p x 3334 pairs; worst val / bound {ratios}")
 
 
 def test_criterion_2_proof_step_audit():
     """Rearrangement identity within 1e-9 and every per-bracket bound holds:
     >= 1e3 pairs per dim in {3..16}."""
     p_values = (0.02, 0.05, 0.1)
+    least = closest = (np.inf, None)
     for dim in range(3, 17):
         for t in range(1000):
             p = p_values[t % 3]
@@ -79,7 +83,14 @@ def test_criterion_2_proof_step_audit():
             assert rep.all_bounds_hold(), (
                 f"bracket bound failed at dim={dim}, trial={t}, p={p}"
             )
-    print("criterion 2: decomposition audit clean over dims 3..16 x 1000 pairs")
+            least = min(least, (float(rep.margins.min()), dim))
+            # an empty bucket's bracket has bound 0 and margin 0
+            closest = min(closest, (float(rep.margins[rep.margins > 0].min()), dim))
+    print(
+        "criterion 2: decomposition audit clean over dims 3..16 x 1000 pairs;"
+        f" smallest margin {least[0]:.3e} (dim {least[1]}),"
+        f" smallest positive margin {closest[0]:.3e} (dim {closest[1]})"
+    )
 
 
 def test_criterion_3_sim_reproduction_scan():

@@ -593,6 +593,102 @@ class TestSectorQuotients:
                 entropy_along_path(spec)
 
 
+def eigvalsh_norm(S):
+    """The norm as a full eigvalsh of S^T S gives it: the reference, and
+    the bits ``_sector_norm`` keeps below ``_LANCZOS_WIDTH``."""
+    return float(np.sqrt(np.linalg.eigvalsh(S.T @ S)[-1]))
+
+
+def planted(width, top, seed):
+    """A width x width matrix with singular values ``top`` and then random
+    ones in [0, 0.9], with random singular vectors."""
+    rng = np.random.default_rng(seed)
+    sigma = np.concatenate([top, rng.uniform(0.0, 0.9, width - len(top))])
+    U, _ = np.linalg.qr(rng.standard_normal((width, width)))
+    V, _ = np.linalg.qr(rng.standard_normal((width, width)))
+    return (U * sigma) @ V.T
+
+
+class TestSectorNorm:
+    """Block norms by Lanczos on S^T S at widths of at least
+    ``_LANCZOS_WIDTH``, by a full eigvalsh below it."""
+
+    @staticmethod
+    def check(S):
+        """``_lanczos_norm`` within 1e-12 relative of eigvalsh at any width,
+        the same bits on a second call, and ``_sector_norm`` bit for bit
+        eigvalsh's below ``_LANCZOS_WIDTH``."""
+        ref, got = eigvalsh_norm(S), chains._lanczos_norm(S)
+        assert abs(got - ref) <= 1e-12 * ref
+        assert chains._lanczos_norm(S) == got
+        if S.shape[1] < chains._LANCZOS_WIDTH:
+            assert chains._sector_norm([S]) == ref
+        else:
+            assert chains._sector_norm([S]) == got
+
+    def test_path_quotient_blocks(self):
+        # n = 10 gives the four sector blocks 272, 240, 256 and 256 wide
+        widths = set()
+        for n in range(2, 11):
+            spec = ramp_spec(n=n, cut=n // 2)
+            for s in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
+                for S in chains._sector_quotients(
+                    build_chain_hamiltonian(spec, s), chain_hprime(spec, s)
+                ):
+                    if S.size:
+                        widths.add(S.shape[1])
+                        self.check(S)
+        assert min(widths) == 1 and {240, 256, 272} <= widths
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_locality_shell_blocks(self, n, monkeypatch):
+        # every flip block of every shell around every centre: at n = 10
+        # the r = 4 and r = 5 shells give blocks 256 and 512 wide
+        blocks = []
+        sector_norm = chains._sector_norm
+        monkeypatch.setattr(chains, "_sector_norm", lambda b: blocks.extend(b) or sector_norm(b))
+        spec = ramp_spec(n=n)
+        for center in range(n):
+            locality_profile(centered_generator_term(spec, 0.5, center), spec, center)
+        monkeypatch.undo()
+        for S in blocks:
+            self.check(S)
+        assert max(S.shape[1] for S in blocks) == 2 ** (n - 1)
+
+    @pytest.mark.parametrize("width", (1, 2, 7, 64, 191, 192, 193, 256, 300))
+    def test_random_matrices(self, width):
+        rng = np.random.default_rng(width)
+        S = rng.standard_normal((width, width))
+        self.check(S)
+        self.check(S - S.T)
+
+    @pytest.mark.parametrize("width", (256, 512))
+    @pytest.mark.parametrize("split", (0.0, 1e-9))
+    def test_planted_top_singular_values(self, width, split):
+        S = planted(width, [1.0, 1.0 - split], width)
+        self.check(S)
+        assert abs(chains._lanczos_norm(S) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("width", (192, 256))
+    def test_decoupled_top_pair(self, width):
+        # 0.5 I but for one 2 x 2 block [[1, -1], [-1, 1]] on coordinates i, j,
+        # of norm 2.  The zeros are exact, as the selection rules of the chain
+        # blocks make them, so no rounding leaks into the pair: a start
+        # vector with equal entries at i and j (ones, e_0 for i, j > 0, an
+        # alternating sign for j = i + 2) ends at 0.5
+        for i, j in ((0, 1), (0, 2), (width // 2, width - 1)):
+            S = 0.5 * np.eye(width)
+            S[np.ix_([i, j], [i, j])] = [[1.0, -1.0], [-1.0, 1.0]]
+            self.check(S)
+            assert chains._lanczos_norm(S) == pytest.approx(2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("width", (192, 512))
+    def test_zero_block(self, width):
+        S = np.zeros((width, width))
+        assert chains._lanczos_norm(S) == 0.0
+        assert chains._sector_norm([S, np.zeros((0, 0))]) == 0.0
+
+
 @pytest.fixture(scope="module")
 def n10_default_grid():
     # the criterion-7 path at n = 10 on the default 11-point grid, where a
