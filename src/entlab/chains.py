@@ -30,8 +30,10 @@ ValueError.
 Along a path each grid point diagonalises the four blocks of H(s) once.  The
 ground state, the gap and the tangent vector
 d|psi>/ds = sum_{m != 0} |m><m|H'|psi>/(E_0 - E_m) (first-order perturbation
-theory in the parallel-transport gauge) all come from them, and the entropy
-rate across the cut is read off the Schmidt matrices of psi and its tangent.
+theory in the parallel-transport gauge) all come from them: in the sector
+that holds psi = u e_0 the tangent is -u B e_0, B the gap quotients below,
+and each of the two is scattered into the 2^n basis once.  The entropy rate
+across the cut is read off the Schmidt matrices of that pair.
 H' is a coefficient pair too, and H's eigenvectors diagonalise -J Z - g X, so
 in each sector H'_mn = ((g'J - gJ') / g) <m|Z|n> for m != n: one product per
 sector (``_sector_quotients``).  The reported norm of the generator,
@@ -48,8 +50,7 @@ norm read from the shell's two flip blocks on its ball.
 
 Dense only: K needs every eigenpair of H, so n_sites is capped at 12.  One
 path point takes about 0.05 s at n = 10 and about 1.6 s at n = 12 on one
-core of a 2-core OpenBLAS host (0.06 s and 2.2 s with a full eigvalsh per
-block norm, measured back to back).
+core of a 2-core OpenBLAS host.
 """
 
 from __future__ import annotations
@@ -227,13 +228,6 @@ def _unfold(u: np.ndarray, sign: float) -> np.ndarray:
     return np.concatenate([u, sign * u[::-1]]) / np.sqrt(2.0)
 
 
-def _fold_vector(x: np.ndarray, sign: float) -> np.ndarray:
-    """Components of a full-basis vector in flip block ``sign``; the inverse
-    of ``_unfold`` on that block."""
-    h = x.shape[0] // 2
-    return (x[:h] + sign * x[h:][::-1]) / np.sqrt(2.0)
-
-
 def _unfold_matrix(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
     """The full-basis matrix whose F = +1 and F = -1 blocks are given."""
     s, d = (plus + minus) / 2, (plus - minus) / 2
@@ -286,14 +280,6 @@ def _sector_to_flip(u: np.ndarray, dim: int, k: int) -> np.ndarray:
 def _sector_vector(u: np.ndarray, dim: int, k: int) -> np.ndarray:
     """Full-basis vector (columns) of a vector ``u`` in sector k."""
     return _unfold(_sector_to_flip(u, dim, k), _SECTORS[k][0])
-
-
-def _sector_components(x: np.ndarray, k: int) -> np.ndarray:
-    """Components of a full-basis vector in sector k; the inverse of
-    ``_sector_vector`` on that sector."""
-    y = _fold_vector(x, _SECTORS[k][0])
-    rows, partners, signs, d = _mirror_layout(x.shape[0], k)
-    return (y[rows] + signs * y[partners]) * d / np.sqrt(2.0)
 
 
 # A block at least this wide takes its norm by Lanczos, a narrower one by a
@@ -687,11 +673,12 @@ def entropy_along_path(spec: ChainPathSpec) -> list[PathPoint]:
     """Ground state, gap, cut entropy, and its rate at every grid point.
 
     The rate comes from the transport generator through the tangent vector
-    iK|psi> (four sector eigendecompositions of H per point, K never
-    formed).  At interior points it must agree with the entropies on the
-    grid (see ``_check_rates``); ``rate_finite_difference`` reports the
-    central difference of the entropies (one-sided at the ends).  ``K_norm``
-    is the operator norm of K, taken in H's eigenbasis.
+    iK|psi>, read in the sector k that holds psi = u e_0 as -u B_k e_0 from
+    that sector's gap quotients B_k (four sector eigendecompositions of H
+    per point, K never formed).  At interior points it must agree with the
+    entropies on the grid (see ``_check_rates``); ``rate_finite_difference``
+    reports the central difference of the entropies (one-sided at the
+    ends).  ``K_norm`` is the operator norm of K, taken in H's eigenbasis.
     """
     grid = spec.s_grid
     rows = []
@@ -699,12 +686,12 @@ def entropy_along_path(spec: ChainPathSpec) -> list[PathPoint]:
         H = build_chain_hamiltonian(spec, s)
         e0, psi, gap = ground_state(H)
         blocks = _sector_quotients(H, chain_hprime(spec, s))
-        # iK|psi> = -U B U^T psi with K = i U B U^T; psi lies in one
-        # sector, and H' keeps it there
+        # iK u e_0 = -u B e_0 (K = i u B u^T) in psi's sector k, which H'
+        # keeps; psi = +-u e_0, and S_L and its rate are even in the sign
         k, _ = _ground_level(H)
         _, u = H.sectors[k]
-        dpsi = -_sector_vector(u @ (blocks[k] @ (u.T @ _sector_components(psi, k))), H.dim, k)
-        entropy, rate = _cut_entropy_and_rate(psi, dpsi, spec.cut)
+        tangent = -_sector_vector(u @ blocks[k][:, 0], H.dim, k)
+        entropy, rate = _cut_entropy_and_rate(_sector_vector(u[:, 0], H.dim, k), tangent, spec.cut)
         k_norm = _sector_norm(blocks)
         rows.append((s, e0, gap, psi, entropy, rate, k_norm))
     _, _, _, _, entropies, rates, _ = zip(*rows)

@@ -43,7 +43,8 @@ from .search import (
     GeneratorFailure,
     ProvedBoundViolation,
     TrialBudget,
-    _raise_above,
+    check_lambda_bound,
+    check_rate_bound,
     conjecture_scan,
     maximize_rate_over_states,
     sample_admissible_pair,
@@ -130,12 +131,8 @@ def _cmd_rate(args) -> int:
     lines = _header_lines(config, args.seed)
     lines.append(f"rate {_fmt(rate)}")
     _write_report(args.out, lines)
-    # at min(d_A, d_B) = 1 the bound is 0, so the slack scales with ||H||
-    h_norm = operator_norm(H)
-    bound = sie_rate_bound(min(state.dims[1:3]), h_norm)
     inputs = {"state": state.to_json(), "ham": H.to_json()}
-    bundle = {"value": rate, "bound": bound, "input": inputs}
-    _raise_above(abs(rate), bound, "18 ||H|| ln min(d_A, d_B)", max(bound, h_norm), bundle)
+    check_rate_bound(rate, min(state.dims[1:3]), operator_norm(H), {"value": rate, "input": inputs})
     return EXIT_OK
 
 
@@ -153,10 +150,7 @@ def _cmd_lambda_max(args) -> int:
     lines.append(f"lambda_max {_fmt(lam)}")
     lines.append("H_opt " + json.dumps(H_opt.to_json(), sort_keys=True))
     _write_report(args.out, lines)
-    if pair.p <= P_SIE_MAX:
-        bound = sie_lambda_bound(pair.p)
-        bundle = {"value": lam, "bound": bound, "input": {**config, "pair": pair.to_json()}}
-        _raise_above(lam, bound, "9 p ln(1/p)", bound, bundle)
+    check_lambda_bound(lam, pair.p, {"value": lam, "input": {**config, "pair": pair.to_json()}})
     return EXIT_OK
 
 
@@ -234,6 +228,7 @@ def _cmd_beta_search(args) -> int:
     config = {
         "cmd": "beta-search",
         "dims": list(dims),
+        "ham": args.ham,
         "restarts": args.restarts,
         "iters": args.iters,
     }
@@ -280,11 +275,12 @@ def _cmd_adiabatic(args) -> int:
 
 
 def _cmd_locality(args) -> int:
-    spec = ChainPathSpec.from_json(_load_json(args.path))
+    path_json = _load_json(args.path)
+    spec = ChainPathSpec.from_json(path_json)
     center = args.center if args.center is not None else spec.n_sites // 2
     k_c = centered_generator_term(spec, args.s, center)
     prof = locality_profile(k_c, spec, center)
-    config = {"cmd": "locality", "path": _load_json(args.path), "s": args.s, "center": center}
+    config = {"cmd": "locality", "path": path_json, "s": args.s, "center": center}
     lines = _header_lines(config, args.seed)
     lines.append("r,strength")
     for r, st in zip(prof.radii, prof.strengths):

@@ -59,6 +59,8 @@ __all__ = [
     "maximize_lambda_over_pairs",
     "maximize_rate_over_states",
     "conjecture_scan",
+    "check_lambda_bound",
+    "check_rate_bound",
 ]
 
 
@@ -484,7 +486,7 @@ def maximize_lambda_over_pairs(dim: int, p: float, budget: TrialBudget, seed) ->
         restarts_used=budget.restarts,
         rejections=rejections,
     )
-    _check_proved_bound(record)
+    check_lambda_bound(record.best_value, p, record.to_json())
     return record
 
 
@@ -506,19 +508,29 @@ def _as_int_seed(seed) -> int:
     return h
 
 
-def _check_proved_bound(record: SearchRecord) -> None:
-    """Abort with a reproduction bundle if a pair record exceeds 9 p ln(1/p)."""
-    if record.p <= P_SIE_MAX:
-        sie = sie_lambda_bound(record.p)
-        _raise_above(record.best_value, sie, "9 p ln(1/p)", sie, record.to_json())
+def check_lambda_bound(value: float, p: float, bundle: dict) -> None:
+    """Raise ProvedBoundViolation, carrying ``bundle`` and the bound, if a
+    value of the functional exceeds 9 p ln(1/p), which is proved, and
+    checked, at p <= 1/e^2 only; the slack scales with the bound."""
+    if p <= P_SIE_MAX:
+        bound = sie_lambda_bound(p)
+        _raise_above(value, bound, "9 p ln(1/p)", bound, bundle)
+
+
+def check_rate_bound(value: float, d: int, h_norm: float, bundle: dict) -> None:
+    """Raise ProvedBoundViolation, carrying ``bundle`` and the bound, if
+    |rate| exceeds 18 ||H|| ln d, d = min(d_A, d_B); at d = 1 the bound is
+    0, so the slack scales with max(bound, ||H||)."""
+    bound = sie_rate_bound(d, h_norm)
+    _raise_above(abs(value), bound, "18 ||H|| ln min(d_A, d_B)", max(bound, h_norm), bundle)
 
 
 def _raise_above(value: float, bound: float, formula: str, scale: float, bundle: dict) -> None:
-    """Raise ProvedBoundViolation, carrying ``bundle``, if ``value`` exceeds
-    a proved bound by more than SIE_VIOLATION_RTOL * scale."""
+    """Raise ProvedBoundViolation if ``value`` exceeds a proved bound by more
+    than SIE_VIOLATION_RTOL * scale, carrying ``bundle`` and the bound."""
     if value > bound + SIE_VIOLATION_RTOL * scale:
         raise ProvedBoundViolation(
-            f"proved bound exceeded: value {value} > {formula} = {bound}", bundle
+            f"proved bound exceeded: value {value} > {formula} = {bound}", {**bundle, "bound": bound}
         )
 
 
@@ -601,10 +613,7 @@ def maximize_rate_over_states(
         method="hybrid" if budget.iters > 0 else "random",
         restarts_used=budget.restarts,
     )
-    # at min(d_A, d_B) = 1 the bound is 0, so the slack scales with ||H||
-    sie = sie_rate_bound(min(d_A, d_B), h_norm)
-    formula = "18 ||H|| ln min(d_A, d_B)"
-    _raise_above(record.best_value, sie, formula, max(sie, h_norm), record.to_json())
+    check_rate_bound(record.best_value, min(d_A, d_B), h_norm, record.to_json())
     return record
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import entlab
-from entlab import chains, cli
+from entlab import chains, cli, search
 from entlab.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -150,9 +150,10 @@ class TestRate:
         )
 
     def test_proved_bound_violation_exits_2_after_the_report(self, tmp_path, monkeypatch, capsys):
-        # the check reads cli.sie_rate_bound; a zero bound leaves only the
-        # slack 1e-9 ||H||, which the rate of this state exceeds
-        monkeypatch.setattr(cli, "sie_rate_bound", lambda d, h_norm: 0.0)
+        # the check (search.check_rate_bound) reads search.sie_rate_bound; a
+        # zero bound leaves only the slack 1e-9 ||H||, which the rate of this
+        # state exceeds
+        monkeypatch.setattr(search, "sie_rate_bound", lambda d, h_norm: 0.0)
         state = sample_bipartite_state((1, 2, 2, 1), 3)
         H = HermitianOperator(np.kron(np.diag([1.0, -1.0]), np.diag([1.0, -1.0])))
         sf = write_json(tmp_path / "state.json", state.to_json())
@@ -186,8 +187,9 @@ class TestLambdaMax:
         assert main(["lambda-max"]) == EXIT_INPUT
 
     def test_proved_bound_violation_exits_2_after_the_report(self, tmp_path, monkeypatch, capsys):
-        # the check reads cli.sie_lambda_bound, at p <= 1/e^2 only
-        monkeypatch.setattr(cli, "sie_lambda_bound", lambda p: 0.0)
+        # the check (search.check_lambda_bound) reads search.sie_lambda_bound,
+        # at p <= 1/e^2 only
+        monkeypatch.setattr(search, "sie_lambda_bound", lambda p: 0.0)
         out = str(tmp_path / "l.txt")
         rc = main(["lambda-max", "--dim", "3", "--p", "0.1", "--seed", "4", "--out", out])
         assert rc == EXIT_PROVED_VIOLATION
@@ -246,6 +248,20 @@ class TestBetaSearch:
         nats = float(vals["best_rate_nats"])
         assert float(vals["best_rate_bits"]) == pytest.approx(nats / np.log(2.0))
         assert nats <= float(vals["bound_nats"]) * (1 + 1e-9)
+
+    def test_config_hash_names_the_hamiltonian(self, tmp_path):
+        # the default H and two --ham files: three configs, three hashes
+        sz, sx = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+        runs = [[]] + [
+            ["--ham", write_json(tmp_path / f"{name}.json", HermitianOperator(np.kron(m, m)).to_json())]
+            for name, m in (("zz", sz), ("xx", sx))
+        ]
+        hashes = set()
+        for i, flags in enumerate(runs):
+            out = str(tmp_path / f"beta_{i}.txt")
+            assert main(["beta-search", "--restarts", "1", "--iters", "2", "--out", out] + flags) == EXIT_OK
+            hashes.add(read_lines(out)[1])
+        assert len(hashes) == 3
 
 
 class TestChainCommands:

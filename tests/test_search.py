@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from entlab.operators import HermitianOperator
+from entlab.operators import CONTRACTION_TOL, ROW_TRACE_FLOOR, HermitianOperator
 from entlab.rates import sie_lambda_bound, sim_bound
 from entlab.search import (
     FalsificationEvent,
@@ -9,6 +9,7 @@ from entlab.search import (
     ProvedBoundViolation,
     SearchRecord,
     TrialBudget,
+    check_lambda_bound,
     conjecture_scan,
     maximize_lambda_over_pairs,
     maximize_rate_over_states,
@@ -22,7 +23,6 @@ from entlab import search
 from entlab.search import (
     _LINE_STEPS,
     _as_int_seed,
-    _check_proved_bound,
     _eval_pair_params,
     _haar_unitary,
     _herm_to_vec,
@@ -33,6 +33,30 @@ from entlab.search import (
 from entlab.operators import log_divided_differences, spectral_rebuild
 
 
+def _replay_draw(dim, p, seed):
+    """The sampler's draws from the seed's generator in plain numpy, until
+    one is admissible: Y = G G^dag / Tr, Z = U diag(z) U^dag with U Haar,
+    W = Y^{1/2} Z Y^{1/2} and c = p / Tr W, rejected while c max z > 1.
+    Returns (c W, the number of rejected draws)."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    ginibre = lambda: rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    for rejections in range(10_000):
+        G = ginibre()
+        Y = G @ G.conj().T
+        Y /= np.trace(Y).real
+        z = rng.uniform(0.0, 1.0, size=dim)
+        q, r = np.linalg.qr(ginibre())
+        U = q * (np.diag(r) / np.abs(np.diag(r)))
+        w, v = np.linalg.eigh(Y)
+        root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+        W = root @ (U * z) @ U.conj().T @ root
+        tw = np.trace(W).real
+        c = p / tw
+        if tw > ROW_TRACE_FLOOR and c * z.max() <= 1.0 + CONTRACTION_TOL:
+            return c * W, rejections
+    raise AssertionError("no admissible draw")
+
+
 class TestSampling:
     def test_pair_is_admissible(self):
         for dim in (2, 3, 8, 16):
@@ -40,6 +64,21 @@ class TestSampling:
                 pair = sample_admissible_pair(dim, p, [dim, 1000])
                 assert pair.dim == dim
                 assert pair.p == p  # constructor re-validates traces and PSD
+
+    @pytest.mark.parametrize("p", [0.05, 0.5])
+    @pytest.mark.parametrize("dim", [2, 3, 8, 16, 64])
+    def test_pair_is_the_sampler_formula(self, dim, p):
+        # X = c Y^{1/2} Z Y^{1/2}, c = p / Tr(Y^{1/2} Z Y^{1/2}), rebuilt
+        # densely from a replay of the draw
+        X, _ = _replay_draw(dim, p, [dim, 5])
+        pair = sample_admissible_pair(dim, p, [dim, 5])
+        assert np.linalg.norm(pair.X.mat - X) <= 1e-13 * np.linalg.norm(X)
+
+    def test_rejections_are_the_replayed_count(self):
+        for dim in (2, 3):
+            rec = maximize_lambda_over_pairs(dim, 0.5, TrialBudget(20, 0), 11)
+            replayed = sum(_replay_draw(dim, 0.5, [11, r])[1] for r in range(20))
+            assert rec.rejections == replayed > 0
 
     def test_pair_deterministic(self):
         a = sample_admissible_pair(4, 0.1, 42)
@@ -217,7 +256,7 @@ class TestMaximizeLambda:
             method="random",
         )
         with pytest.raises(ProvedBoundViolation) as exc:
-            _check_proved_bound(rec)
+            check_lambda_bound(rec.best_value, rec.p, rec.to_json())
         assert exc.value.bundle["best_value"] == 10.0
 
 
