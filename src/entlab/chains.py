@@ -12,14 +12,15 @@ prod_i X_i (the Z_2 symmetry of the TFIM), so each is block diagonal in the
 flip's +1 and -1 eigenspaces.  H(s) and H'(s) have one bond J and one field
 g on every site, so they also commute with the mirror i <-> n-1-i of the open
 chain; a centred source, one field and one bond, does not.  The chain
-builders return such operators, not ``HermitianOperator``s: a centred source
-is a ``_FlipSymmetric``, the real matrix alone, and H(s) and H'(s) are
-``_UniformChain``s, held as their two coefficients (J, g) on the terms
-sum ZZ and sum X.  The terms are cut into the four exact (flip, mirror)
-sectors of about 2^(n-2) once per n and kept (``_chain_terms``), so a
-sector block of H(s) is -J diag(z) - g X, with no 2^n matrix; the matrix
-itself (``mat``) is built only when read.  The spectrum of H(s) is read from
-the four block decompositions (``sectors``).  The ground state comes from the
+builders return such operators, not ``HermitianOperator``s, and each is held
+as coefficients: a centred source is a ``_SiteCouplings``, its bonds and
+fields on sites, and H(s) and H'(s) are ``_UniformChain``s, their two
+coefficients (J, g) on the terms sum ZZ and sum X.  Neither builds its
+2^n matrix (``mat``) unless it is read.  The terms are cut into the four
+exact (flip, mirror) sectors of about 2^(n-2) once per n and kept
+(``_chain_terms``), so a sector block of H(s) is -J diag(z) - g X, with no
+2^n matrix.  The spectrum of H(s) is read from the four block
+decompositions (``sectors``).  The ground state comes from the
 sector that holds the lowest level, the gap from the two lowest levels across
 all four, and the gap quotients H'_mn / (E_m - E_n) block by block, since
 entries between the sectors are zero.  So ``ground_state`` and
@@ -43,14 +44,20 @@ Lanczos on S^T S for a block at least 192 wide, as every block is from
 n = 10 on); no complex 2^n x 2^n matrix is formed.  The rate is checked
 against the entropies on the grid.  The dense transport generator
 K(s) = i R(s) is built only where a caller needs the operator itself
-(``adiabatic_generator``, ``centered_generator_term``), from H's eigenvectors
-in each flip block, the two mirror sectors' put together; its locality is
+(``adiabatic_generator``, ``centered_generator_term``).  It reads either
+source as its coefficients, by one code path, and works per flip block in
+sector coordinates: the source times H's eigenvectors is a row scaling for
+the bonds and a signed row gather per field, and every matrix product has
+one of the two mirror sectors' blocks, about 2^(n-2) wide, as a factor;
+only the butterfly between the sectors and the flip block (``_PairOrder``)
+and one gather per axis into the 2^n basis touch the whole.  Its locality is
 *measured* by compressing it onto balls around a center site, each shell's
 norm read from the shell's two flip blocks on its ball.
 
 Dense only: K needs every eigenpair of H, so n_sites is capped at 12.  One
-path point takes about 0.05 s at n = 10 and about 1.6 s at n = 12 on one
-core of a 2-core OpenBLAS host.
+path point takes about 0.05 s at n = 10 and about 1.6 s at n = 12, and one
+centred generator term at n = 10 about 0.06 s, on one core of a 2-core
+OpenBLAS host.
 """
 
 from __future__ import annotations
@@ -228,12 +235,6 @@ def _unfold(u: np.ndarray, sign: float) -> np.ndarray:
     return np.concatenate([u, sign * u[::-1]]) / np.sqrt(2.0)
 
 
-def _unfold_matrix(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
-    """The full-basis matrix whose F = +1 and F = -1 blocks are given."""
-    s, d = (plus + minus) / 2, (plus - minus) / 2
-    return np.block([[s, d[:, ::-1]], [d[::-1], s[::-1, ::-1]]])
-
-
 @lru_cache(maxsize=None)
 def _mirror_layout(dim: int, k: int) -> tuple[np.ndarray, ...]:
     """Sector ``_SECTORS[k]`` of a 2^n = ``dim`` chain inside its flip
@@ -282,10 +283,94 @@ def _sector_vector(u: np.ndarray, dim: int, k: int) -> np.ndarray:
     return _unfold(_sector_to_flip(u, dim, k), _SECTORS[k][0])
 
 
+@dataclass(frozen=True)
+class _PairOrder:
+    """Flip-block coordinates of a 2^n chain in pair order: the indices
+    r < partner_r of the mirror pairs, then their partners in the same order,
+    then the fixed points with rev(r) = r and those with rev(r) = 2^n - 1 - r.
+    Each sector's vectors are taken in the same order (``sector_order``): its
+    pairs, then its fixed points.  In that order the map from the two mirror
+    sectors of a flip block, stacked, to the flip block is a butterfly on
+    contiguous rows (``_sectors_to_flip``).
+
+    ``partner_sign`` holds sign_r of each pair, per flip block; ``zz`` the
+    value of Z_i Z_{i+1} at each flip coordinate; ``fields[i]`` the place
+    of the coordinate that X_i maps each one to (X_0 with the flip's sign,
+    the others with +1); ``position`` the place of each flip coordinate r.
+    Every place is in pair order.
+    """
+
+    sector_order: tuple
+    partner_sign: tuple
+    zz: np.ndarray
+    fields: tuple
+    position: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _pair_order(dim: int) -> _PairOrder:
+    """The ``_PairOrder`` of a 2^n = ``dim`` chain, kept for each n."""
+    n, h = dim.bit_length() - 1, dim // 2
+    r = np.arange(h)
+    rev = ((r[:, None] >> np.arange(n)) & 1) @ (1 << np.arange(n - 1, -1, -1))
+    upper = rev >= h
+    partner = np.where(upper, dim - 1 - rev, rev)
+    pair, fixed = r < partner, r == partner
+    order = np.concatenate([r[pair], partner[pair], r[fixed & ~upper], r[fixed & upper]])
+    position = np.argsort(order)
+    bits = (order[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    images = [h - 1 - order] + [order ^ (1 << (n - 1 - i)) for i in range(1, n)]
+    layout = _PairOrder(
+        sector_order=tuple(
+            np.argsort(position[_mirror_layout(dim, k)[0]], kind="stable")
+            for k in range(len(_SECTORS))
+        ),
+        partner_sign=tuple(np.where(upper[pair], flip, 1.0) for flip in (1.0, -1.0)),
+        zz=(1 - 2 * (bits[:, :-1] ^ bits[:, 1:])).astype(float),
+        fields=tuple(position[image] for image in images),
+        position=position,
+    )
+    for a in (*layout.sector_order, *layout.partner_sign, layout.zz, *layout.fields, position):
+        a.setflags(write=False)
+    return layout
+
+
+_HALF_SQRT2 = np.sqrt(0.5)
+
+
+def _sectors_to_flip(c: np.ndarray, out: np.ndarray, width: int, sign: np.ndarray) -> np.ndarray:
+    """out = P c along axis 0: the rows of c, the vectors of a flip block's
+    two mirror sectors stacked (the first ``width`` rows the m = +1 sector's,
+    each sector in pair order), as flip coordinates in pair order.  A pair r
+    with sector rows a, b becomes (a + b)/sqrt(2) at r and
+    sign_r (a - b)/sqrt(2) at its partner; a fixed point keeps its row."""
+    m = len(sign)
+    a, b = c[:m], c[width : width + m]
+    np.multiply(a + b, _HALF_SQRT2, out=out[:m])
+    np.multiply(a - b, (_HALF_SQRT2 * sign)[:, None], out=out[m : 2 * m])
+    out[2 * m : m + width] = c[m:width]
+    out[m + width :] = c[width + m :]
+    return out
+
+
+def _flip_to_sectors(x: np.ndarray, width: int, sign: np.ndarray) -> np.ndarray:
+    """P^T x along axis 0, the inverse of ``_sectors_to_flip``."""
+    m = len(sign)
+    a, b = x[:m], x[m : 2 * m] * sign[:, None]
+    out = np.empty_like(x)
+    np.multiply(a + b, _HALF_SQRT2, out=out[:m])
+    np.multiply(a - b, _HALF_SQRT2, out=out[width : width + m])
+    out[m:width] = x[2 * m : m + width]
+    out[width + m :] = x[m + width :]
+    return out
+
+
 # A block at least this wide takes its norm by Lanczos, a narrower one by a
 # full eigvalsh of S^T S, which is faster there (one BLAS thread: eigvalsh
 # wins at widths up to 136, Lanczos from 240 on; CHANGES.md has the table).
 _LANCZOS_WIDTH = 192
+# Lanczos steps per stop test (``_lanczos_norm``)
+_LANCZOS_TEST_EVERY = 4
 
 
 def _lanczos_norm(S: np.ndarray) -> float:
@@ -295,12 +380,17 @@ def _lanczos_norm(S: np.ndarray) -> float:
 
     It stops when the residual of the top Ritz pair is at most
     width * eps * theta, the rounding level of the products that form it.
+    That test takes an ``eigh`` of the tridiagonal, which costs more than
+    the step itself, so it is made every ``_LANCZOS_TEST_EVERY`` steps, and
+    where the Krylov space ends exactly (b = 0) or the width is reached.
     The start vector q is a fixed pseudo-random one, so every call on the
     same S gives the same bits.  With full reorthogonalisation the Krylov
     space, which lies in q plus S's row space, stops growing after at most
     rank(S) + 1 steps; there the residual is at rounding level and the Ritz
     values are eigenvalues of S^T S, so the iteration needs no cap beyond
-    the width.
+    the width.  A step past that point takes a rounding-level residual as
+    its direction, orthogonal to the Krylov space, with a rounding-level
+    coupling b: it leaves the top Ritz pair where it is.
     """
     width = S.shape[1]
     Q = np.empty((width, width))  # Lanczos vectors, one per row
@@ -315,9 +405,10 @@ def _lanczos_norm(S: np.ndarray) -> float:
         w -= (V @ w) @ V
         w -= (V @ w) @ V  # twice is enough
         b = np.sqrt(w @ w)
-        theta, y = np.linalg.eigh(T[: k + 1, : k + 1])
-        if b * abs(y[-1, -1]) <= width * np.finfo(float).eps * theta[-1] or k + 1 == width:
-            return float(np.sqrt(theta[-1]))
+        if (k + 1) % _LANCZOS_TEST_EVERY == 0 or b == 0.0 or k + 1 == width:
+            theta, y = np.linalg.eigh(T[: k + 1, : k + 1])
+            if b * abs(y[-1, -1]) <= width * np.finfo(float).eps * theta[-1] or k + 1 == width:
+                return float(np.sqrt(theta[-1]))
         T[k, k + 1] = T[k + 1, k] = b
         Q[k + 1] = w / b
 
@@ -352,36 +443,46 @@ def _chain_terms(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return terms
 
 
-@dataclass(frozen=True)
-class _FlipSymmetric:
-    """A chain operator of the form of ``_tfim_matrix``, which commutes with
-    the global spin flip: a centred source.
-
-    ``mat`` is the real matrix as written, exactly symmetric, held as it is
-    and made read-only: no complex copy.
-    """
-
-    mat: np.ndarray
-
-    def __post_init__(self):
-        self.mat.setflags(write=False)
+class _ChainOperator:
+    """-sum_i bonds[i] Z_i Z_{i+1} - sum_i fields[i] X_i on n sites, held as
+    its coefficients, which commutes with the spin flip.  ``mat``, the real
+    2^n matrix, is built only when read, read-only."""
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return 2**self.n
+
+    @cached_property
+    def mat(self) -> np.ndarray:
+        m = _tfim_matrix(self.n, self.bonds, self.fields)
+        m.setflags(write=False)
+        return m
 
 
 @dataclass(frozen=True)
-class _UniformChain:
+class _SiteCouplings(_ChainOperator):
+    """A chain operator given by its bonds and fields on sites: a centred
+    source, which does not in general commute with the mirror.
+    ``adiabatic_generator`` reads its coefficients and never its matrix."""
+
+    bonds: tuple
+    fields: tuple
+
+    @property
+    def n(self) -> int:
+        return len(self.fields)
+
+
+@dataclass(frozen=True)
+class _UniformChain(_ChainOperator):
     """-J sum Z_i Z_{i+1} - g sum X_i on n sites: a chain operator with one
-    bond and one field on every site, which commutes with the spin flip and
-    with the mirror i <-> n-1-i.
+    bond and one field on every site, which also commutes with the mirror
+    i <-> n-1-i.
 
     It is held as its two coefficients.  Its four (flip, mirror) blocks of
     about 2^(n-2) are -J diag(z) - g X from the terms of ``_chain_terms``,
     and its spectrum is read from their decompositions (``sectors``); no
-    2^n or 2^(n-1) decomposition is ever taken.  ``mat``, the real 2^n
-    matrix, is built only when read, read-only.  Only a uniform chain is
+    2^n or 2^(n-1) decomposition is ever taken.  Only a uniform chain is
     split by the mirror.
     """
 
@@ -390,14 +491,12 @@ class _UniformChain:
     g: float
 
     @property
-    def dim(self) -> int:
-        return 2**self.n
+    def bonds(self) -> tuple:
+        return (self.J,) * (self.n - 1)
 
-    @cached_property
-    def mat(self) -> np.ndarray:
-        m = _tfim_matrix(self.n, np.full(self.n - 1, self.J), np.full(self.n, self.g))
-        m.setflags(write=False)
-        return m
+    @property
+    def fields(self) -> tuple:
+        return (self.g,) * self.n
 
     def blocks(self) -> list[np.ndarray]:
         blocks = []
@@ -430,8 +529,7 @@ def _fix_phase(psi: np.ndarray) -> np.ndarray:
 def _chain_operators(H, *sources) -> None:
     """ValueError unless H is a uniform chain and every source a chain
     operator, as the chain builders make them."""
-    chain_ops = (_UniformChain, _FlipSymmetric)
-    if not (isinstance(H, _UniformChain) and all(isinstance(op, chain_ops) for op in sources)):
+    if not (isinstance(H, _UniformChain) and all(isinstance(op, _ChainOperator) for op in sources)):
         raise ValueError("expected operators built by build_chain_hamiltonian or chain_hprime")
 
 
@@ -465,12 +563,14 @@ def chain_hprime(spec: ChainPathSpec, s: float) -> _UniformChain:
 # exact transport generator
 
 
-def _divided_by_gaps(w: np.ndarray, A: np.ndarray) -> np.ndarray:
+def _divided_by_gaps(w: np.ndarray, A: np.ndarray, w_cols: np.ndarray | None = None) -> np.ndarray:
     """B_mn = A_mn / (E_m - E_n) for A_mn = <m|source|n> in the real
     eigenbasis (w, v), zero on the diagonal and on (near-)degenerate pairs.
-    The transport generator is K = i v B v^T."""
-    dE = w[:, None] - w[None, :]
-    return np.divide(A, dE, out=np.zeros_like(A), where=np.abs(dE) > DEGENERACY_TOL)
+    The transport generator is K = i v B v^T.  ``w_cols``, when given, holds
+    the levels of A's columns, which are then other levels than its rows'."""
+    dE = w[:, None] - (w if w_cols is None else w_cols)[None, :]
+    dE[np.abs(dE) <= DEGENERACY_TOL] = np.inf
+    return A / dE
 
 
 def _sector_quotients(H: _UniformChain, Hprime: _UniformChain) -> list[np.ndarray]:
@@ -492,16 +592,45 @@ def _sector_quotients(H: _UniformChain, Hprime: _UniformChain) -> list[np.ndarra
     ]
 
 
-def _flip_eigenbases(H: _UniformChain):
-    """H's eigenpairs in each flip block, F = +1 then -1: the two mirror
-    sectors' eigenvectors scattered into the block, levels not sorted."""
-    for k in (0, 2):
-        (w0, u0), (w1, u1) = H.sectors[k : k + 2]
-        u = np.hstack([_sector_to_flip(u0, H.dim, k), _sector_to_flip(u1, H.dim, k + 1)])
-        yield np.concatenate([w0, w1]), u
+def _flip_block_generator(H: _UniformChain, source, k: int) -> np.ndarray:
+    """R in the flip block of H's sectors k and k + 1 (k = 0 or 2), in pair
+    order (``_PairOrder``), before antisymmetrisation.
+
+    With D = blockdiag(u_k, u_k+1) the two sectors' eigenvectors and P the
+    butterfly from the sectors to the flip block, H's eigenvectors in the
+    flip block are U = P D.  The source S is a diagonal of bonds plus one
+    signed row permutation per field, so S U takes row scalings and gathers,
+    and A = U^T S U = D^T (P^T S U) takes two products of sector blocks:
+    the rows of sector k, and sector k + 1's own block.  With B the gap
+    quotients of A, R = U B U^T = P (D B D^T) P^T, and D B D^T is
+    antisymmetric, so its lower-left block is minus the transpose of its
+    upper-right one; the two upper blocks take three products and the
+    lower-right one two.
+    """
+    order = _pair_order(H.dim)
+    (w0, u0), (w1, u1) = H.sectors[k : k + 2]
+    u0, u1 = u0[order.sector_order[k]], u1[order.sector_order[k + 1]]
+    width, sign, flip = len(w0), order.partner_sign[k // 2], _SECTORS[k][0]
+    h = H.dim // 2
+    D = np.zeros((h, h))
+    D[:width, :width], D[width:, width:] = u0, u1
+    U = _sectors_to_flip(D, np.empty_like(D), width, sign)
+    SU = -(order.zz @ np.asarray(source.bonds, dtype=float))[:, None] * U
+    for i, f in enumerate(source.fields):
+        if f:
+            SU -= (f * flip if i == 0 else f) * U[order.fields[i]]
+    G = _flip_to_sectors(SU, width, sign)
+    B0 = _divided_by_gaps(w0, u0.T @ G[:width], np.concatenate([w0, w1]))
+    B1 = _divided_by_gaps(w1, u1.T @ G[width:, width:])
+    C = np.empty((h, h))
+    np.matmul(u0, np.hstack([B0[:, :width] @ u0.T, B0[:, width:] @ u1.T]), out=C[:width])
+    C[width:, width:] = u1 @ B1 @ u1.T
+    C[width:, :width] = -C[:width, width:].T
+    rows = _sectors_to_flip(C, D, width, sign)
+    return _sectors_to_flip(rows.T, C.T, width, sign).T
 
 
-def adiabatic_generator(H: _UniformChain, Hprime: _FlipSymmetric) -> HermitianOperator:
+def adiabatic_generator(H: _UniformChain, Hprime) -> HermitianOperator:
     """Exact spectral generator of ground-state transport along the path.
 
     Built in H's eigenbasis as K_mn = i H'_mn / (E_m - E_n) over all
@@ -516,25 +645,40 @@ def adiabatic_generator(H: _UniformChain, Hprime: _FlipSymmetric) -> HermitianOp
 
     H must be a uniform chain (``build_chain_hamiltonian``) and H' a chain
     operator (``chain_hprime``, or the centred source of
-    ``centered_generator_term``); anything else is a ValueError.  H' need not
-    be mirror-symmetric, so every quantity is read per flip block, from H's
-    four sector spectra put together two by two, and K = i R comes back
-    with R real antisymmetric and flip-symmetric: R's two flip blocks are
-    antisymmetrised in real arithmetic, so R unfolds exactly antisymmetric,
-    and i R is stored as it is, exactly Hermitian, without the complex copy
-    and symmetrisation of ``HermitianOperator._built``.
+    ``centered_generator_term``); anything else is a ValueError.  Either
+    source is read as its coefficients, bonds and fields on sites, by one
+    code path; its matrix is never built.  H' need not be mirror-symmetric,
+    so every quantity is read per flip block, from H's two mirror sectors
+    there, and every product is taken in sector coordinates
+    (``_flip_block_generator``): two products give H' in H's eigenbasis and
+    five give R, each with a sector block as a factor.  At n = 10 they come
+    to about 1.1 products of 512^3 per flip block, where U^T S U and
+    U B U^T taken whole in flip coordinates are four.  K = i R comes back
+    with R real antisymmetric and flip-symmetric: the half sum and half
+    difference of R's two flip blocks are antisymmetrised in real
+    arithmetic, put back in flip order by one gather per axis and unfolded
+    into the 2^n basis, so R is exactly antisymmetric, and i R is written
+    as it is, exactly Hermitian, without the complex copy and
+    symmetrisation of ``HermitianOperator._built``.  A centred term at
+    n = 10 takes about 0.06 s on one core of a 2-core OpenBLAS host, two
+    fifths of it H's four sector decompositions.
     """
     _chain_operators(H, Hprime)
     if H.dim != Hprime.dim:
         raise ValueError("H and H' dimensions differ")
     _ground_level(H)
-    plus, minus = (
-        u @ _divided_by_gaps(w, u.T @ block @ u) @ u.T
-        for (w, u), block in zip(_flip_eigenbases(H), _fold(Hprime.mat))
-    )
-    R = _unfold_matrix(0.5 * (plus - plus.T), 0.5 * (minus - minus.T))
+    plus, minus = (_flip_block_generator(H, Hprime, k) for k in (0, 2))
+    total, diff = plus + minus, plus - minus
+    position = _pair_order(H.dim).position
+    s, d = ((0.25 * (a - a.T))[position].take(position, axis=1) for a in (total, diff))
+    # R is [[s, d], [d, s]] with the rows and columns of the lower half
+    # reversed, as (|r> + f|2^n - 1 - r>)/sqrt(2) unfolds; only its
+    # imaginary part is written
+    h = len(position)
     K = object.__new__(HermitianOperator)
-    object.__setattr__(K, "mat", 1j * R)
+    object.__setattr__(K, "mat", np.zeros((2 * h, 2 * h), dtype=complex))
+    R = K.mat.imag
+    R[:h, :h], R[:h, h:], R[h:, :h], R[h:, h:] = s, d[:, ::-1], d[::-1], s[::-1, ::-1]
     K.mat.setflags(write=False)
     return K
 
@@ -552,11 +696,11 @@ def centered_generator_term(spec: ChainPathSpec, s: float, center: int) -> Hermi
     if not (0 <= center < n):
         raise ValueError(f"center = {center} out of range 0..{n-1}")
     dJ, dg = spec.coupling_derivatives(s)
-    bonds, fields = np.zeros(n - 1), np.zeros(n)
+    bonds, fields = [0.0] * (n - 1), [0.0] * n
     fields[center] = dg
     if center < n - 1:
         bonds[center] = dJ
-    source = _FlipSymmetric(_tfim_matrix(n, bonds, fields))
+    source = _SiteCouplings(tuple(bonds), tuple(fields))
     return adiabatic_generator(build_chain_hamiltonian(spec, s), source)
 
 

@@ -124,9 +124,9 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_rate(args) -> int:
-    state = BipartiteState.from_json(_load_json(args.state))
-    H = HermitianOperator.from_json(_load_json(args.ham))
-    config = {"cmd": "rate", "state": args.state, "ham": args.ham}
+    config = {"cmd": "rate", "state": _load_json(args.state), "ham": _load_json(args.ham)}
+    state = BipartiteState.from_json(config["state"])
+    H = HermitianOperator.from_json(config["ham"])
     rate = entanglement_rate(state, H)
     lines = _header_lines(config, args.seed)
     lines.append(f"rate {_fmt(rate)}")
@@ -138,8 +138,8 @@ def _cmd_rate(args) -> int:
 
 def _cmd_lambda_max(args) -> int:
     if args.pair is not None:
-        pair = AdmissiblePair.from_json(_load_json(args.pair))
-        config = {"cmd": "lambda-max", "pair": args.pair}
+        config = {"cmd": "lambda-max", "pair": _load_json(args.pair)}
+        pair = AdmissiblePair.from_json(config["pair"])
     else:
         if args.dim is None or args.p is None:
             raise SystemExit("lambda-max needs --pair or both --dim and --p")
@@ -219,8 +219,10 @@ def _cmd_sim_scan(args) -> int:
 def _cmd_beta_search(args) -> int:
     dims = tuple(int(x) for x in args.dims.split(","))
     if args.ham:
-        H = HermitianOperator.from_json(_load_json(args.ham))
+        ham_json = _load_json(args.ham)
+        H = HermitianOperator.from_json(ham_json)
     else:
+        ham_json = None
         sz = np.diag([1.0, -1.0])
         H = HermitianOperator._built(np.kron(sz, sz))
     budget = TrialBudget(restarts=args.restarts, iters=args.iters)
@@ -228,7 +230,7 @@ def _cmd_beta_search(args) -> int:
     config = {
         "cmd": "beta-search",
         "dims": list(dims),
-        "ham": args.ham,
+        "ham": ham_json,
         "restarts": args.restarts,
         "iters": args.iters,
     }

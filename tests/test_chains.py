@@ -24,6 +24,7 @@ from transport_reference import (
     SIGMA_Z,
     dense_centered_term,
     dense_eigh,
+    dense_generator,
     dense_path_point,
     dense_shell_strengths,
     kron_tfim,
@@ -195,6 +196,66 @@ class TestChainTerms:
             )
         assert len(entropy_along_path(spec)) == 3
         assert calls == []
+
+
+class TestCoefficientSources:
+    """A source, centred or uniform, is its bonds and fields; the generator
+    multiplies in sector coordinates and never builds its matrix."""
+
+    def test_source_matrix_built_only_when_read(self):
+        src = chains._SiteCouplings((0.0, 0.7, 0.0), (0.0, 0.0, -1.2, 0.0))
+        assert "mat" not in vars(src) and src.dim == 16
+        assert np.array_equal(src.mat, kron_tfim(4, src.bonds, src.fields))
+        assert not src.mat.flags.writeable and src.mat is src.mat
+
+    def test_warm_generator_builds_no_matrix(self, monkeypatch):
+        spec = ramp_spec(n=8, cut=4, pts=3)
+
+        def generators():
+            centered_generator_term(spec, 0.5, 3)
+            adiabatic_generator(build_chain_hamiltonian(spec, 0.5), chain_hprime(spec, 0.5))
+
+        generators()
+        calls = []
+        for name in ("_tfim_matrix", "_fold"):
+            f = getattr(chains, name)
+            monkeypatch.setattr(
+                chains, name, lambda *a, f=f, name=name: calls.append(name) or f(*a)
+            )
+        generators()
+        assert calls == []
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_butterfly_is_the_sector_scatter(self, n):
+        # the butterfly from a flip block's two sectors, in pair order,
+        # against the scatter of each sector's unit vectors, and its inverse
+        dim, h = 2**n, 2 ** (n - 1)
+        order = chains._pair_order(dim)
+        for k in (0, 2):
+            width, sign = len(chains._mirror_layout(dim, k)[0]), order.partner_sign[k // 2]
+            P = chains._sectors_to_flip(np.eye(h), np.empty((h, h)), width, sign)
+            units = [np.eye(len(o))[:, o] for o in order.sector_order[k : k + 2]]
+            ref = np.hstack([chains._sector_to_flip(u, dim, j) for j, u in enumerate(units, k)])
+            assert np.max(np.abs(P[order.position] - ref)) <= 1e-15
+            assert np.max(np.abs(chains._flip_to_sectors(P, width, sign) - np.eye(h))) <= 1e-15
+
+    @pytest.mark.parametrize("n", (2, 3, 6))
+    def test_empty_sector_and_bondless_centre(self, n, monkeypatch):
+        # n = 2 has an empty (+1, -1) sector; centre n - 1 has no bond
+        spec = ramp_spec(n=n, cut=1, pts=3)
+        if n == 2:
+            assert build_chain_hamiltonian(spec, 0.5).sectors[1][0].size == 0
+        sources, generator = [], chains.adiabatic_generator
+        monkeypatch.setattr(
+            chains, "adiabatic_generator", lambda H, src: sources.append(src) or generator(H, src)
+        )
+        dJ, dg = spec.coupling_derivatives(0.5)
+        for center in range(n):
+            K = centered_generator_term(spec, 0.5, center).mat
+            ref, ref_norm = dense_centered_term(spec, 0.5, center)
+            assert np.max(np.abs(K - ref)) <= generator_tol(spec, 0.5, ref_norm, abs(dJ) + abs(dg))
+        assert sources[-1].bonds == (0.0,) * (n - 1)
+        assert sources[-1].fields == (0.0,) * (n - 1) + (dg,)
 
 
 class TestAdiabaticGenerator:
@@ -507,6 +568,18 @@ class TestDenseReference:
             ref, ref_norm = dense_centered_term(spec, s, center)
             tol = generator_tol(spec, s, ref_norm, abs(dJ) + abs(dg))
             assert np.max(np.abs(K - ref)) <= tol
+
+    @pytest.mark.parametrize("name", DENSE_CASES)
+    def test_uniform_generator_matches_dense(self, name):
+        # H' from chain_hprime takes the centred source's code path, with a
+        # bond and a field on every site
+        spec = DENSE_CASES[name]
+        s, n = spec.s_grid[1], spec.n_sites
+        dJ, dg = spec.coupling_derivatives(s)
+        K = adiabatic_generator(build_chain_hamiltonian(spec, s), chain_hprime(spec, s)).mat
+        ref, ref_norm = dense_generator(spec, s, np.full(n - 1, dJ), np.full(n, dg))
+        tol = generator_tol(spec, s, ref_norm, (n - 1) * abs(dJ) + n * abs(dg))
+        assert np.max(np.abs(K - ref)) <= tol
 
     def test_ground_state_sector(self):
         # g < 0 at odd n puts the ground state in the F = -1 sector

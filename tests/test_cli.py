@@ -264,6 +264,43 @@ class TestBetaSearch:
         assert len(hashes) == 3
 
 
+class TestConfigHashReadsFiles:
+    """A config that names an input file hashes the file's parsed contents:
+    two different files written in turn to the same path give two hashes."""
+
+    @staticmethod
+    def two_hashes(tmp_path, args, path, contents):
+        hashes = set()
+        for i, obj in enumerate(contents):
+            write_json(path, obj)
+            out = str(tmp_path / f"report_{i}.txt")
+            assert main(args + ["--out", out]) == EXIT_OK
+            hashes.add(read_lines(out)[1])
+        return hashes
+
+    def test_rate_state_and_ham(self, tmp_path):
+        sz, sx = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+        sf = write_json(tmp_path / "state.json", sample_bipartite_state((1, 2, 2, 1), 3).to_json())
+        hf = write_json(tmp_path / "ham.json", HermitianOperator(np.kron(sz, sz)).to_json())
+        args = ["rate", "--state", sf, "--ham", hf]
+        states = [sample_bipartite_state((1, 2, 2, 1), seed).to_json() for seed in (3, 4)]
+        assert len(self.two_hashes(tmp_path, args, sf, states)) == 2
+        hams = [HermitianOperator(np.kron(m, m)).to_json() for m in (sz, sx)]
+        assert len(self.two_hashes(tmp_path, args, hf, hams)) == 2
+
+    def test_lambda_max_pair(self, tmp_path):
+        pf = str(tmp_path / "pair.json")
+        pairs = [search.sample_admissible_pair(3, 0.1, seed).to_json() for seed in (4, 5)]
+        assert len(self.two_hashes(tmp_path, ["lambda-max", "--pair", pf], pf, pairs)) == 2
+
+    def test_beta_search_ham(self, tmp_path):
+        hf = str(tmp_path / "ham.json")
+        sz, sx = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+        hams = [HermitianOperator(np.kron(m, m)).to_json() for m in (sz, sx)]
+        args = ["beta-search", "--restarts", "1", "--iters", "2", "--ham", hf]
+        assert len(self.two_hashes(tmp_path, args, hf, hams)) == 2
+
+
 class TestChainCommands:
     def test_adiabatic_report(self, tmp_path, chain_path_file):
         out = str(tmp_path / "ad.csv")

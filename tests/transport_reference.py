@@ -71,17 +71,23 @@ def dense_path_point(spec, s):
     return w[0], w[1] - w[0], entropy, rate, float(np.linalg.norm(B, 2))
 
 
+def dense_generator(spec, s, bonds, fields):
+    """K = i v B v^T for the source -sum bonds Z Z - sum fields X, built
+    from tensor products, and its norm ||B||."""
+    _, v, B = dense_quotients(spec, s, kron_tfim(spec.n_sites, bonds, fields))
+    return 1j * (v @ B @ v.T), float(np.sqrt(np.linalg.eigvalsh(B.T @ B)[-1]))
+
+
 def dense_centered_term(spec, s, center):
-    """K = i v B v^T for the source dJ Z_c Z_{c+1} + dg X_c, sign as in H,
-    and its norm ||B||."""
+    """``dense_generator`` for the source dJ Z_c Z_{c+1} + dg X_c, sign as
+    in H."""
     n = spec.n_sites
     dJ, dg = spec.coupling_derivatives(s)
     bonds, fields = np.zeros(n - 1), np.zeros(n)
     fields[center] = dg
     if center < n - 1:
         bonds[center] = dJ
-    _, v, B = dense_quotients(spec, s, kron_tfim(n, bonds, fields))
-    return 1j * (v @ B @ v.T), float(np.sqrt(np.linalg.eigvalsh(B.T @ B)[-1]))
+    return dense_generator(spec, s, bonds, fields)
 
 
 def _aligned(psi_ref, psi):
