@@ -5,7 +5,9 @@ The chain is a transverse-field Ising model on an open chain,
 H(s) = -J(s) sum sigma^z_i sigma^z_{i+1} - g(s) sum sigma^x_i, with J and g
 polynomials in s in [0, 1].  Its matrices are real and written straight from
 bit patterns: the ZZ bonds are diagonal and each field is a single-bit flip.
-Each operator is diagonalised at most once, in real arithmetic.
+Each operator is diagonalised at most once, and all arithmetic is real: the
+one complex matrix the module forms is a transport generator's i R, and only
+when a caller reads it.
 
 H(s), H'(s) and every centred source commute with the global spin flip
 prod_i X_i (the Z_2 symmetry of the TFIM), so each is block diagonal in the
@@ -25,8 +27,10 @@ sector that holds the lowest level, the gap from the two lowest levels across
 all four, and the gap quotients H'_mn / (E_m - E_n) block by block, since
 entries between the sectors are zero.  So ``ground_state`` and
 ``adiabatic_generator`` accept only chain operators, and ``locality_profile``
-only a transport generator i R with R real antisymmetric; anything else is a
-ValueError.
+only a transport generator i R with R real antisymmetric, as the generator
+builders return it or from outside, checked; anything else is a ValueError.
+The path parameter s and a centre site are numbers from outside the program
+(``input_number``): s in [0, 1], the centre an integer site.
 
 Along a path each grid point diagonalises the four blocks of H(s) once.  The
 ground state, the gap and the tangent vector
@@ -41,23 +45,25 @@ sector (``_sector_quotients``).  The reported norm of the generator,
 ||K|| = ||H'_mn / (E_m - E_n)|| in the eigenbasis, is the largest of the four
 blocks' norms, each block's largest singular value (``_sector_norm``, by
 Lanczos on S^T S for a block at least 192 wide, as every block is from
-n = 10 on); no complex 2^n x 2^n matrix is formed.  The rate is checked
-against the entropies on the grid.  The dense transport generator
-K(s) = i R(s) is built only where a caller needs the operator itself
-(``adiabatic_generator``, ``centered_generator_term``).  It reads either
-source as its coefficients, by one code path, and works per flip block in
-sector coordinates: the source times H's eigenvectors is a row scaling for
-the bonds and a signed row gather per field, and every matrix product has
-one of the two mirror sectors' blocks, about 2^(n-2) wide, as a factor;
-only the butterfly between the sectors and the flip block (``_PairOrder``)
-and one gather per axis into the 2^n basis touch the whole.  Its locality is
-*measured* by compressing it onto balls around a center site, each shell's
-norm read from the shell's two flip blocks on its ball.
+n = 10 on); no 2^n x 2^n matrix is formed.  The rate is checked against
+the entropies on the grid.  The dense transport generator K(s) = i R(s) is
+built only where a caller needs the operator itself
+(``adiabatic_generator``, ``centered_generator_term``), and is held as the
+real 2^n matrix R (``_TransportGenerator``).  It reads either source as its
+coefficients, by one code path, and works per flip block in sector
+coordinates: H's eigenvectors there are written from the two sectors'
+blocks, the source times them is a row scaling for the bonds and a signed
+row gather per field, and every matrix product has one of the two mirror
+sectors' blocks, about 2^(n-2) wide, as a factor; only the butterfly
+between the sectors and the flip block (``_PairOrder``) and one gather per
+axis into the 2^n basis touch the whole.  Its locality is *measured* by
+compressing R onto balls around a center site, each shell's norm read from
+the shell's two flip blocks on its ball, taken from the shell's upper rows.
 
 Dense only: K needs every eigenpair of H, so n_sites is capped at 12.  One
-path point takes about 0.05 s at n = 10 and about 1.6 s at n = 12, and one
-centred generator term at n = 10 about 0.06 s, on one core of a 2-core
-OpenBLAS host.
+path point takes about 0.05 s at n = 10 and about 1.6 s at n = 12, one
+centred generator term at n = 10 about 0.055 s and its locality profile
+about 0.02 s, on one core of a 2-core OpenBLAS host.
 """
 
 from __future__ import annotations
@@ -353,6 +359,23 @@ def _sectors_to_flip(c: np.ndarray, out: np.ndarray, width: int, sign: np.ndarra
     return out
 
 
+def _flip_eigenvectors(u0: np.ndarray, u1: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """P blockdiag(u0, u1), the vectors of a flip block's two mirror sectors
+    as ``_sectors_to_flip`` maps them, written from the two blocks: the pair
+    rows of u0 and u1 side by side, times 1/sqrt(2) and, at the partners,
+    sign_r and -sign_r, then each block's fixed-point rows beside zeros."""
+    m, width = len(sign), len(u0)
+    U = np.empty((width + len(u1),) * 2)
+    scale = (_HALF_SQRT2 * sign)[:, None]
+    np.multiply(u0[:m], _HALF_SQRT2, out=U[:m, :width])
+    np.multiply(u1[:m], _HALF_SQRT2, out=U[:m, width:])
+    np.multiply(u0[:m], scale, out=U[m : 2 * m, :width])
+    np.multiply(u1[:m], -scale, out=U[m : 2 * m, width:])
+    U[2 * m : m + width, :width], U[2 * m : m + width, width:] = u0[m:], 0.0
+    U[m + width :, :width], U[m + width :, width:] = 0.0, u1[m:]
+    return U
+
+
 def _flip_to_sectors(x: np.ndarray, width: int, sign: np.ndarray) -> np.ndarray:
     """P^T x along axis 0, the inverse of ``_sectors_to_flip``."""
     m = len(sign)
@@ -512,11 +535,25 @@ class _UniformChain(_ChainOperator):
         return tuple(np.linalg.eigh(block) for block in self.blocks())
 
 
-def build_chain_hamiltonian(spec: ChainPathSpec, s: float) -> _UniformChain:
-    """The TFIM Hamiltonian at path parameter s, a uniform chain."""
+def _path_parameter(s) -> float:
+    """A path parameter from outside the program: a number in [0, 1]."""
+    s = input_number("s", s)
     if not (0.0 <= s <= 1.0):
         raise ValueError(f"s = {s} outside [0, 1]")
-    return _UniformChain(spec.n_sites, *spec.couplings(s))
+    return s
+
+
+def _site(center, n: int) -> int:
+    """A centre site from outside the program: an integer in 0..n-1."""
+    center = input_number("center", center, integer=True)
+    if not (0 <= center < n):
+        raise ValueError(f"center = {center} out of range 0..{n-1}")
+    return center
+
+
+def build_chain_hamiltonian(spec: ChainPathSpec, s: float) -> _UniformChain:
+    """The TFIM Hamiltonian at path parameter s in [0, 1], a uniform chain."""
+    return _UniformChain(spec.n_sites, *spec.couplings(_path_parameter(s)))
 
 
 def _fix_phase(psi: np.ndarray) -> np.ndarray:
@@ -555,8 +592,9 @@ def ground_state(H: _UniformChain) -> tuple[float, np.ndarray, float]:
 
 
 def chain_hprime(spec: ChainPathSpec, s: float) -> _UniformChain:
-    """dH/ds from the schedule derivatives (analytic for polynomial J, g)."""
-    return _UniformChain(spec.n_sites, *spec.coupling_derivatives(s))
+    """dH/ds at path parameter s in [0, 1] from the schedule derivatives
+    (analytic for polynomial J, g)."""
+    return _UniformChain(spec.n_sites, *spec.coupling_derivatives(_path_parameter(s)))
 
 
 # ---------------------------------------------------------------------------
@@ -567,10 +605,11 @@ def _divided_by_gaps(w: np.ndarray, A: np.ndarray, w_cols: np.ndarray | None = N
     """B_mn = A_mn / (E_m - E_n) for A_mn = <m|source|n> in the real
     eigenbasis (w, v), zero on the diagonal and on (near-)degenerate pairs.
     The transport generator is K = i v B v^T.  ``w_cols``, when given, holds
-    the levels of A's columns, which are then other levels than its rows'."""
+    the levels of A's columns, which are then other levels than its rows'.
+    B is written over A, which every caller has just formed."""
     dE = w[:, None] - (w if w_cols is None else w_cols)[None, :]
     dE[np.abs(dE) <= DEGENERACY_TOL] = np.inf
-    return A / dE
+    return np.divide(A, dE, out=A)
 
 
 def _sector_quotients(H: _UniformChain, Hprime: _UniformChain) -> list[np.ndarray]:
@@ -593,44 +632,74 @@ def _sector_quotients(H: _UniformChain, Hprime: _UniformChain) -> list[np.ndarra
 
 
 def _flip_block_generator(H: _UniformChain, source, k: int) -> np.ndarray:
-    """R in the flip block of H's sectors k and k + 1 (k = 0 or 2), in pair
-    order (``_PairOrder``), before antisymmetrisation.
+    """R / 4 in the flip block of H's sectors k and k + 1 (k = 0 or 2), in
+    pair order (``_PairOrder``), before antisymmetrisation.
 
-    With D = blockdiag(u_k, u_k+1) the two sectors' eigenvectors and P the
-    butterfly from the sectors to the flip block, H's eigenvectors in the
-    flip block are U = P D.  The source S is a diagonal of bonds plus one
-    signed row permutation per field, so S U takes row scalings and gathers,
-    and A = U^T S U = D^T (P^T S U) takes two products of sector blocks:
-    the rows of sector k, and sector k + 1's own block.  With B the gap
-    quotients of A, R = U B U^T = P (D B D^T) P^T, and D B D^T is
-    antisymmetric, so its lower-left block is minus the transpose of its
-    upper-right one; the two upper blocks take three products and the
-    lower-right one two.
+    With u_k, u_k+1 the two sectors' eigenvectors and P the butterfly from
+    the sectors to the flip block, H's eigenvectors in the flip block are
+    U = P blockdiag(u_k, u_k+1), written straight from the two blocks
+    (``_flip_eigenvectors``).  The source S is a diagonal of bonds plus one
+    signed row permutation per field, so S U takes row scalings and
+    gathers.  A = U^T S U is read in two parts: the rows of sector k, and
+    sector k + 1's own block, so of G = P^T S U only the blocks those parts
+    read are formed; each takes products with a sector block as a factor.
+    With B the gap quotients of A, R = U B U^T = P (D B D^T) P^T,
+    D = blockdiag(u_k, u_k+1), and D B D^T is antisymmetric, so its
+    lower-left block is minus the transpose of its upper-right one; the two
+    upper blocks take three products and the lower-right one two.
     """
     order = _pair_order(H.dim)
     (w0, u0), (w1, u1) = H.sectors[k : k + 2]
     u0, u1 = u0[order.sector_order[k]], u1[order.sector_order[k + 1]]
     width, sign, flip = len(w0), order.partner_sign[k // 2], _SECTORS[k][0]
-    h = H.dim // 2
-    D = np.zeros((h, h))
-    D[:width, :width], D[width:, width:] = u0, u1
-    U = _sectors_to_flip(D, np.empty_like(D), width, sign)
-    SU = -(order.zz @ np.asarray(source.bonds, dtype=float))[:, None] * U
+    m, h = len(sign), H.dim // 2
+    U = _flip_eigenvectors(u0, u1, sign)
+    # S / 4, the quarter that adiabatic_generator's half sums and half
+    # differences take; a power of two scales every rounding exactly
+    SU = -(order.zz @ (0.25 * np.asarray(source.bonds, dtype=float)))[:, None] * U
     for i, f in enumerate(source.fields):
         if f:
-            SU -= (f * flip if i == 0 else f) * U[order.fields[i]]
-    G = _flip_to_sectors(SU, width, sign)
-    B0 = _divided_by_gaps(w0, u0.T @ G[:width], np.concatenate([w0, w1]))
-    B1 = _divided_by_gaps(w1, u1.T @ G[width:, width:])
+            image = U[order.fields[i]]
+            image *= 0.25 * (f * flip if i == 0 else f)
+            SU -= image
+    # the sector-k rows of G = P^T S U in the sector-k columns, and all its
+    # rows in the sector-(k + 1) columns
+    G00 = np.empty((width, width))
+    np.multiply(SU[:m, :width] + SU[m : 2 * m, :width] * sign[:, None], _HALF_SQRT2, out=G00[:m])
+    G00[m:] = SU[2 * m : m + width, :width]
+    G1 = _flip_to_sectors(SU[:, width:], width, sign)
+    B00 = _divided_by_gaps(w0, u0.T @ G00)
+    B01 = _divided_by_gaps(w0, u0.T @ G1[:width], w1)
+    B11 = _divided_by_gaps(w1, u1.T @ G1[width:])
     C = np.empty((h, h))
-    np.matmul(u0, np.hstack([B0[:, :width] @ u0.T, B0[:, width:] @ u1.T]), out=C[:width])
-    C[width:, width:] = u1 @ B1 @ u1.T
+    np.matmul(u0, np.hstack([B00 @ u0.T, B01 @ u1.T]), out=C[:width])
+    C[width:, width:] = u1 @ B11 @ u1.T
     C[width:, :width] = -C[:width, width:].T
-    rows = _sectors_to_flip(C, D, width, sign)
+    rows = _sectors_to_flip(C, U, width, sign)
     return _sectors_to_flip(rows.T, C.T, width, sign).T
 
 
-def adiabatic_generator(H: _UniformChain, Hprime) -> HermitianOperator:
+@dataclass(frozen=True)
+class _TransportGenerator:
+    """A transport generator K = i R as ``adiabatic_generator`` builds it.
+
+    R is the real 2^n matrix, C-contiguous and read-only, exactly
+    antisymmetric and exactly symmetric under the global spin flip F
+    (F R F = R), as it is built; ``locality_profile`` reads it without a
+    check.  ``mat``, the complex matrix i R, is built only when read,
+    read-only.
+    """
+
+    R: np.ndarray
+
+    @cached_property
+    def mat(self) -> np.ndarray:
+        m = 1j * self.R
+        m.setflags(write=False)
+        return m
+
+
+def adiabatic_generator(H: _UniformChain, Hprime) -> _TransportGenerator:
     """Exact spectral generator of ground-state transport along the path.
 
     Built in H's eigenbasis as K_mn = i H'_mn / (E_m - E_n) over all
@@ -650,51 +719,58 @@ def adiabatic_generator(H: _UniformChain, Hprime) -> HermitianOperator:
     code path; its matrix is never built.  H' need not be mirror-symmetric,
     so every quantity is read per flip block, from H's two mirror sectors
     there, and every product is taken in sector coordinates
-    (``_flip_block_generator``): two products give H' in H's eigenbasis and
-    five give R, each with a sector block as a factor.  At n = 10 they come
-    to about 1.1 products of 512^3 per flip block, where U^T S U and
-    U B U^T taken whole in flip coordinates are four.  K = i R comes back
-    with R real antisymmetric and flip-symmetric: the half sum and half
-    difference of R's two flip blocks are antisymmetrised in real
-    arithmetic, put back in flip order by one gather per axis and unfolded
-    into the 2^n basis, so R is exactly antisymmetric, and i R is written
-    as it is, exactly Hermitian, without the complex copy and
-    symmetrisation of ``HermitianOperator._built``.  A centred term at
-    n = 10 takes about 0.06 s on one core of a 2-core OpenBLAS host, two
-    fifths of it H's four sector decompositions.
+    (``_flip_block_generator``): three products give H' in H's eigenbasis
+    and five give R, each with a sector block as a factor.  At n = 10 they
+    come to about 1.1 products of 512^3 per flip block, where U^T S U and
+    U B U^T taken whole in flip coordinates are four.
+
+    K = i R comes back as a ``_TransportGenerator``: R is real, and no
+    complex matrix is formed unless a caller reads ``mat``.  The half sum
+    and half difference of R's two flip blocks are gathered back to flip
+    order, antisymmetrised straight into R's upper quadrants and mirrored
+    into its lower ones, so R is exactly antisymmetric and F R F = R
+    exactly.  A centred term at n = 10 takes about 0.055 s on one core of a
+    2-core OpenBLAS host, over two fifths of it H's four sector
+    decompositions.
     """
     _chain_operators(H, Hprime)
     if H.dim != Hprime.dim:
         raise ValueError("H and H' dimensions differ")
     _ground_level(H)
     plus, minus = (_flip_block_generator(H, Hprime, k) for k in (0, 2))
-    total, diff = plus + minus, plus - minus
     position = _pair_order(H.dim).position
-    s, d = ((0.25 * (a - a.T))[position].take(position, axis=1) for a in (total, diff))
     # R is [[s, d], [d, s]] with the rows and columns of the lower half
-    # reversed, as (|r> + f|2^n - 1 - r>)/sqrt(2) unfolds; only its
-    # imaginary part is written
+    # reversed, as (|r> + f|2^n - 1 - r>)/sqrt(2) unfolds: s and d are the
+    # antisymmetrised half sum and half difference of the flip blocks.  The
+    # flip blocks and their sum serve as buffers; "clip" never clips a
+    # position, and unlike the default mode it lets take write into out
+    # unbuffered
     h = len(position)
-    K = object.__new__(HermitianOperator)
-    object.__setattr__(K, "mat", np.zeros((2 * h, 2 * h), dtype=complex))
-    R = K.mat.imag
-    R[:h, :h], R[:h, h:], R[h:, :h], R[h:, h:] = s, d[:, ::-1], d[::-1], s[::-1, ::-1]
-    K.mat.setflags(write=False)
-    return K
+    R = np.empty((2 * h, 2 * h))
+    total = plus + minus
+    diff = np.subtract(plus, minus, out=plus)
+    for a, quadrant in ((total, R[:h, :h]), (diff, R[:h, h:][:, ::-1])):
+        np.take(a, position, axis=0, out=minus, mode="clip")
+        np.take(minus, position, axis=1, out=a, mode="clip")
+        np.subtract(a, a.T, out=quadrant)
+    R[h:, :h] = R[:h, h:][::-1, ::-1]
+    R[h:, h:] = R[:h, :h][::-1, ::-1]
+    R.setflags(write=False)
+    return _TransportGenerator(R)
 
 
-def centered_generator_term(spec: ChainPathSpec, s: float, center: int) -> HermitianOperator:
+def centered_generator_term(spec: ChainPathSpec, s: float, center: int) -> _TransportGenerator:
     """Component of the transport generator sourced by the schedule
     derivative of the local terms at ``center`` (its transverse field and,
     when present, the bond to the right).
 
     The full generator is the sum of these over all sites; only the centered
     component has the radial decay worth profiling (the full K keeps
-    swallowing whole O(1) terms as the ball grows).
+    swallowing whole O(1) terms as the ball grows).  ``s`` is a number in
+    [0, 1] and ``center`` an integer site; anything else is a ValueError.
     """
     n = spec.n_sites
-    if not (0 <= center < n):
-        raise ValueError(f"center = {center} out of range 0..{n-1}")
+    s, center = _path_parameter(s), _site(center, n)
     dJ, dg = spec.coupling_derivatives(s)
     bonds, fields = [0.0] * (n - 1), [0.0] * n
     fields[center] = dg
@@ -708,8 +784,41 @@ def centered_generator_term(spec: ChainPathSpec, s: float, center: int) -> Hermi
 # locality
 
 
+def _outside_generator(K) -> np.ndarray:
+    """R of an operator K = i R from outside the program, checked: R real
+    antisymmetric with F R F = R or -R."""
+    R = K.mat.imag
+    flipped = R[::-1, ::-1]  # F R F
+    if K.mat.real.any() or not (np.array_equal(R, flipped) or np.array_equal(R, -flipped)):
+        raise ValueError(
+            "locality_profile takes a transport generator i R, R real antisymmetric"
+            " with F R F = R or -R for the global spin flip F"
+        )
+    return R
+
+
+def _shell_flip_blocks(cur: np.ndarray, inner: np.ndarray, dims: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The two blocks ``_fold`` reads of shell = cur - I (x) inner (x) I,
+    factors of dimensions ``dims``, taken from the shell's upper half of
+    rows; cur is never copied whole.
+
+    Those rows are the lower half of the leading factor of more than one
+    level.  When that factor is inner's, I (x) inner (x) I has entries in
+    both upper blocks, and cur's upper half is copied and changed.
+    Otherwise it has none in the upper-right block, and only the upper-left
+    block is copied and changed."""
+    h = len(cur) // 2
+    d0, d1, d2 = dims
+    rows = (d0 // 2, d1, d2) if d0 > 1 else (1, d1 // 2, d2) if d1 > 1 else (1, 1, d2 // 2)
+    split = rows[1] < d1  # the leading factor is inner's
+    top = cur[:h, : 2 * h if split else h].copy()
+    np.einsum("iakibk->ikab", top.reshape(rows + (dims if split else rows)))[...] -= inner[: rows[1]]
+    a, b = top[:, :h], (top if split else cur)[:h, h:][:, ::-1]
+    return a + b, a - b
+
+
 def locality_profile(
-    K: HermitianOperator, spec: ChainPathSpec, center: int
+    K: _TransportGenerator | HermitianOperator, spec: ChainPathSpec, center: int
 ) -> LocalityProfile:
     """Shell decomposition of K around a site: strengths ||Pi_r K - Pi_{r-1} K||.
 
@@ -723,32 +832,30 @@ def locality_profile(
     out.  The largest ball is the whole chain; each K_{r-1} is traced from
     K_r.
 
-    K must be a transport generator i R with R real antisymmetric and
-    F R F = R, F the global spin flip, as ``adiabatic_generator`` and
-    ``centered_generator_term`` return it, or F R F = -R; any other operator
-    is a ValueError.  Every step runs on R in real arithmetic, since
-    ||i S|| = ||S||.  A partial trace keeps the sign of F R F on the ball,
-    so each shell commutes or anticommutes with its ball's flip, and the
-    two blocks ``_fold`` reads are its diagonal blocks in the flip basis or
-    its two off-diagonal ones.  Either way its norm is the larger of theirs
-    (``_sector_norm``), each block's largest singular value: from a full
-    ``eigvalsh`` of S^T S on a ball of up to 8 sites, and by Lanczos on a
-    wider one (at n = 10 the r = 4 and r = 5 shells of a centre in the
-    middle).
+    K is a transport generator i R with R real antisymmetric: the
+    ``_TransportGenerator`` that ``adiabatic_generator`` and
+    ``centered_generator_term`` return, whose R is read as built, or an
+    operator from outside the program whose ``mat`` is i R with
+    F R F = R or -R, F the global spin flip, checked here; any other
+    operator is a ValueError.  From there one code path runs on R in real
+    arithmetic, since ||i S|| = ||S||.  A partial trace keeps the sign of
+    F R F on the ball, so each shell commutes or anticommutes with its
+    ball's flip, and the two blocks ``_fold`` reads are its diagonal blocks
+    in the flip basis or its two off-diagonal ones; they are taken from the
+    shell's upper rows alone (``_shell_flip_blocks``).  Either way its norm
+    is the larger of theirs (``_sector_norm``), each block's largest
+    singular value: from a full ``eigvalsh`` of S^T S on a ball of up to 8
+    sites, and by Lanczos on a wider one (at n = 10 the r = 4 and r = 5
+    shells of a centre in the middle).  At n = 10 a profile takes about
+    0.02 s on one core of a 2-core OpenBLAS host, most of it in the
+    Lanczos norms.
     """
+    R = K.R if isinstance(K, _TransportGenerator) else _outside_generator(K)
     n = spec.n_sites
-    if not (0 <= center < n):
-        raise ValueError(f"center = {center} out of range 0..{n-1}")
+    center = _site(center, n)
     r_max = max(center, n - 1 - center)
     radii = np.arange(r_max + 1)
     strengths = np.zeros(r_max + 1)
-    R = K.mat.imag
-    flipped = R[::-1, ::-1]  # F R F
-    if K.mat.real.any() or not (np.array_equal(R, flipped) or np.array_equal(R, -flipped)):
-        raise ValueError(
-            "locality_profile takes a transport generator i R, R real antisymmetric"
-            " with F R F = R or -R for the global spin flip F"
-        )
     cur, lo, hi = R, 0, n - 1
     for r in radii[::-1]:
         # sites in_lo..in_hi of ball r - 1; the empty ball below r = 0 keeps
@@ -756,11 +863,8 @@ def locality_profile(
         in_lo, in_hi = (max(0, center - r + 1), min(n - 1, center + r - 1)) if r else (center, center - 1)
         dims = (2 ** (in_lo - lo), 2 ** (in_hi - in_lo + 1), 2 ** (hi - in_hi))
         inner = partial_trace_matrix(cur, dims, [1]) / (dims[0] * dims[2])
-        # shell = cur - I (x) inner (x) I, inner taken off each diagonal block
-        shell = cur.copy()
-        np.einsum("iakibk->ikab", shell.reshape(dims + dims))[...] -= inner
         # the shell keeps R's flip parity on its ball, and ||i S|| = ||S||
-        strengths[r] = _sector_norm(_fold(shell))
+        strengths[r] = _sector_norm(_shell_flip_blocks(cur, inner, dims))
         cur, lo, hi = inner, in_lo, in_hi
     return LocalityProfile(center=center, radii=radii, strengths=strengths)
 

@@ -811,3 +811,134 @@ class TestRateCheck:
         with pytest.raises(TransportConsistencyError):
             _check_rates(grid, entropies, rates)
 
+
+class TestEntryNumbers:
+    """The chain entry points read s and the centre as ``input_number``
+    reads numbers from outside the program."""
+
+    def test_integral_float_centre_is_that_site(self):
+        spec = ramp_spec(n=4)
+        K = centered_generator_term(spec, 0.5, 2.0)
+        assert np.array_equal(K.R, centered_generator_term(spec, 0.5, 2).R)
+        prof = locality_profile(K, spec, 2.0)
+        assert prof.center == 2 and type(prof.center) is int
+        assert np.array_equal(prof.strengths, locality_profile(K, spec, 2).strengths)
+
+    @pytest.mark.parametrize("center", (2.7, True, "2", None))
+    def test_centre_not_an_integer_rejected(self, center):
+        spec = ramp_spec(n=4)
+        K = centered_generator_term(spec, 0.5, 2)
+        with pytest.raises(ValueError, match="center must be an integer"):
+            centered_generator_term(spec, 0.5, center)
+        with pytest.raises(ValueError, match="center must be an integer"):
+            locality_profile(K, spec, center)
+
+    @pytest.mark.parametrize("s", (True, "0.5", None, [0.5]))
+    def test_s_not_a_number_rejected(self, s):
+        spec = ramp_spec(n=4)
+        for build in (build_chain_hamiltonian, chain_hprime):
+            with pytest.raises(ValueError, match="s must be a number"):
+                build(spec, s)
+        with pytest.raises(ValueError, match="s must be a number"):
+            centered_generator_term(spec, s, 2)
+
+    @pytest.mark.parametrize("s", (1.5, -0.1, float("nan")))
+    def test_s_outside_the_path_rejected(self, s):
+        spec = ramp_spec(n=4)
+        for build in (build_chain_hamiltonian, chain_hprime):
+            with pytest.raises(ValueError, match="outside"):
+                build(spec, s)
+        with pytest.raises(ValueError, match="outside"):
+            centered_generator_term(spec, s, 2)
+
+    def test_numpy_numbers_accepted(self):
+        spec = ramp_spec(n=4)
+        K = centered_generator_term(spec, np.float64(0.5), np.int64(1))
+        assert np.array_equal(K.R, centered_generator_term(spec, 0.5, 1).R)
+        assert chain_hprime(spec, np.float32(0.5)) == chain_hprime(spec, 0.5)
+
+
+def generator_forms(n):
+    """The generators of a ramp spec at n sites and s = 0.5: the uniform H'
+    and every centred source."""
+    spec = ramp_spec(n=n, cut=n // 2, pts=3)
+    H = build_chain_hamiltonian(spec, 0.5)
+    yield "uniform", adiabatic_generator(H, chain_hprime(spec, 0.5))
+    for center in range(n):
+        yield f"centre {center}", centered_generator_term(spec, 0.5, center)
+
+
+class TestGeneratorForm:
+    """The generator is R as built: real, C-contiguous, read-only, exactly
+    antisymmetric and flip-symmetric, with i R formed only when read."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_r_as_built(self, n):
+        for name, K in generator_forms(n):
+            R = K.R
+            assert R.dtype == np.float64 and R.shape == (2**n, 2**n), name
+            assert R.flags.c_contiguous and not R.flags.writeable, name
+            assert np.array_equal(R, -R.T), name
+            assert np.array_equal(R, R[::-1, ::-1]), name
+            assert "mat" not in vars(K), name
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_mat_is_i_r_when_read(self, n):
+        for name, K in generator_forms(n):
+            m = K.mat
+            assert m is K.mat and not m.flags.writeable, name
+            assert m.dtype == np.complex128 and m.tobytes() == (1j * K.R).tobytes(), name
+
+
+class TestOneProfile:
+    """A built generator and the same i R from outside give one profile."""
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_built_and_outside_generator_agree_bit_for_bit(self, n):
+        spec = ramp_spec(n=n)
+        for center in range(n):
+            K = centered_generator_term(spec, 0.5, center)
+            built = locality_profile(K, spec, center).strengths
+            assert "mat" not in vars(K)
+            outside = locality_profile(HermitianOperator(K.mat), spec, center).strengths
+            assert built.tobytes() == outside.tobytes()
+
+    def test_built_generator_is_not_checked_again(self, monkeypatch):
+        # the outside check reads mat; a built generator's R goes straight in
+        spec = ramp_spec(n=6)
+        K = centered_generator_term(spec, 0.5, 3)
+        checked = []
+        check = chains._outside_generator
+        monkeypatch.setattr(chains, "_outside_generator", lambda op: checked.append(op) or check(op))
+        locality_profile(K, spec, 3)
+        assert checked == [] and "mat" not in vars(K)
+        locality_profile(HermitianOperator(K.mat), spec, 3)
+        assert len(checked) == 1
+
+    def test_first_trace_is_on_the_whole_r(self, monkeypatch):
+        spec = ramp_spec(n=6)
+        K = centered_generator_term(spec, 0.5, 2)
+        traced = []
+        trace = chains.partial_trace_matrix
+        monkeypatch.setattr(chains, "partial_trace_matrix", lambda m, *a: traced.append(m) or trace(m, *a))
+        locality_profile(K, spec, 2)
+        assert traced[0] is K.R
+
+    @pytest.mark.parametrize("n", (2, 3, 5, 8))
+    def test_shell_blocks_are_the_fold_of_the_shell(self, n):
+        # the shell's flip blocks from its upper rows against _fold of the
+        # whole shell, formed as a copy of cur with inner taken off each
+        # diagonal block, bit for bit, on every ball of every centre
+        spec = ramp_spec(n=n, cut=1)
+        for center in range(n):
+            cur, lo, hi = centered_generator_term(spec, 0.5, center).R, 0, n - 1
+            for r in range(max(center, n - 1 - center), -1, -1):
+                in_lo, in_hi = (max(0, center - r + 1), min(n - 1, center + r - 1)) if r else (center, center - 1)
+                dims = (2 ** (in_lo - lo), 2 ** (in_hi - in_lo + 1), 2 ** (hi - in_hi))
+                inner = partial_trace_matrix(cur, dims, [1]) / (dims[0] * dims[2])
+                shell = cur.copy()
+                np.einsum("iakibk->ikab", shell.reshape(dims + dims))[...] -= inner
+                got = chains._shell_flip_blocks(cur, inner, dims)
+                for block, ref in zip(got, chains._fold(shell)):
+                    assert block.tobytes() == ref.tobytes()
+                cur, lo, hi = inner, in_lo, in_hi
