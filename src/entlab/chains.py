@@ -5,9 +5,8 @@ The chain is a transverse-field Ising model on an open chain,
 H(s) = -J(s) sum sigma^z_i sigma^z_{i+1} - g(s) sum sigma^x_i, with J and g
 polynomials in s in [0, 1].  Its matrices are real and written straight from
 bit patterns: the ZZ bonds are diagonal and each field is a single-bit flip.
-Each operator is diagonalised at most once, and all arithmetic is real: the
-one complex matrix the module forms is a transport generator's i R, and only
-when a caller reads it.
+Each operator is diagonalised at most once, and all arithmetic is real: a
+transport generator K = i R is held as its real matrix R.
 
 H(s), H'(s) and every centred source commute with the global spin flip
 prod_i X_i (the Z_2 symmetry of the TFIM), so each is block diagonal in the
@@ -19,26 +18,27 @@ as coefficients: a centred source is a ``_SiteCouplings``, its bonds and
 fields on sites, and H(s) and H'(s) are ``_UniformChain``s, their two
 coefficients (J, g) on the terms sum ZZ and sum X.  Neither builds its
 2^n matrix (``mat``) unless it is read.  The terms are cut into the four
-exact (flip, mirror) sectors of about 2^(n-2) once per n and kept
-(``_chain_terms``), so a sector block of H(s) is -J diag(z) - g X, with no
-2^n matrix.  The spectrum of H(s) is read from the four block
-decompositions (``sectors``).  The ground state comes from the
-sector that holds the lowest level, the gap from the two lowest levels across
-all four, and the gap quotients H'_mn / (E_m - E_n) block by block, since
-entries between the sectors are zero.  So ``ground_state`` and
-``adiabatic_generator`` accept only chain operators, and ``locality_profile``
-only a transport generator i R with R real antisymmetric, as the generator
-builders return it or from outside, checked; anything else is a ValueError.
-The path parameter s and a centre site are numbers from outside the program
-(``input_number``): s in [0, 1], the centre an integer site.
+exact (flip, mirror) sectors of about 2^(n-2), each in pair order
+(``_PairOrder``), once per n and kept (``_chain_terms``), so a sector block
+of H(s) is -J diag(z) - g X, with no 2^n matrix.  The spectrum of H(s) is
+read from the four block decompositions (``sectors``).  The ground state
+comes from the sector that holds the lowest level, the gap from the two
+lowest levels across all four, and the gap quotients H'_mn / (E_m - E_n)
+block by block, since entries between the sectors are zero.  So
+``ground_state`` and ``adiabatic_generator`` accept only chain operators,
+and ``locality_profile`` only the transport generator that the generator
+builders return; anything else is a ValueError.  The path parameter s and
+a centre site are numbers from outside the program (``input_number``): s in
+[0, 1], the centre an integer site.
 
 Along a path each grid point diagonalises the four blocks of H(s) once.  The
 ground state, the gap and the tangent vector
 d|psi>/ds = sum_{m != 0} |m><m|H'|psi>/(E_0 - E_m) (first-order perturbation
 theory in the parallel-transport gauge) all come from them: in the sector
 that holds psi = u e_0 the tangent is -u B e_0, B the gap quotients below,
-and each of the two is scattered into the 2^n basis once.  The entropy rate
-across the cut is read off the Schmidt matrices of that pair.
+and each of the two is taken into the 2^n basis once (``_sector_vector``).
+The entropy rate across the cut is read off the Schmidt matrices of that
+pair.
 H' is a coefficient pair too, and H's eigenvectors diagonalise -J Z - g X, so
 in each sector H'_mn = ((g'J - gJ') / g) <m|Z|n> for m != n: one product per
 sector (``_sector_quotients``).  The reported norm of the generator,
@@ -75,7 +75,7 @@ import numpy as np
 from numpy.polynomial import polynomial as _poly
 
 from .operators import DEGENERACY_TOL, GAP_FLOOR, GAUGE_TOL, RATE_CHECK_ATOL, RATE_CHECK_RTOL
-from .operators import HermitianOperator, input_number, input_numbers, log_on_support
+from .operators import input_number, input_numbers, log_on_support
 from .operators import partial_trace_matrix, spectral_rebuild
 
 MAX_SITES = 12
@@ -218,11 +218,12 @@ def _tfim_matrix(n: int, bonds, fields) -> np.ndarray:
 # partner 2^n - 1 - rev(r) and sign f otherwise.  So each flip block splits
 # once more into mirror sectors m = +1, -1.  Sector m has one unit vector
 # (|r> + m sign_r |partner_r>)/sqrt(2) per pair r < partner_r, and the
-# vector |r> for each fixed point r = partner_r with m sign_r = +1.  Its
-# block has entries d_r d_r' (A[r, r'] + m sign_r' A[r, partner_r']), A the
-# flip block, with d = 1 on pairs and 1/sqrt(2) on fixed points.  At n = 10
-# the four (f, m) blocks are 272, 240 (f = +1) and 256, 256 (f = -1) wide;
-# at n = 2 the (+1, -1) block is empty.  This section is the only code that
+# vector |r> for each fixed point r = partner_r with m sign_r = +1.  In pair
+# order (``_PairOrder``) the map from a flip block's two sectors, stacked,
+# to the flip block is a butterfly on contiguous rows (``_sectors_to_flip``),
+# and a sector block is read off P^T A P, A the flip block.  At n = 10 the
+# four (f, m) blocks are 272, 240 (f = +1) and 256, 256 (f = -1) wide; at
+# n = 2 the (+1, -1) block is empty.  This section is the only code that
 # knows these layouts.
 
 # (flip, mirror) signs of the four sectors; sector k lies in flip block k // 2
@@ -241,72 +242,26 @@ def _unfold(u: np.ndarray, sign: float) -> np.ndarray:
     return np.concatenate([u, sign * u[::-1]]) / np.sqrt(2.0)
 
 
-@lru_cache(maxsize=None)
-def _mirror_layout(dim: int, k: int) -> tuple[np.ndarray, ...]:
-    """Sector ``_SECTORS[k]`` of a 2^n = ``dim`` chain inside its flip
-    block: the indices r, their partners, m sign_r and d_r, one entry per
-    sector vector.  Kept for four sectors of each n <= MAX_SITES."""
-    flip, mirror = _SECTORS[k]
-    n, h = dim.bit_length() - 1, dim // 2
-    r = np.arange(h)
-    rev = ((r[:, None] >> np.arange(n)) & 1) @ (1 << np.arange(n - 1, -1, -1))
-    upper = rev >= h
-    partner = np.where(upper, dim - 1 - rev, rev)
-    sign = np.where(upper, flip, 1.0)
-    fixed = partner == r
-    keep = (r < partner) | (fixed & (sign == mirror))
-    layout = (r[keep], partner[keep], mirror * sign[keep], np.where(fixed[keep], np.sqrt(0.5), 1.0))
-    for a in layout:
-        a.setflags(write=False)
-    return layout
-
-
-def _sector_blocks(m: np.ndarray) -> list[np.ndarray]:
-    """The four ``_SECTORS`` blocks of a real 2^n matrix that commutes with
-    the flip and the mirror."""
-    flips = _fold(m)
-    blocks = []
-    for k in range(len(_SECTORS)):
-        rows, partners, signs, d = _mirror_layout(m.shape[0], k)
-        a = flips[k // 2][rows]
-        blocks.append((a[:, rows] + a[:, partners] * signs) * d[:, None] * d)
-    return blocks
-
-
-def _sector_to_flip(u: np.ndarray, dim: int, k: int) -> np.ndarray:
-    """Flip-block coordinates of vectors (columns) ``u`` in sector k of a
-    2^n = ``dim`` chain: a signed scatter."""
-    rows, partners, signs, d = _mirror_layout(dim, k)
-    c = (d / np.sqrt(2.0)).reshape((-1,) + (1,) * (u.ndim - 1))
-    x = np.zeros((dim // 2,) + u.shape[1:])
-    x[partners] = c * signs.reshape(c.shape) * u
-    x[rows] += c * u
-    return x
-
-
-def _sector_vector(u: np.ndarray, dim: int, k: int) -> np.ndarray:
-    """Full-basis vector (columns) of a vector ``u`` in sector k."""
-    return _unfold(_sector_to_flip(u, dim, k), _SECTORS[k][0])
-
-
 @dataclass(frozen=True)
 class _PairOrder:
     """Flip-block coordinates of a 2^n chain in pair order: the indices
     r < partner_r of the mirror pairs, then their partners in the same order,
     then the fixed points with rev(r) = r and those with rev(r) = 2^n - 1 - r.
-    Each sector's vectors are taken in the same order (``sector_order``): its
-    pairs, then its fixed points.  In that order the map from the two mirror
-    sectors of a flip block, stacked, to the flip block is a butterfly on
-    contiguous rows (``_sectors_to_flip``).
+    Each sector's vectors are taken in the same order: its pairs, then its
+    fixed points.  The m = +1 sector of flip block f holds the fixed points
+    with sign_r = +1, the m = -1 sector those with sign_r = -1, so the two
+    sectors' fixed points follow each other in the flip block as they do in
+    its sectors, stacked.
 
-    ``partner_sign`` holds sign_r of each pair, per flip block; ``zz`` the
-    value of Z_i Z_{i+1} at each flip coordinate; ``fields[i]`` the place
-    of the coordinate that X_i maps each one to (X_0 with the flip's sign,
-    the others with +1); ``position`` the place of each flip coordinate r.
+    ``widths`` holds the width of the m = +1 sector of each flip block,
+    ``partner_sign`` sign_r of each pair, per flip block; ``zz`` the value of
+    Z_i Z_{i+1} at each flip coordinate; ``fields[i]`` the place of the
+    coordinate that X_i maps each one to (X_0 with the flip's sign, the
+    others with +1); ``position`` the place of each flip coordinate r.
     Every place is in pair order.
     """
 
-    sector_order: tuple
+    widths: tuple
     partner_sign: tuple
     zz: np.ndarray
     fields: tuple
@@ -324,19 +279,17 @@ def _pair_order(dim: int) -> _PairOrder:
     pair, fixed = r < partner, r == partner
     order = np.concatenate([r[pair], partner[pair], r[fixed & ~upper], r[fixed & upper]])
     position = np.argsort(order)
+    pairs, lower = np.count_nonzero(pair), np.count_nonzero(fixed & ~upper)
     bits = (order[:, None] >> np.arange(n - 1, -1, -1)) & 1
     images = [h - 1 - order] + [order ^ (1 << (n - 1 - i)) for i in range(1, n)]
     layout = _PairOrder(
-        sector_order=tuple(
-            np.argsort(position[_mirror_layout(dim, k)[0]], kind="stable")
-            for k in range(len(_SECTORS))
-        ),
+        widths=(h - pairs, pairs + lower),
         partner_sign=tuple(np.where(upper[pair], flip, 1.0) for flip in (1.0, -1.0)),
         zz=(1 - 2 * (bits[:, :-1] ^ bits[:, 1:])).astype(float),
         fields=tuple(position[image] for image in images),
         position=position,
     )
-    for a in (*layout.sector_order, *layout.partner_sign, layout.zz, *layout.fields, position):
+    for a in (*layout.partner_sign, layout.zz, *layout.fields, position):
         a.setflags(write=False)
     return layout
 
@@ -381,11 +334,42 @@ def _flip_to_sectors(x: np.ndarray, width: int, sign: np.ndarray) -> np.ndarray:
     m = len(sign)
     a, b = x[:m], x[m : 2 * m] * sign[:, None]
     out = np.empty_like(x)
-    np.multiply(a + b, _HALF_SQRT2, out=out[:m])
-    np.multiply(a - b, _HALF_SQRT2, out=out[width : width + m])
+    # in place, with no temporary as large as a
+    np.add(a, b, out=out[:m])
+    out[:m] *= _HALF_SQRT2
+    np.subtract(a, b, out=out[width : width + m])
+    out[width : width + m] *= _HALF_SQRT2
     out[m:width] = x[2 * m : m + width]
     out[width + m :] = x[m + width :]
     return out
+
+
+def _sector_blocks(m: np.ndarray) -> list[np.ndarray]:
+    """The four ``_SECTORS`` blocks of a real 2^n matrix that commutes with
+    the flip and the mirror, in pair order: P^T A P for each flip block A,
+    gathered into pair order, cut at its m = +1 sector's width."""
+    order = _pair_order(m.shape[0])
+    pairs = np.ix_(*[np.argsort(order.position)] * 2)
+    blocks = []
+    for a, width, sign in zip(_fold(m), order.widths, order.partner_sign):
+        a = _flip_to_sectors(_flip_to_sectors(a[pairs], width, sign).T, width, sign).T
+        blocks += [a[:width, :width].copy(), a[width:, width:].copy()]
+    return blocks
+
+
+def _sector_vector(u: np.ndarray, dim: int, k: int) -> np.ndarray:
+    """Full-basis vectors (columns) of vectors ``u`` in sector k: u in its
+    sector's rows of the flip block's two sectors stacked, through the
+    butterfly ``_sectors_to_flip``, gathered out of pair order and
+    unfolded."""
+    order = _pair_order(dim)
+    h, width, sign = dim // 2, order.widths[k // 2], order.partner_sign[k // 2]
+    c = np.zeros((h,) + u.shape[1:])
+    start = width if k % 2 else 0
+    c[start : start + len(u)] = u
+    c = c.reshape(h, -1)
+    x = _sectors_to_flip(c, np.empty_like(c), width, sign)
+    return _unfold(x[order.position].reshape((h,) + u.shape[1:]), _SECTORS[k][0])
 
 
 # A block at least this wide takes its norm by Lanczos, a narrower one by a
@@ -459,8 +443,9 @@ def _chain_terms(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     sum_i X_i as the block X, both read off the cut of their 2^n matrices.
     Cut once for each n <= MAX_SITES and kept (2.1 MB at n = 10)."""
     zz = _sector_blocks(_tfim_matrix(n, np.full(n - 1, -1.0), np.zeros(n)))
+    zz = [np.diagonal(z).copy() for z in zz]
     xs = _sector_blocks(_tfim_matrix(n, np.zeros(n - 1), np.full(n, -1.0)))
-    terms = tuple((np.diagonal(z).copy(), x) for z, x in zip(zz, xs))
+    terms = tuple(zip(zz, xs))
     for a in (a for term in terms for a in term):
         a.setflags(write=False)
     return terms
@@ -650,7 +635,6 @@ def _flip_block_generator(H: _UniformChain, source, k: int) -> np.ndarray:
     """
     order = _pair_order(H.dim)
     (w0, u0), (w1, u1) = H.sectors[k : k + 2]
-    u0, u1 = u0[order.sector_order[k]], u1[order.sector_order[k + 1]]
     width, sign, flip = len(w0), order.partner_sign[k // 2], _SECTORS[k][0]
     m, h = len(sign), H.dim // 2
     U = _flip_eigenvectors(u0, u1, sign)
@@ -681,22 +665,14 @@ def _flip_block_generator(H: _UniformChain, source, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _TransportGenerator:
-    """A transport generator K = i R as ``adiabatic_generator`` builds it.
-
-    R is the real 2^n matrix, C-contiguous and read-only, exactly
-    antisymmetric and exactly symmetric under the global spin flip F
-    (F R F = R), as it is built; ``locality_profile`` reads it without a
-    check.  ``mat``, the complex matrix i R, is built only when read,
-    read-only.
+    """A transport generator K = i R as ``adiabatic_generator`` builds it,
+    held as R alone: the real 2^n matrix, C-contiguous and read-only,
+    exactly antisymmetric and exactly symmetric under the global spin flip
+    F (F R F = R), as it is built.  ``locality_profile`` reads it without a
+    check; a caller that needs K itself forms 1j * R.
     """
 
     R: np.ndarray
-
-    @cached_property
-    def mat(self) -> np.ndarray:
-        m = 1j * self.R
-        m.setflags(write=False)
-        return m
 
 
 def adiabatic_generator(H: _UniformChain, Hprime) -> _TransportGenerator:
@@ -724,8 +700,8 @@ def adiabatic_generator(H: _UniformChain, Hprime) -> _TransportGenerator:
     come to about 1.1 products of 512^3 per flip block, where U^T S U and
     U B U^T taken whole in flip coordinates are four.
 
-    K = i R comes back as a ``_TransportGenerator``: R is real, and no
-    complex matrix is formed unless a caller reads ``mat``.  The half sum
+    K = i R comes back as a ``_TransportGenerator`` that holds the real R;
+    no complex matrix is formed.  The half sum
     and half difference of R's two flip blocks are gathered back to flip
     order, antisymmetrised straight into R's upper quadrants and mirrored
     into its lower ones, so R is exactly antisymmetric and F R F = R
@@ -784,19 +760,6 @@ def centered_generator_term(spec: ChainPathSpec, s: float, center: int) -> _Tran
 # locality
 
 
-def _outside_generator(K) -> np.ndarray:
-    """R of an operator K = i R from outside the program, checked: R real
-    antisymmetric with F R F = R or -R."""
-    R = K.mat.imag
-    flipped = R[::-1, ::-1]  # F R F
-    if K.mat.real.any() or not (np.array_equal(R, flipped) or np.array_equal(R, -flipped)):
-        raise ValueError(
-            "locality_profile takes a transport generator i R, R real antisymmetric"
-            " with F R F = R or -R for the global spin flip F"
-        )
-    return R
-
-
 def _shell_flip_blocks(cur: np.ndarray, inner: np.ndarray, dims: tuple) -> tuple[np.ndarray, np.ndarray]:
     """The two blocks ``_fold`` reads of shell = cur - I (x) inner (x) I,
     factors of dimensions ``dims``, taken from the shell's upper half of
@@ -817,9 +780,7 @@ def _shell_flip_blocks(cur: np.ndarray, inner: np.ndarray, dims: tuple) -> tuple
     return a + b, a - b
 
 
-def locality_profile(
-    K: _TransportGenerator | HermitianOperator, spec: ChainPathSpec, center: int
-) -> LocalityProfile:
+def locality_profile(K: _TransportGenerator, spec: ChainPathSpec, center: int) -> LocalityProfile:
     """Shell decomposition of K around a site: strengths ||Pi_r K - Pi_{r-1} K||.
 
     Pi_r is the normalized compression onto the radius-r ball; Pi_{-1} is the
@@ -832,38 +793,37 @@ def locality_profile(
     out.  The largest ball is the whole chain; each K_{r-1} is traced from
     K_r.
 
-    K is a transport generator i R with R real antisymmetric: the
-    ``_TransportGenerator`` that ``adiabatic_generator`` and
-    ``centered_generator_term`` return, whose R is read as built, or an
-    operator from outside the program whose ``mat`` is i R with
-    F R F = R or -R, F the global spin flip, checked here; any other
-    operator is a ValueError.  From there one code path runs on R in real
-    arithmetic, since ||i S|| = ||S||.  A partial trace keeps the sign of
-    F R F on the ball, so each shell commutes or anticommutes with its
-    ball's flip, and the two blocks ``_fold`` reads are its diagonal blocks
-    in the flip basis or its two off-diagonal ones; they are taken from the
-    shell's upper rows alone (``_shell_flip_blocks``).  Either way its norm
-    is the larger of theirs (``_sector_norm``), each block's largest
-    singular value: from a full ``eigvalsh`` of S^T S on a ball of up to 8
-    sites, and by Lanczos on a wider one (at n = 10 the r = 4 and r = 5
-    shells of a centre in the middle).  At n = 10 a profile takes about
-    0.02 s on one core of a 2-core OpenBLAS host, most of it in the
-    Lanczos norms.
+    K is the ``_TransportGenerator`` that ``adiabatic_generator`` and
+    ``centered_generator_term`` return, whose R is read as built; any other
+    operator is a ValueError.  The profile runs on R in real arithmetic,
+    since ||i S|| = ||S||.  R commutes with the global spin flip, and a
+    partial trace keeps that on the ball, so each shell is block diagonal
+    in its ball's flip basis and its norm is the larger of its two flip
+    blocks' (``_sector_norm``), taken from the shell's upper rows alone
+    (``_shell_flip_blocks``): each block's largest singular value, from a
+    full ``eigvalsh`` of S^T S on a ball of up to 8 sites, and by Lanczos
+    on a wider one (at n = 10 the r = 4 and r = 5 shells of a centre in the
+    middle).  At n = 10 a profile takes about 0.02 s on one core of a
+    2-core OpenBLAS host, most of it in the Lanczos norms.
     """
-    R = K.R if isinstance(K, _TransportGenerator) else _outside_generator(K)
+    if not isinstance(K, _TransportGenerator):
+        raise ValueError(
+            "locality_profile takes the transport generator that adiabatic_generator"
+            " or centered_generator_term returns"
+        )
     n = spec.n_sites
     center = _site(center, n)
     r_max = max(center, n - 1 - center)
     radii = np.arange(r_max + 1)
     strengths = np.zeros(r_max + 1)
-    cur, lo, hi = R, 0, n - 1
+    cur, lo, hi = K.R, 0, n - 1
     for r in radii[::-1]:
         # sites in_lo..in_hi of ball r - 1; the empty ball below r = 0 keeps
         # one 1 x 1 block, Tr R / dim
         in_lo, in_hi = (max(0, center - r + 1), min(n - 1, center + r - 1)) if r else (center, center - 1)
         dims = (2 ** (in_lo - lo), 2 ** (in_hi - in_lo + 1), 2 ** (hi - in_hi))
         inner = partial_trace_matrix(cur, dims, [1]) / (dims[0] * dims[2])
-        # the shell keeps R's flip parity on its ball, and ||i S|| = ||S||
+        # the shell commutes with its ball's flip, and ||i S|| = ||S||
         strengths[r] = _sector_norm(_shell_flip_blocks(cur, inner, dims))
         cur, lo, hi = inner, in_lo, in_hi
     return LocalityProfile(center=center, radii=radii, strengths=strengths)

@@ -78,13 +78,15 @@ __all__ = [
 
 
 def input_number(name: str, value, integer: bool = False):
-    """A number from outside the program: a float, or an int when
-    ``integer``.  ValueError for a string, a bool, any other non-number and,
-    when ``integer``, a number with a fractional part."""
+    """A number from outside the program: a finite float, or an int when
+    ``integer``.  ValueError for a string, a bool, any other non-number, nan,
+    an infinity and, when ``integer``, a number with a fractional part."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or (
         integer and not float(value).is_integer()
     ):
         raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
     return int(value) if integer else float(value)
 
 
@@ -124,9 +126,15 @@ class HermitianOperator:
         m = np.asarray(self.mat, dtype=complex)
         self._store(m)
         dev = np.max(np.abs(m - m.conj().T))
-        scale = max(1.0, float(np.max(np.abs(m))))
-        if dev > HERMITICITY_TOL * scale:
-            raise NonHermitianError(f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e}")
+        # a non-finite entry makes the ratio nan (inf / inf where an infinity
+        # meets a finite entry), and nan fails the comparison
+        ratio = dev / max(1.0, float(np.max(np.abs(m))))
+        if not (ratio <= HERMITICITY_TOL):
+            raise NonHermitianError(
+                f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e}"
+                if np.isfinite(ratio)
+                else "matrix has entries that are not finite"
+            )
 
     def _store(self, m: np.ndarray) -> None:
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
@@ -168,7 +176,7 @@ class HermitianOperator:
 
     @classmethod
     def from_json(cls, obj: dict) -> "HermitianOperator":
-        n = int(obj["dim"])
+        n = input_number("dim", obj["dim"], integer=True)
         m = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
         if m.shape != (n, n):
             raise ValueError(f"dim field {n} inconsistent with matrix shape {m.shape}")

@@ -23,6 +23,7 @@ from .operators import (
     SIE_VIOLATION_RTOL, TRACE_TOL, ZERO_LAMBDA_TOL,
     HermitianOperator,
     commutator,
+    input_number,
     input_numbers,
     log_divided_differences,
     log_on_support,
@@ -120,7 +121,7 @@ class AdmissiblePair:
         return cls(
             HermitianOperator.from_json(obj["X"]),
             HermitianOperator.from_json(obj["Y"]),
-            float(obj["p"]),
+            input_number("p", obj["p"]),
         )
 
 
@@ -149,8 +150,9 @@ class BipartiteState:
         if amp.size != int(np.prod(dims)):
             raise ValueError(f"amplitude length {amp.size} != product of dims {np.prod(dims)}")
         nrm = float(np.linalg.norm(amp))
-        if abs(nrm - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm {nrm} != 1")
+        # a non-finite amplitude makes the norm nan or inf
+        if not (abs(nrm - 1.0) <= NORM_TOL):
+            raise ValueError(f"state norm {nrm} != 1" if np.isfinite(nrm) else "state amplitudes are not finite")
         amp.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amp)
@@ -239,8 +241,8 @@ def sie_rate_bound(d: int, H_norm: float) -> float:
     """18 ||H|| ln d: rate ceiling in terms of the smaller interacting dimension."""
     if d < 1:
         raise ValueError(f"d = {d} must be >= 1")
-    if H_norm < 0:
-        raise ValueError(f"H_norm = {H_norm} must be >= 0")
+    if not (0.0 <= H_norm < np.inf):
+        raise ValueError(f"H_norm = {H_norm} must be finite and >= 0")
     return BOUND_CONSTANTS.c_sie * H_norm * np.log(d)
 
 

@@ -230,7 +230,7 @@ def test_criterion_7_adiabatic_transport():
     def K_at(s):
         if s not in k_cache:
             H = build_chain_hamiltonian(spec, s)
-            k_cache[s] = adiabatic_generator(H, chain_hprime(spec, s)).mat
+            k_cache[s] = 1j * adiabatic_generator(H, chain_hprime(spec, s)).R
         return k_cache[s]
 
     psi_at = lambda s: ground_state(build_chain_hamiltonian(spec, s))[1]  # noqa: E731

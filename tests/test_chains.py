@@ -149,6 +149,69 @@ class TestHamiltonian:
             ground_state(build_chain_hamiltonian(spec, 0.0))
 
 
+def sector_vectors(n):
+    """Each sector's unit vectors in flip coordinates r < 2^(n-1), one
+    column each in increasing r, in the order of ``chains._SECTORS``, built
+    straight from the bit reversal: (|r> + m sign_r |partner_r>)/sqrt(2) for
+    each pair r < partner_r, and |r> for each fixed point with
+    m sign_r = +1.  The partner is rev(r) with sign +1 if rev(r) < 2^(n-1),
+    and 2^n - 1 - rev(r) with the flip's sign otherwise."""
+    dim, h = 2**n, 2 ** (n - 1)
+    rev = [int(format(r, f"0{n}b")[::-1], 2) for r in range(h)]
+    sectors = []
+    for flip, mirror in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        columns = []
+        for r in range(h):
+            partner, sign = (rev[r], 1) if rev[r] < h else (dim - 1 - rev[r], flip)
+            v = np.zeros(h)
+            if r < partner:
+                v[r], v[partner] = np.sqrt(0.5), mirror * sign * np.sqrt(0.5)
+            elif r == partner and mirror * sign == 1:
+                v[r] = 1.0
+            else:
+                continue
+            columns.append(v)
+        sectors.append(np.array(columns).T.reshape(h, len(columns)))
+    return sectors
+
+
+def assert_same_vectors(ref, got):
+    """The columns of ``got`` are those of ``ref`` in some order, to
+    rounding; returns the order, ref's column of each of got's."""
+    overlap = ref.T @ got
+    order = np.array([np.argmax(np.abs(column)) for column in overlap.T], dtype=int)
+    assert sorted(order) == list(range(ref.shape[1]))
+    assert np.max(np.abs(overlap - np.eye(ref.shape[1])[:, order]), initial=0.0) <= 1e-15
+    return order
+
+
+class TestSectorLayout:
+    """The sector layout against sector vectors built in the test from the
+    bit reversal (``sector_vectors``), not from ``chains._pair_order``."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_blocks_are_the_sector_compressions(self, n):
+        # the four sectors' vectors are an orthonormal basis, and V^T M V of
+        # a uniform chain's matrix is the cut of the matrix and the block of
+        # H, up to the order within each sector
+        dim = 2**n
+        vectors = sector_vectors(n)
+        flips = [np.hstack(vectors[:2]), np.hstack(vectors[2:])]
+        for F in flips:
+            assert np.max(np.abs(F.T @ F - np.eye(dim // 2))) <= 1e-15
+        J, g = np.random.default_rng(n).uniform(0.5, 2.0, 2)
+        H = chains._UniformChain(n, J, g)
+        M = chains._tfim_matrix(n, np.full(n - 1, J), np.full(n, g))
+        cut = chains._sector_blocks(M)
+        for k, (V, (flip, _)) in enumerate(zip(vectors, chains._SECTORS)):
+            full = np.vstack([V, flip * V[::-1]]) / np.sqrt(2.0)
+            ref = full.T @ M @ full
+            order = assert_same_vectors(full, chains._sector_vector(np.eye(V.shape[1]), dim, k))
+            for got in (cut[k], H.blocks()[k]):
+                assert got.shape == ref.shape
+                assert np.max(np.abs(got - ref[np.ix_(order, order)]), initial=0.0) <= 1e-14 * np.abs(M).max()
+
+
 class TestChainTerms:
     """A uniform chain is its two coefficients on the sum ZZ and sum X terms,
     cut into the four sectors once per n."""
@@ -228,15 +291,17 @@ class TestCoefficientSources:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_butterfly_is_the_sector_scatter(self, n):
         # the butterfly from a flip block's two sectors, in pair order,
-        # against the scatter of each sector's unit vectors, and its inverse
+        # against each sector's unit vectors built from the bit reversal, up
+        # to the order within each sector, and its inverse
         dim, h = 2**n, 2 ** (n - 1)
         order = chains._pair_order(dim)
+        vectors = sector_vectors(n)
         for k in (0, 2):
-            width, sign = len(chains._mirror_layout(dim, k)[0]), order.partner_sign[k // 2]
+            width, sign = order.widths[k // 2], order.partner_sign[k // 2]
+            assert width == vectors[k].shape[1]
             P = chains._sectors_to_flip(np.eye(h), np.empty((h, h)), width, sign)
-            units = [np.eye(len(o))[:, o] for o in order.sector_order[k : k + 2]]
-            ref = np.hstack([chains._sector_to_flip(u, dim, j) for j, u in enumerate(units, k)])
-            assert np.max(np.abs(P[order.position] - ref)) <= 1e-15
+            for ref, cols in zip(vectors[k : k + 2], np.split(P[order.position], [width], axis=1)):
+                assert_same_vectors(ref, cols)
             assert np.max(np.abs(chains._flip_to_sectors(P, width, sign) - np.eye(h))) <= 1e-15
 
     @pytest.mark.parametrize("n", (2, 3, 6))
@@ -251,7 +316,7 @@ class TestCoefficientSources:
         )
         dJ, dg = spec.coupling_derivatives(0.5)
         for center in range(n):
-            K = centered_generator_term(spec, 0.5, center).mat
+            K = 1j * centered_generator_term(spec, 0.5, center).R
             ref, ref_norm = dense_centered_term(spec, 0.5, center)
             assert np.max(np.abs(K - ref)) <= generator_tol(spec, 0.5, ref_norm, abs(dJ) + abs(dg))
         assert sources[-1].bonds == (0.0,) * (n - 1)
@@ -262,11 +327,11 @@ class TestAdiabaticGenerator:
     def test_hermitian_and_gauge(self):
         spec = ramp_spec(n=4)
         H = build_chain_hamiltonian(spec, 0.5)
-        K = adiabatic_generator(H, chain_hprime(spec, 0.5))
+        K = 1j * adiabatic_generator(H, chain_hprime(spec, 0.5)).R
         _, psi, _ = ground_state(H)
         # antisymmetric flip blocks unfold to an exactly antisymmetric R
-        assert np.array_equal(K.mat, K.mat.conj().T)
-        assert abs(np.vdot(psi, K.mat @ psi)) < 1e-12
+        assert np.array_equal(K, K.conj().T)
+        assert abs(np.vdot(psi, K @ psi)) < 1e-12
 
     def test_transports_ground_state(self):
         spec = ramp_spec(n=4)
@@ -281,8 +346,8 @@ class TestAdiabaticGenerator:
         H = build_chain_hamiltonian(spec, s)
         Hp = chain_hprime(spec, s)
         w, v = np.linalg.eigh(H.mat)
-        K = adiabatic_generator(H, Hp)
-        k_psi = 1j * (K.mat @ v[:, 0])
+        K = 1j * adiabatic_generator(H, Hp).R
+        k_psi = 1j * (K @ v[:, 0])
         for m in range(1, v.shape[1]):
             expected = np.vdot(v[:, m], Hp.mat @ v[:, 0]) / (w[0] - w[m])
             assert np.vdot(v[:, m], k_psi) == pytest.approx(expected, abs=1e-10)
@@ -355,33 +420,38 @@ class TestLocality:
         assert np.all(prof.strengths >= 0)
 
     def test_strictly_local_operator(self):
-        # an operator on the center site alone has no weight beyond r = 0
+        # i R with R = -i Y_2 Z_3, real, antisymmetric and flip-even, lies on
+        # the radius-1 ball around site 2 and has no part on site 2 alone
         spec = ramp_spec(n=4)
-        m = np.kron(np.kron(np.eye(4), SIGMA_Y), np.eye(2))
-        prof = locality_profile(HermitianOperator(m), spec, 2)
-        assert prof.strengths[0] == pytest.approx(1.0)
-        assert np.all(prof.strengths[1:] < 1e-12)
+        R = np.kron(np.kron(np.eye(4), -1j * SIGMA_Y), SIGMA_Z).real
+        prof = locality_profile(chains._TransportGenerator(R), spec, 2)
+        assert prof.strengths[1] == pytest.approx(1.0)
+        assert prof.strengths[0] < 1e-12 and np.all(prof.strengths[2:] < 1e-12)
 
     def test_operator_with_real_part_rejected(self):
         # only a transport generator i R, R real antisymmetric, is profiled
         spec = ramp_spec(n=4)
         K = centered_generator_term(spec, 0.5, 2)
-        for m in (np.kron(np.kron(np.eye(4), SIGMA_Z), np.eye(2)), K.mat + np.eye(16)):
-            with pytest.raises(ValueError, match="real antisymmetric"):
+        for m in (np.kron(np.kron(np.eye(4), SIGMA_Z), np.eye(2)), 1j * K.R + np.eye(16)):
+            with pytest.raises(ValueError, match="transport generator"):
                 locality_profile(HermitianOperator(m), spec, 2)
 
-    def test_flip_parity(self):
-        # shell norms come from flip blocks: an operator that anticommutes
-        # with the spin flip is profiled like one that commutes, and a mix
-        # of the two is rejected
+    def test_only_built_generators_profiled(self):
+        # i R as a HermitianOperator, R itself and a chain operator are not
+        # the generator the chain module builds
         spec = ramp_spec(n=4)
-        odd = np.kron(np.kron(np.eye(2), SIGMA_Y), np.kron(SIGMA_X, np.eye(2)))
-        even = np.kron(np.kron(np.eye(2), SIGMA_Y), np.kron(SIGMA_Z, np.eye(2)))
-        for m in (odd, even):
-            prof = locality_profile(HermitianOperator(m), spec, 1)
-            assert np.allclose(prof.strengths, full_chain_locality(m, 4, 1), rtol=0, atol=1e-12)
-        with pytest.raises(ValueError, match="spin flip"):
-            locality_profile(HermitianOperator(odd + even), spec, 1)
+        K = centered_generator_term(spec, 0.5, 2)
+        for op in (HermitianOperator(1j * K.R), K.R, build_chain_hamiltonian(spec, 0.5)):
+            with pytest.raises(ValueError, match="transport generator"):
+                locality_profile(op, spec, 2)
+
+    def test_flip_parity(self):
+        # shell norms come from flip blocks: a flip-even R built by hand is
+        # profiled as the dense reference profiles it
+        spec = ramp_spec(n=4)
+        R = np.kron(np.kron(np.eye(2), -1j * SIGMA_Y), np.kron(SIGMA_Z, np.eye(2))).real
+        prof = locality_profile(chains._TransportGenerator(R), spec, 1)
+        assert np.allclose(prof.strengths, full_chain_locality(1j * R, 4, 1), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n, center", [(5, 2), (6, 0), (6, 4), (7, 3)])
     def test_matches_full_chain_reference(self, n, center):
@@ -390,7 +460,7 @@ class TestLocality:
         spec = ramp_spec(n=n)
         K = centered_generator_term(spec, 0.5, center)
         prof = locality_profile(K, spec, center)
-        ref = full_chain_locality(K.mat, n, center)
+        ref = full_chain_locality(1j * K.R, n, center)
         assert prof.strengths.shape == ref.shape
         assert np.max(np.abs(prof.strengths - ref)) < 1e-12 * max(1.0, ref.max())
 
@@ -401,7 +471,7 @@ class TestLocality:
         spec = ramp_spec(n=n)
         for center in (0, n // 2):
             K = centered_generator_term(spec, 0.5, center)
-            ref = dense_shell_strengths(K.mat.imag, n, center)
+            ref = dense_shell_strengths(K.R, n, center)
             prof = locality_profile(K, spec, center)
             assert np.all(np.abs(prof.strengths - ref) <= 1e-12 * ref.max())
 
@@ -459,8 +529,8 @@ class TestLocality:
         s = 0.5
         H = build_chain_hamiltonian(spec, s)
         K = adiabatic_generator(H, chain_hprime(spec, s))
-        total = sum(centered_generator_term(spec, s, c).mat for c in range(4))
-        assert np.max(np.abs(total - K.mat)) < 1e-10
+        total = sum(centered_generator_term(spec, s, c).R for c in range(4))
+        assert np.max(np.abs(total - K.R)) < 1e-10
 
     def test_centered_term_validation(self):
         with pytest.raises(ValueError):
@@ -564,7 +634,7 @@ class TestDenseReference:
         s = spec.s_grid[1]
         dJ, dg = spec.coupling_derivatives(s)
         for center in range(spec.n_sites):
-            K = centered_generator_term(spec, s, center).mat
+            K = 1j * centered_generator_term(spec, s, center).R
             ref, ref_norm = dense_centered_term(spec, s, center)
             tol = generator_tol(spec, s, ref_norm, abs(dJ) + abs(dg))
             assert np.max(np.abs(K - ref)) <= tol
@@ -576,7 +646,7 @@ class TestDenseReference:
         spec = DENSE_CASES[name]
         s, n = spec.s_grid[1], spec.n_sites
         dJ, dg = spec.coupling_derivatives(s)
-        K = adiabatic_generator(build_chain_hamiltonian(spec, s), chain_hprime(spec, s)).mat
+        K = 1j * adiabatic_generator(build_chain_hamiltonian(spec, s), chain_hprime(spec, s)).R
         ref, ref_norm = dense_generator(spec, s, np.full(n - 1, dJ), np.full(n, dg))
         tol = generator_tol(spec, s, ref_norm, (n - 1) * abs(dJ) + n * abs(dg))
         assert np.max(np.abs(K - ref)) <= tol
@@ -844,11 +914,13 @@ class TestEntryNumbers:
 
     @pytest.mark.parametrize("s", (1.5, -0.1, float("nan")))
     def test_s_outside_the_path_rejected(self, s):
+        # nan is no point of the path: input_number rejects it as not finite
         spec = ramp_spec(n=4)
+        match = "outside" if np.isfinite(s) else "s must be a finite number"
         for build in (build_chain_hamiltonian, chain_hprime):
-            with pytest.raises(ValueError, match="outside"):
+            with pytest.raises(ValueError, match=match):
                 build(spec, s)
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match=match):
             centered_generator_term(spec, s, 2)
 
     def test_numpy_numbers_accepted(self):
@@ -870,7 +942,7 @@ def generator_forms(n):
 
 class TestGeneratorForm:
     """The generator is R as built: real, C-contiguous, read-only, exactly
-    antisymmetric and flip-symmetric, with i R formed only when read."""
+    antisymmetric and flip-symmetric, and no complex form of it."""
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_r_as_built(self, n):
@@ -880,40 +952,11 @@ class TestGeneratorForm:
             assert R.flags.c_contiguous and not R.flags.writeable, name
             assert np.array_equal(R, -R.T), name
             assert np.array_equal(R, R[::-1, ::-1]), name
-            assert "mat" not in vars(K), name
-
-    @pytest.mark.parametrize("n", range(2, 11))
-    def test_mat_is_i_r_when_read(self, n):
-        for name, K in generator_forms(n):
-            m = K.mat
-            assert m is K.mat and not m.flags.writeable, name
-            assert m.dtype == np.complex128 and m.tobytes() == (1j * K.R).tobytes(), name
+            assert not hasattr(K, "mat"), name
 
 
 class TestOneProfile:
-    """A built generator and the same i R from outside give one profile."""
-
-    @pytest.mark.parametrize("n", range(4, 9))
-    def test_built_and_outside_generator_agree_bit_for_bit(self, n):
-        spec = ramp_spec(n=n)
-        for center in range(n):
-            K = centered_generator_term(spec, 0.5, center)
-            built = locality_profile(K, spec, center).strengths
-            assert "mat" not in vars(K)
-            outside = locality_profile(HermitianOperator(K.mat), spec, center).strengths
-            assert built.tobytes() == outside.tobytes()
-
-    def test_built_generator_is_not_checked_again(self, monkeypatch):
-        # the outside check reads mat; a built generator's R goes straight in
-        spec = ramp_spec(n=6)
-        K = centered_generator_term(spec, 0.5, 3)
-        checked = []
-        check = chains._outside_generator
-        monkeypatch.setattr(chains, "_outside_generator", lambda op: checked.append(op) or check(op))
-        locality_profile(K, spec, 3)
-        assert checked == [] and "mat" not in vars(K)
-        locality_profile(HermitianOperator(K.mat), spec, 3)
-        assert len(checked) == 1
+    """A built generator's R is profiled as built, from its flip blocks."""
 
     def test_first_trace_is_on_the_whole_r(self, monkeypatch):
         spec = ramp_spec(n=6)

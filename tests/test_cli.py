@@ -331,6 +331,17 @@ class TestErrors:
     def test_bad_p(self, capsys):
         assert main(["bounds", "--d", "2", "--p", "1.5"]) == EXIT_INPUT
 
+    def test_nan_hnorm(self, capsys):
+        assert main(["bounds", "--d", "2", "--hnorm", "nan"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: H_norm = nan") and err.count("\n") == 1
+
+    def test_nan_in_path_schedule(self, tmp_path, capsys):
+        path = write_json(tmp_path / "p.json", {"n_sites": 4, "cut": 2, "J": [1.0, float("nan")]})
+        assert main(["adiabatic", "--path", path]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: J entry must be a finite number") and err.count("\n") == 1
+
     def test_gapless_path(self, tmp_path, capsys):
         path = write_json(tmp_path / "p.json", {"n_sites": 4, "cut": 2, "J": [1], "g": [0]})
         assert main(["adiabatic", "--path", path]) == EXIT_INPUT

@@ -8,6 +8,8 @@ from entlab.operators import (
     HermitianOperator,
     NonHermitianError,
     NotPositiveError,
+    input_number,
+    input_numbers,
     matrix_log_on_support,
     operator_norm,
     partial_trace_matrix,
@@ -52,6 +54,38 @@ class TestHermitianOperator:
         blob = json.dumps(op.to_json())
         back = HermitianOperator.from_json(json.loads(blob))
         assert np.allclose(back.mat, op.mat)
+
+    @pytest.mark.parametrize("entry", [(0, 0, np.nan), (0, 1, np.inf), (1, 1, -np.inf), (1, 0, complex(0, np.nan))])
+    def test_rejects_non_finite_entries(self, entry):
+        # an infinity beside a finite mirror entry included, where
+        # max |M - M^dag| and the scale are both infinite
+        i, j, value = entry
+        m = np.eye(2, dtype=complex)
+        m[i, j] = value
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not finite"):
+            HermitianOperator(m)
+
+    @pytest.mark.parametrize("dim", [2.9, True, "2", None])
+    def test_json_dim_is_an_integer(self, dim):
+        obj = HermitianOperator.identity(2).to_json()
+        assert HermitianOperator.from_json({**obj, "dim": 2.0}).dim == 2
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            HermitianOperator.from_json({**obj, "dim": dim})
+
+
+class TestInputNumber:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, np.float32("nan")])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="x must be a finite number"):
+            input_number("x", value)
+        with pytest.raises(ValueError, match="x must be an integer"):
+            input_number("x", value, integer=True)
+        with pytest.raises(ValueError, match="x entry must be a finite number"):
+            input_numbers("x", [1.0, value])
+
+    def test_finite_numbers_kept(self):
+        assert input_number("x", np.float64(1e308)) == 1e308
+        assert input_number("x", -0.25) == -0.25
 
 
 class TestCachedEigh:

@@ -97,6 +97,21 @@ class TestAdmissiblePair:
         assert np.allclose(back.X.mat, pair.X.mat)
         assert np.allclose(back.Y.mat, pair.Y.mat)
 
+    @pytest.mark.parametrize("p", ["0.1", None, True, [0.1]])
+    def test_json_p_is_a_number(self, p):
+        obj = sample_admissible_pair(2, 0.1, 3).to_json()
+        with pytest.raises(ValueError, match="p must be a number"):
+            AdmissiblePair.from_json({**obj, "p": p})
+
+
+class TestBipartiteState:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0.0)])
+    def test_non_finite_amplitudes_rejected(self, bad):
+        amp = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+        amp[1] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not finite"):
+            BipartiteState((1, 2, 2, 1), amp)
+
 
 class TestBoundFunctions:
     def test_sie_lambda_values(self):
@@ -115,6 +130,9 @@ class TestBoundFunctions:
         assert sie_rate_bound(1, 5.0) == 0.0
         with pytest.raises(ValueError):
             sie_rate_bound(0, 1.0)
+        for h_norm in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="H_norm"):
+                sie_rate_bound(2, h_norm)
 
     def test_sim_values(self):
         assert sim_bound(0.5) == pytest.approx(np.log(2.0))

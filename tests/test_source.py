@@ -162,9 +162,6 @@ def test_every_definition_is_read():
     assert unread_definitions(trees, KEPT_UNREAD) == []
 
 
-# chains.py claims real arithmetic: the one complex matrix it forms is the
-# transport generator's i R, built when a caller reads it
-COMPLEX_ALLOWED = {"chains.py": {"_TransportGenerator.mat"}}
 # numpy's complex scalar types whose names do not say "complex"
 COMPLEX_TYPE_NAMES = {"cdouble", "csingle", "clongdouble", "cfloat"}
 
@@ -179,20 +176,12 @@ def _names_complex_dtype(text: str) -> bool:
             return False
 
 
-def complex_arithmetic(tree: ast.Module, allowed=frozenset()) -> list[str]:
+def complex_arithmetic(tree: ast.Module) -> list[str]:
     """Each complex literal, name of a complex type (as a name or an
     attribute) or string numpy reads as a complex dtype, as
-    "line: source", outside the methods named ``Class.method`` in
-    ``allowed``."""
-    skip = set()
-    for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
-        for m in cls.body:
-            if isinstance(m, ast.FunctionDef) and f"{cls.name}.{m.name}" in allowed:
-                skip.update(map(id, ast.walk(m)))
+    "line: source"."""
     found = []
     for node in ast.walk(tree):
-        if id(node) in skip:
-            continue
         name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
         value = node.value if isinstance(node, ast.Constant) else None
         if (
@@ -219,19 +208,17 @@ def test_checker_finds_complex_arithmetic():
         "    def other(self):\n"
         "        return self.R.astype('D')\n"
     )
-    assert complex_arithmetic(tree, {"T.mat"}) == [
+    assert complex_arithmetic(tree) == [
         "1: 1j",
         "2: complex",
         "3: np.complex128",
         "4: 'c16'",
         "5: np.cdouble",
+        "10: 1j",
         "12: 'D'",
     ]
-    assert "10: 1j" in complex_arithmetic(tree)
 
 
 def test_chains_arithmetic_is_real():
-    tree = ast.parse((SRC / "chains.py").read_text())
-    assert complex_arithmetic(tree, COMPLEX_ALLOWED["chains.py"]) == []
-    # the allowance is in use: without it the generator's i R is found
-    assert complex_arithmetic(tree) != []
+    # chains.py forms no complex number: the transport generator is held as R
+    assert complex_arithmetic(ast.parse((SRC / "chains.py").read_text())) == []

@@ -101,7 +101,7 @@ def transport_residual(spec, s, ds=1e-4):
     the ends of [0, 1], where s +- ds would leave the path."""
     psi_at = lambda t: dense_ground_state(build_chain_hamiltonian(spec, t))  # noqa: E731
     H = build_chain_hamiltonian(spec, s)
-    K = adiabatic_generator(H, chain_hprime(spec, s))
+    K = 1j * adiabatic_generator(H, chain_hprime(spec, s)).R
     psi = psi_at(s)
     if s - ds < 0.0:
         f1, f2 = _aligned(psi, psi_at(s + ds)), _aligned(psi, psi_at(s + 2 * ds))
@@ -111,7 +111,7 @@ def transport_residual(spec, s, ds=1e-4):
         dpsi = (3.0 * psi - 4.0 * b1 + b2) / (2.0 * ds)
     else:
         dpsi = (_aligned(psi, psi_at(s + ds)) - _aligned(psi, psi_at(s - ds))) / (2.0 * ds)
-    return float(np.linalg.norm(1j * (K.mat @ psi) - dpsi))
+    return float(np.linalg.norm(1j * (K @ psi) - dpsi))
 
 
 def dense_shell_strengths(R, n, center):
