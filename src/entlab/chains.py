@@ -75,7 +75,7 @@ import numpy as np
 from numpy.polynomial import polynomial as _poly
 
 from .operators import DEGENERACY_TOL, GAP_FLOOR, GAUGE_TOL, RATE_CHECK_ATOL, RATE_CHECK_RTOL
-from .operators import input_number, input_numbers, log_on_support
+from .operators import input_keys, input_number, input_numbers, log_on_support
 from .operators import partial_trace_matrix, spectral_rebuild
 
 MAX_SITES = 12
@@ -150,6 +150,7 @@ class ChainPathSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ChainPathSpec":
+        input_keys("chain path", obj, ("n_sites", "cut", "J", "g", "s_grid"))
         # absent schedules and grid take the field defaults
         optional = {k: obj[k] for k in ("J", "g", "s_grid") if k in obj}
         return cls(n_sites=obj["n_sites"], cut=obj["cut"], **optional)

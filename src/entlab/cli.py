@@ -6,13 +6,16 @@ re-running a command with the same config and seed reproduces the output
 byte for byte (worker count included: parallel cells are seeded per cell and
 aggregated in grid order).
 
+``sim-scan`` reads all of its parameters, the seed included (default 0),
+from its config file and takes no ``--seed``.
+
 Exit codes: 0 success; 1 input error, including a chain path whose gap
 closes and a sampler that exhausts its trial budget (one line on stderr);
 2 proved-bound violation, failed transport identity or other failed theory
 identity (a bug — reproduction bundle written); 3 conjectured-bound
-violation (a scientific event, bundle written).  The searches check every
-record against its proved bound; ``lambda-max`` and ``rate`` check their
-value after writing the report.
+violation (a scientific event; the bundle lists the records that exceed the
+envelope).  The searches check every record against its proved bound;
+``lambda-max`` and ``rate`` check their value after writing the report.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import sys
 import numpy as np
 
 from . import BLAS_THREAD_VARS, __version__
-from .operators import TOLERANCES, HermitianOperator, input_number, input_numbers, operator_norm
+from .operators import TOLERANCES, HermitianOperator, input_keys, input_number, input_numbers, operator_norm
 from .rates import (
     AdmissiblePair,
     BipartiteState,
@@ -155,6 +158,8 @@ def _cmd_lambda_max(args) -> int:
 
 
 def _cmd_proof_audit(args) -> int:
+    if input_number("trials", args.trials, integer=True) < 1:
+        raise ValueError(f"trials = {args.trials} must be >= 1")
     config = {
         "cmd": "proof-audit",
         "dim": args.dim,
@@ -187,11 +192,12 @@ def _cmd_proof_audit(args) -> int:
 
 def _cmd_sim_scan(args) -> int:
     cfg = _load_json(args.config) if args.config else {}
+    input_keys("sim-scan config", cfg, ("dims", "p_grid", "restarts", "iters", "seed"))
     dims = input_numbers("dims", cfg.get("dims", [2]), integer=True)
     p_grid = input_numbers("p_grid", cfg.get("p_grid", []))
     count = lambda name, default: input_number(name, cfg.get(name, default), integer=True)
     budget = TrialBudget(restarts=count("restarts", 20), iters=count("iters", 100))
-    seed = count("seed", args.seed)
+    seed = count("seed", 0)
     config = {
         "cmd": "sim-scan",
         "dims": list(dims),
@@ -208,7 +214,7 @@ def _cmd_sim_scan(args) -> int:
         lines.append(",".join(_fmt(row[k]) for k in columns))
     _write_report(args.out, lines)
     if events:
-        path = _write_bundle(args.out, {"events": [e.to_json() for e in events]})
+        path = _write_bundle(args.out, {"events": [rec.to_json() for rec in events]})
         sys.stderr.write(
             f"{len(events)} conjectured-bound violation(s); bundle at {path}\n"
         )
@@ -335,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sim-scan", help="scan best functional value vs the envelopes")
     p.add_argument("--config", type=str, default=None)
     p.add_argument("--workers", type=int, default=1)
-    common(p)
+    p.add_argument("--out", type=str, default=None)  # the seed is the config's
     p.set_defaults(func=_cmd_sim_scan)
 
     p = sub.add_parser("beta-search", help="maximize the rate over pure states")

@@ -14,7 +14,8 @@ support rule (eigenvalues above ``SUPPORT_RTOL`` times the largest), and
 Input from outside the program is checked once, where it enters; what the
 program builds is stored unchecked (``HermitianOperator._built``).  Counts
 and lists of numbers read from JSON go through ``input_number`` and
-``input_numbers``.  Every threshold is in one table, ``TOLERANCES``.
+``input_numbers``, and a JSON object may hold only the keys its reader
+reads (``input_keys``).  Every threshold is in one table, ``TOLERANCES``.
 
 Operations are pure functions of their inputs and hold no shared state.
 """
@@ -101,6 +102,16 @@ def input_numbers(name: str, values, least: int = 0, integer: bool = False) -> t
     return out
 
 
+def input_keys(name: str, obj, keys) -> None:
+    """Check a JSON object from outside the program: ValueError unless it
+    is a dict whose every key is one of ``keys``, naming the first other."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{name} must be a JSON object, got {obj!r}")
+    unknown = [k for k in obj if k not in keys]
+    if unknown:
+        raise ValueError(f"{name} has unknown key {unknown[0]!r}; its keys are {', '.join(keys)}")
+
+
 class NonHermitianError(ValueError):
     """Input matrix deviates from M = M^dag beyond tolerance."""
 
@@ -124,17 +135,15 @@ class HermitianOperator:
 
     def __post_init__(self):
         m = np.asarray(self.mat, dtype=complex)
+        # max |M_ij| is not finite exactly when an entry is not, and taking it
+        # warns of neither, so it comes before any arithmetic that would
+        scale = float(np.max(np.abs(m), initial=1.0))
+        if not math.isfinite(scale):
+            raise NonHermitianError("matrix has entries that are not finite")
         self._store(m)
         dev = np.max(np.abs(m - m.conj().T))
-        # a non-finite entry makes the ratio nan (inf / inf where an infinity
-        # meets a finite entry), and nan fails the comparison
-        ratio = dev / max(1.0, float(np.max(np.abs(m))))
-        if not (ratio <= HERMITICITY_TOL):
-            raise NonHermitianError(
-                f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e}"
-                if np.isfinite(ratio)
-                else "matrix has entries that are not finite"
-            )
+        if dev / scale > HERMITICITY_TOL:
+            raise NonHermitianError(f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e}")
 
     def _store(self, m: np.ndarray) -> None:
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:

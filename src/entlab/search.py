@@ -13,10 +13,8 @@ is one backward pass through its objective's forward pass
 row's bits do not depend on its batch, so a record does not depend on how
 many restarts step together; restarts go in groups (``_groups``) that bound
 the memory of one stack.  A restart ends at its first line search without a
-gain: its point stays, so the four more a five-stall rule would run there
-repeat it bit for bit, and ``trials`` counts them without running them.  The
-inner optimization over the Hamiltonian is always the closed form,
-||i[X, log Y]||_1, from one forward pass in Y's eigenbasis
+gain.  The inner optimization over the Hamiltonian is always the closed
+form, ||i[X, log Y]||_1, from one forward pass in Y's eigenbasis
 (``_pair_forward``) for draws and ascent rows alike, so pure random sampling
 is an ascent of zero steps.
 Every record is reproducible from (config, seed): per-restart generators are
@@ -52,7 +50,6 @@ _MAX_DRAWS = 10_000
 __all__ = [
     "TrialBudget",
     "SearchRecord",
-    "FalsificationEvent",
     "ProvedBoundViolation",
     "sample_admissible_pair",
     "sample_bipartite_state",
@@ -96,22 +93,6 @@ class TrialBudget:
 
 
 @dataclass
-class FalsificationEvent:
-    """A conjectured bound exceeded by a concrete instance; kept, not clipped."""
-
-    kind: str  # "sim"
-    dim: int
-    p: float
-    value: float
-    bound: float
-    instance: dict
-    seed: int
-
-    def to_json(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-@dataclass
 class SearchRecord:
     dim: int
     p: float
@@ -121,9 +102,7 @@ class SearchRecord:
     argmax: dict
     seed: int
     # evaluations, summed over the restarts: each start point, each gradient,
-    # and each line search up to its first gain (all of it without one), as
-    # if every restart ascended on its own until 5 searches in a row gained
-    # nothing
+    # and each line search up to its first gain (all of it without one)
     trials: int
     method: str  # random (iters = 0) | hybrid (random restarts refined by ascent)
     restarts_used: int = 0
@@ -380,12 +359,9 @@ def _ascend(evaluate, theta, start, iters, gradient, retract=lambda rows: rows):
     Each step takes one gradient of the live restarts and sends all their
     line-search steps to ``evaluate`` as one stack; a row's bits do not
     depend on its batch, so neither does any restart's path.  ``evals``
-    counts, per restart, the start point, each gradient as one, and the line
-    search up to its first gain, as a sequential search would that stops
-    after 5 searches in a row without a gain: after the first, it repeats
-    gradient and search bit for bit up to 4 more times within ``iters``
-    steps, and these are counted, not run.  Returns (theta, start, evals) at
-    the end of each restart."""
+    counts, per restart, the start point, each gradient as one, and each
+    line search up to its first gain, as a sequential search would.  Returns
+    (theta, start, evals) at the end of each restart."""
     n = _LINE_STEPS.size
     # the live restarts: their places in the result, points, rows of the
     # tuple and counts
@@ -401,7 +377,7 @@ def _ascend(evaluate, theta, start, iters, gradient, retract=lambda rows: rows):
         keep = ~done
         return live[keep], th[keep], tuple(r[keep] for r in row), ev[keep]
 
-    for step in range(iters):
+    for _ in range(iters):
         g = gradient(th, row)
         ev += 1
         gn = _row_norms(g)
@@ -423,9 +399,7 @@ def _ascend(evaluate, theta, start, iters, gradient, retract=lambda rows: rows):
         th[at] = trial[pick]
         for r, o in zip(row, out):
             r[at] = o[pick]
-        # a search without a gain leaves its point: the repeats are counted, not run
         if not up.all():
-            ev[~up] += min(4, iters - 1 - step) * (1 + n)
             live, th, row, ev = drop(~up)
             if not live.size:
                 break
@@ -442,9 +416,9 @@ def maximize_lambda_over_pairs(dim: int, p: float, budget: TrialBudget, seed) ->
     ``iters`` steps (stopped at the first line search without a gain), each
     step on the exact gradient (``_pair_gradient``), the draws of a group
     (``_groups``) in lockstep; ``iters`` = 0 keeps the draws (method
-    "random").  ``trials`` counts evaluations as ``_ascend`` does, one
-    gradient as one, and ``rejections`` rejected draws.  The best row's pair
-    is rebuilt and checked once; the ratio is against the envelope.
+    "random").  ``trials`` sums the evaluations ``_ascend`` counts, and
+    ``rejections`` the rejected draws.  The best row's pair is rebuilt and
+    checked once; the ratio is against the envelope.
     """
     dim = input_number("dim", dim, integer=True)
     if dim < 2:
@@ -550,8 +524,8 @@ def maximize_rate_over_states(
     normalising every row, and stepping on the exact gradient of the rate:
     one backward pass (``rates._rate_gradient``) from the forward pass the
     line search took at the accepted row.  A restart stops at its first
-    line search without a gain, and ``trials`` counts evaluations as
-    ``_ascend`` does.  ``iters`` = 0 keeps the start points (method
+    line search without a gain, and ``trials`` sums the evaluations
+    ``_ascend`` counts.  ``iters`` = 0 keeps the start points (method
     "random").
 
     The reference bound is beta ||H|| for the plain two-qubit case
@@ -648,14 +622,14 @@ def conjecture_scan(
     budget: TrialBudget,
     seed: int,
     workers: int = 1,
-) -> tuple[list[SearchRecord], list[FalsificationEvent]]:
+) -> tuple[list[SearchRecord], list[SearchRecord]]:
     """Scan (dim, p) cells for the best functional value against both the
     binary-entropy envelope and, where p <= 1/e^2, the proved 9 p ln(1/p)
     ceiling.
 
-    Returns the per-cell records (in grid order) and any falsification events
-    against the conjectured envelope.  A proved-bound violation raises
-    instead: that is a bug, not a discovery.
+    Returns the per-cell records (in grid order) and, as the events, those
+    whose ratio to the conjectured envelope exceeds 1 + SIM_VIOLATION_RTOL.
+    A proved-bound violation raises instead: that is a bug, not a discovery.
     """
     seed = input_number("seed", seed, integer=True)
     workers = input_number("workers", workers, integer=True)
@@ -671,21 +645,7 @@ def conjecture_scan(
             records = list(pool.map(_scan_cell, tasks))
     else:
         records = [_scan_cell(t) for t in tasks]
-    events = []
-    for rec in records:
-        if rec.ratio > 1.0 + SIM_VIOLATION_RTOL:
-            events.append(
-                FalsificationEvent(
-                    kind="sim",
-                    dim=rec.dim,
-                    p=rec.p,
-                    value=rec.best_value,
-                    bound=rec.bound_value,
-                    instance=rec.argmax,
-                    seed=rec.seed,
-                )
-            )
-    return records, events
+    return records, [rec for rec in records if rec.ratio > 1.0 + SIM_VIOLATION_RTOL]
 
 
 def scan_rows(records: list[SearchRecord]) -> list[dict]:

@@ -86,6 +86,13 @@ class TestChainPathSpec:
             ChainPathSpec.from_json({"n_sites": 4, "cut": 2, "J": 1.0})
         assert ChainPathSpec(n_sites=4, cut=2, g=[1.5, 1]).g == (1.5, 1.0)
 
+    @pytest.mark.parametrize("key", ["sgrid", "n_site", "j", "restarts"])
+    def test_json_unknown_key_rejected(self, key):
+        with pytest.raises(ValueError, match=f"chain path has unknown key '{key}'"):
+            ChainPathSpec.from_json({"n_sites": 4, "cut": 2, key: [0.0, 1.0]})
+        with pytest.raises(ValueError, match="chain path must be a JSON object"):
+            ChainPathSpec.from_json([4, 2])
+
     def test_json_round_trip(self):
         spec = ChainPathSpec.from_json(
             {"n_sites": 4, "cut": 2, "J": [1.0], "g": [1.5, 1.0], "s_grid": [0.0, 0.5, 1.0]}

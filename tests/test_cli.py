@@ -10,6 +10,7 @@ import pytest
 import entlab
 from entlab import chains, cli, search
 from entlab.cli import (
+    EXIT_CONJECTURE_VIOLATION,
     EXIT_INPUT,
     EXIT_OK,
     EXIT_PROVED_VIOLATION,
@@ -221,6 +222,13 @@ class TestProofAudit:
             assert fields[-1] == "1"
             assert float(fields[3]) > -1e-9
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_no_trials_exits_1_with_one_line(self, tmp_path, capsys, trials):
+        out = tmp_path / "a.csv"
+        assert main(["proof-audit", "--dim", "4", "--p", "0.1", "--trials", trials, "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: trials = {trials} must be >= 1\n"
+        assert not out.exists()
+
 
 class TestSimScan:
     def test_scan_report(self, tmp_path):
@@ -235,6 +243,39 @@ class TestSimScan:
         assert len(rows) == 5
         for row in rows[1:]:
             assert float(row.split(",")[5]) <= 1.0 + 1e-6
+
+    def test_seed_is_the_configs(self, tmp_path, capsys):
+        cfg = {"dims": [2], "p_grid": [0.1], "restarts": 1, "iters": 0}
+        out = tmp_path / "s.csv"
+        assert main(["sim-scan", "--config", write_json(tmp_path / "a.json", cfg), "--out", str(out)]) == EXIT_OK
+        assert read_lines(out)[2] == "# seed=0"
+        seeded = write_json(tmp_path / "b.json", {**cfg, "seed": 6})
+        assert main(["sim-scan", "--config", seeded, "--out", str(out)]) == EXIT_OK
+        assert read_lines(out)[2] == "# seed=6"
+        # one source for the seed: the command line takes none
+        assert main(["sim-scan", "--config", seeded, "--seed", "9"]) == EXIT_INPUT
+        assert "unrecognized arguments: --seed 9" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["restart", "seeds", "dim"])
+    def test_unknown_config_key_exits_1_with_one_line(self, tmp_path, capsys, key):
+        cfg = write_json(tmp_path / "cfg.json", {"dims": [2], "p_grid": [0.1], "iters": 0, key: 2})
+        assert main(["sim-scan", "--config", cfg]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: sim-scan config has unknown key '{key}'") and err.count("\n") == 1
+
+    def test_conjectured_bound_exceeded_exits_3_with_the_records(self, tmp_path, capsys, monkeypatch):
+        # below zero, every record with a positive ratio exceeds the envelope
+        monkeypatch.setattr(search, "SIM_VIOLATION_RTOL", -1.0)
+        cfg = {"dims": [2, 3], "p_grid": [0.1, 0.3], "restarts": 2, "iters": 2, "seed": 6}
+        out = str(tmp_path / "s.csv")
+        assert main(["sim-scan", "--config", write_json(tmp_path / "cfg.json", cfg), "--out", out]) == EXIT_CONJECTURE_VIOLATION
+        bundle_path = out + ".falsification.json"
+        assert capsys.readouterr().err == f"4 conjectured-bound violation(s); bundle at {bundle_path}\n"
+        assert len(body(read_lines(out))) == 5
+        with open(bundle_path) as fh:
+            bundle = json.load(fh)
+        records, _ = search.conjecture_scan([2, 3], [0.1, 0.3], search.TrialBudget(2, 2), 6)
+        assert bundle["events"] == json.loads(json.dumps([r.to_json() for r in records]))
 
 
 class TestBetaSearch:
@@ -341,6 +382,13 @@ class TestErrors:
         assert main(["adiabatic", "--path", path]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith("error: J entry must be a finite number") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key", ["sgrid", "cuts"])
+    def test_unknown_path_key_exits_1_with_one_line(self, tmp_path, capsys, key):
+        path = write_json(tmp_path / "p.json", {"n_sites": 4, "cut": 2, key: [0.0, 1.0]})
+        assert main(["adiabatic", "--path", path]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: chain path has unknown key '{key}'") and err.count("\n") == 1
 
     def test_gapless_path(self, tmp_path, capsys):
         path = write_json(tmp_path / "p.json", {"n_sites": 4, "cut": 2, "J": [1], "g": [0]})
