@@ -38,7 +38,7 @@ theory in the parallel-transport gauge) all come from them: in the sector
 that holds psi = u e_0 the tangent is -u B e_0, B the gap quotients below,
 and each of the two is taken into the 2^n basis once (``_sector_vector``).
 The entropy rate across the cut is read off the Schmidt matrices of that
-pair.
+pair by the rate kernel the state rate uses (``rates._schmidt_rate``).
 H' is a coefficient pair too, and H's eigenvectors diagonalise -J Z - g X, so
 in each sector H'_mn = ((g'J - gJ') / g) <m|Z|n> for m != n: one product per
 sector (``_sector_quotients``).  The reported norm of the generator,
@@ -75,8 +75,8 @@ import numpy as np
 from numpy.polynomial import polynomial as _poly
 
 from .operators import DEGENERACY_TOL, GAP_FLOOR, GAUGE_TOL, RATE_CHECK_ATOL, RATE_CHECK_RTOL
-from .operators import input_keys, input_number, input_numbers, log_on_support
-from .operators import partial_trace_matrix, spectral_rebuild
+from .operators import input_keys, input_number, input_numbers, partial_trace_matrix
+from .rates import _schmidt_rate
 
 MAX_SITES = 12
 
@@ -834,20 +834,6 @@ def locality_profile(K: _TransportGenerator, spec: ChainPathSpec, center: int) -
 # entropy along the path
 
 
-def _cut_entropy_and_rate(psi: np.ndarray, dpsi: np.ndarray, cut: int) -> tuple[float, float]:
-    """Entropy of rho_L = M M^dag, with M the 2^cut x 2^(n-cut) Schmidt
-    matrix of psi, and its rate dS/ds = -2 Re Tr(dM M^dag log rho_L) along the
-    tangent dpsi; log on the support."""
-    M = psi.reshape(2**cut, -1)
-    dM = dpsi.reshape(2**cut, -1)
-    w, u = np.linalg.eigh(M @ M.conj().T)
-    on, lw = log_on_support(w)
-    entropy = float(-np.sum(w[on] * lw[on]))
-    log_rho = spectral_rebuild(u, lw)
-    # Tr(dM M^dag log rho_L) = <log rho_L M, dM>
-    return entropy, float(-2.0 * np.vdot(log_rho @ M, dM).real)
-
-
 def _simpson_weights(h0: float, h1: float) -> tuple[float, float, float]:
     """Simpson weights on the three points s - h0, s, s + h1: exact for
     quadratics on the non-uniform grid, (h/3, 4h/3, h/3) on a uniform one."""
@@ -899,10 +885,12 @@ def entropy_along_path(spec: ChainPathSpec) -> list[PathPoint]:
         # keeps; psi = +-u e_0, and S_L and its rate are even in the sign
         k, _ = _ground_level(H)
         _, u = H.sectors[k]
-        tangent = -_sector_vector(u @ blocks[k][:, 0], H.dim, k)
-        entropy, rate = _cut_entropy_and_rate(_sector_vector(u[:, 0], H.dim, k), tangent, spec.cut)
+        # the Schmidt matrices of psi and of its tangent across the cut
+        schmidt = lambda x: _sector_vector(x, H.dim, k).reshape(2**spec.cut, -1)
+        rate, w, _, on, lw = _schmidt_rate(schmidt(u[:, 0]), schmidt(-u @ blocks[k][:, 0]))[:5]
+        entropy = float(-np.sum(w[on] * lw[on]))
         k_norm = _sector_norm(blocks)
-        rows.append((s, e0, gap, psi, entropy, rate, k_norm))
+        rows.append((s, e0, gap, psi, entropy, float(rate), k_norm))
     _, _, _, _, entropies, rates, _ = zip(*rows)
     _check_rates(grid, entropies, rates)
     fd = np.gradient(np.asarray(entropies), np.asarray(grid))

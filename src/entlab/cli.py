@@ -191,10 +191,12 @@ def _cmd_proof_audit(args) -> int:
 
 
 def _cmd_sim_scan(args) -> int:
+    if args.workers < 1:
+        raise ValueError(f"workers = {args.workers} must be >= 1")
     cfg = _load_json(args.config) if args.config else {}
     input_keys("sim-scan config", cfg, ("dims", "p_grid", "restarts", "iters", "seed"))
-    dims = input_numbers("dims", cfg.get("dims", [2]), integer=True)
-    p_grid = input_numbers("p_grid", cfg.get("p_grid", []))
+    dims = input_numbers("dims", cfg.get("dims", [2]), least=1, integer=True)
+    p_grid = input_numbers("p_grid", cfg.get("p_grid", []), least=1)
     count = lambda name, default: input_number(name, cfg.get(name, default), integer=True)
     budget = TrialBudget(restarts=count("restarts", 20), iters=count("iters", 100))
     seed = count("seed", 0)

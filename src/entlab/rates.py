@@ -10,6 +10,11 @@ is bounded over unit-norm H in closed form by the trace norm of i[X, log Y],
 and for p <= 1/e^2 the interval decomposition of Y's spectrum certifies
 lam <= 9 p ln(1/p).  Everything here measures those quantities and margins
 numerically; nothing is assumed, bound violations are reported as data.
+
+The entanglement rate of a pure state on aABb has one kernel on its
+(d_a d_A) x (d_B d_b) Schmidt matrix, ``_schmidt_rate``, which the rate
+under H_AB, its gradient and the chain path read; nothing of more than
+max(d_a d_A, d_B d_b)^2 entries is formed per state.
 """
 
 from __future__ import annotations
@@ -28,8 +33,6 @@ from .operators import (
     log_divided_differences,
     log_on_support,
     matrix_log_on_support,
-    partial_trace_matrix,
-    real_if_exact,
     spectral_rebuild,
     support_mask,
 )
@@ -274,86 +277,83 @@ def _checked_part(z: complex, scale, context: str, imaginary: bool = False) -> f
     return float(kept)
 
 
-def _commutator_functional(H: np.ndarray, X: np.ndarray, L: np.ndarray, context: str) -> np.ndarray:
-    """-i Tr(H [X, L]) for each matrix of the stacks X and L, real for
-    Hermitian H, X and L and checked row by row.  Its terms H_ij X_jk L_ki
-    and H_ij L_jk X_ki add up to at most 2 ||H||_F ||X||_F ||L||_F in
-    magnitude, the scale of the residue check."""
-    z = -1j * np.trace(H @ commutator(X, L), axis1=-2, axis2=-1)
-    # only a row whose residue passes IMAG_RESIDUE_TOL |z| needs its scale
-    for k in np.flatnonzero(np.abs(z.imag) > IMAG_RESIDUE_TOL * np.abs(z)):
-        scale = lambda: 2.0 * float(np.linalg.norm(H) * np.linalg.norm(X[k]) * np.linalg.norm(L[k]))
-        _checked_part(complex(z[k]), scale, context)
-    return z.real.copy()
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron(a, b)`` of two matrices, or of two stacks of them matrix by
-    matrix, by broadcasting: the same products, bit for bit."""
-    out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
-
-
-def _h_tilde(H: np.ndarray, d_a: int) -> np.ndarray:
-    """H~ = I_a (x) H for the H_AB matrix H."""
-    return H if d_a == 1 else _kron(np.eye(d_a), H)
-
-
-def _rate_forward(amps: np.ndarray, dims):
-    """The rate's forward pass for a row of amplitudes, or for each row of a
-    stack: (rho_aAB, L, w, v, on, l), with L = log rho_aA (x) I_B, (w, v) the
-    eigenpairs of rho_aA and (on, l) ``log_on_support`` of w.  The rate is
-    -i Tr(H~ [rho_aAB, L]), H~ from ``_h_tilde``."""
+def _schmidt(amps: np.ndarray, dims) -> np.ndarray:
+    """The (d_a d_A) x (d_B d_b) Schmidt matrix of a row of amplitudes, or
+    of each row of a stack: the aA|Bb cut of the state."""
     d_a, d_A, d_B, d_b = dims
-    # symmetrised in complex arithmetic, as HermitianOperator stores a matrix
-    herm = lambda m: 0.5 * (m + m.conj().swapaxes(-1, -2))
-    rho = amps[..., :, None] * amps.conj()[..., None, :]
-    rho_aAB = partial_trace_matrix(rho, [d_a, d_A, d_B, d_b], [0, 1, 2])
-    rho_aA = partial_trace_matrix(rho_aAB, [d_a * d_A, d_B], [0])
-    w, v = np.linalg.eigh(real_if_exact(herm(rho_aA)))
+    return amps.reshape(amps.shape[:-1] + (d_a * d_A, d_B * d_b))
+
+
+def _apply_h(H: np.ndarray, m: np.ndarray, dims) -> np.ndarray:
+    """I_a (x) H (x) I_b on a Schmidt matrix, or on each of a stack, for
+    the H_AB matrix H: H times each (d_A d_B) x d_b slice, with no kron."""
+    d_a, d_A, d_B, d_b = dims
+    return (H @ m.reshape(m.shape[:-2] + (d_a, d_A * d_B, d_b))).reshape(m.shape)
+
+
+def _schmidt_rate(M: np.ndarray, dM: np.ndarray):
+    """The entropy rate -2 Re Tr(dM M^dag log rho), rho = M M^dag, of a
+    Schmidt matrix M along a tangent dM, or of each of a stack, with log on
+    the support: (rate, w, v, on, l, log rho, phi), (w, v) the eigenpairs of
+    rho, (on, l) ``log_on_support`` of w and phi = log rho M.  Real M and dM
+    stay real.  Each matrix takes the LAPACK and BLAS calls it would take
+    on its own, so its bits do not depend on its batch."""
+    w, v = np.linalg.eigh(M @ M.conj().swapaxes(-1, -2))
     on, l = log_on_support(w)
-    logr = herm(np.asarray(spectral_rebuild(v, l), dtype=complex))
-    return rho_aAB, _kron(logr, np.eye(d_B)), w, v, on, l
+    log_rho = spectral_rebuild(v, l)
+    phi = log_rho @ M
+    # Re <phi, dM> is the dot of the real views, one BLAS dot per matrix,
+    # taken in the wider of the two types (a real M has a complex i M_h)
+    kind = np.result_type(phi, dM)
+    flat = lambda m: np.ascontiguousarray(m, dtype=kind).reshape(m.shape[:-2] + (-1,)).view(np.float64)
+    dot = (flat(phi)[..., None, :] @ flat(dM)[..., :, None])[..., 0, 0]
+    return -2.0 * dot, w, v, on, l, log_rho, phi
+
+
+def _rate_forward(amps: np.ndarray, dims, H: np.ndarray):
+    """``_schmidt_rate`` of a row of unit amplitudes, or of each row of a
+    stack, along the tangent of e^{+i H~ t}, H~ = I_a (x) H (x) I_b: dM =
+    i M_h with M_h = ``_apply_h`` of M.  Its first entry is the rate."""
+    M = _schmidt(amps, dims)
+    return _schmidt_rate(M, 1j * _apply_h(H, M, dims))
 
 
 def _entanglement_rates(amps: np.ndarray, dims, H: np.ndarray) -> np.ndarray:
     """The rate of ``entanglement_rate`` for each row of a stack of unit
-    amplitude rows, with H the H_AB matrix.  Every row goes through the same
-    LAPACK and BLAS calls as it would on its own, so a row's rate does not
-    depend on its batch (given that the batch's reduced states are either
-    all exactly real or not: ``real_if_exact`` acts on the whole stack)."""
-    rho_aAB, L = _rate_forward(amps, dims)[:2]
-    return _commutator_functional(_h_tilde(H, dims[0]), rho_aAB, L, "entanglement_rate")
+    amplitude rows, with H the H_AB matrix; a row's bits do not depend on
+    its batch."""
+    return _rate_forward(amps, dims, H)[0]
 
 
 def _rate_gradient(amps: np.ndarray, dims, H: np.ndarray, forward=None) -> np.ndarray:
     """The gradient of the rate at a row of amplitudes, or at each row of a
-    stack, in (Re amp, Im amp): one backward pass from ``forward``, the
-    pass of ``_rate_forward`` there (taken here when not given).  The rate
-    is Tr(rho_aAB G), G = -i[L, H~], and changes through L by Tr(dlog
-    rho_aA N), N = Tr_B(-i[H~, rho_aAB]), that is by Tr(d rho_aA K), K = v
-    (D o v^dag N v) v^dag with D from ``log_divided_differences``.  So the
-    gradient is 2 (Re, Im) of ((G + K (x) I_B) (x) I_b) amp; a form of
-    degree 2, its part along a unit amp is 2 rate.  A row's bits do not
-    depend on its batch, as in ``_entanglement_rates``."""
-    d_a, d_A, d_B, d_b = dims
-    rho_aAB, L, w, v, on, l = _rate_forward(amps, dims) if forward is None else forward
-    Ht = _h_tilde(H, d_a)
-    G = -1j * commutator(L, Ht)
-    N = partial_trace_matrix(-1j * commutator(Ht, rho_aAB), [d_a * d_A, d_B], [0])
-    vh = v.conj().swapaxes(-1, -2)
-    K = v @ (log_divided_differences(w, on, l) * (vh @ N @ v)) @ vh
-    M = G + _kron(K, np.eye(d_B))
-    Mamp = 2.0 * (M @ amps.reshape(amps.shape[:-1] + (-1, d_b))).reshape(amps.shape)
-    return np.concatenate([Mamp.real, Mamp.imag], axis=-1)
+    stack, in (Re amp, Im amp): one backward pass in Schmidt form from
+    ``forward``, the pass of ``_rate_forward`` there (taken here when not
+    given).  At fixed log rho the rate is <psi|G|psi>, G = -i[log rho (x)
+    I, H~], and G psi = -i(log rho M_h - H~ phi).  Through log rho it
+    changes by Tr(dlog rho N), N = -i(M_h M^dag - M M_h^dag), that is by
+    Tr(d rho K), K = v (D o v^dag N v) v^dag with D from
+    ``log_divided_differences``, and K M is its part.  So the gradient is
+    2 (Re, Im) of G psi + K M; a form of degree 2, its part along a unit
+    amp is 2 rate.  A row's bits do not depend on its batch."""
+    M = _schmidt(amps, dims)
+    Mh = _apply_h(H, M, dims)
+    _, w, v, on, l, log_rho, phi = _rate_forward(amps, dims, H) if forward is None else forward
+    adj = lambda m: m.conj().swapaxes(-1, -2)
+    N = -1j * (Mh @ adj(M) - M @ adj(Mh))
+    K = v @ (log_divided_differences(w, on, l) * (adj(v) @ N @ v)) @ adj(v)
+    g = (2.0 * (-1j * (log_rho @ Mh - _apply_h(H, phi, dims)) + K @ M)).reshape(amps.shape)
+    return np.concatenate([g.real, g.imag], axis=-1)
 
 
 def entanglement_rate(state: BipartiteState, H_AB: HermitianOperator) -> float:
-    """Instantaneous growth rate of the aA|Bb entanglement entropy.
+    """Instantaneous growth rate dS(rho_aA)/dt of the aA|Bb entanglement
+    entropy under e^{+i H~ t}, H~ = I_a (x) H_AB (x) I_b; under e^{-i H~ t}
+    the rate is ``entanglement_rate(state, -H_AB)``, its exact negative.
 
-    Evaluates -i Tr(H~ [rho_{aA,B}, log rho_aA (x) I_B]) with
-    H~ = I_a (x) H_AB and the b factor traced out first.  The log is taken
-    on the support of rho_aA; the result is real up to a checked residue.
+    It is -2 Re Tr(dM M^dag log rho_aA), rho_aA = M M^dag, for the Schmidt
+    matrix M of the state and dM = i M_h, M_h = H~ psi (``_schmidt_rate``):
+    real by construction, with the log taken on the support of rho_aA.
     """
     d_a, d_A, d_B, d_b = state.dims
     if H_AB.dim != d_A * d_B:
@@ -362,11 +362,16 @@ def entanglement_rate(state: BipartiteState, H_AB: HermitianOperator) -> float:
 
 
 def lambda_functional(H: HermitianOperator, pair: AdmissiblePair) -> float:
-    """-i Tr(H [X, log Y]) with the log taken on Y's support."""
+    """-i Tr(H [X, log Y]) with the log taken on Y's support, real for
+    Hermitian H, X and log Y and checked: its terms H_ij X_jk L_ki and
+    H_ij L_jk X_ki add up to at most 2 ||H||_F ||X||_F ||L||_F in
+    magnitude, the scale of the residue check."""
     if H.dim != pair.dim:
         raise ValueError(f"H dim {H.dim} != pair dim {pair.dim}")
-    logY = matrix_log_on_support(pair.Y).mat
-    return float(_commutator_functional(H.mat, pair.X.mat[None], logY[None], "lambda_functional")[0])
+    X, L = pair.X.mat, matrix_log_on_support(pair.Y).mat
+    z = complex(-1j * np.trace(H.mat @ commutator(X, L)))
+    scale = lambda: 2.0 * float(np.linalg.norm(H.mat) * np.linalg.norm(X) * np.linalg.norm(L))
+    return _checked_part(z, scale, "lambda_functional")
 
 
 def _eigenbasis_terms(pair: AdmissiblePair, P: HermitianOperator):

@@ -12,11 +12,13 @@ is one backward pass through its objective's forward pass
 (``_pair_gradient`` for pairs, ``rates._rate_gradient`` for states).  A
 row's bits do not depend on its batch, so a record does not depend on how
 many restarts step together; restarts go in groups (``_groups``) that bound
-the memory of one stack.  A restart ends at its first line search without a
-gain.  The inner optimization over the Hamiltonian is always the closed
-form, ||i[X, log Y]||_1, from one forward pass in Y's eigenbasis
-(``_pair_forward``) for draws and ascent rows alike, so pure random sampling
-is an ascent of zero steps.
+the memory of one stack by the widest matrix a row is valued through, d wide
+for a pair and max(d_a d_A, d_B d_b) for a state's Schmidt matrix.  A
+restart ends at its first line search without a gain.  The inner
+optimization over the Hamiltonian is always the closed form,
+||i[X, log Y]||_1, from one forward pass in Y's eigenbasis (``_pair_forward``)
+for draws and ascent rows alike, so pure random sampling is an ascent of
+zero steps.
 Every record is reproducible from (config, seed): per-restart generators are
 derived from the base seed, and aggregation is a max-reduction, so results do
 not depend on scheduling.
@@ -530,13 +532,17 @@ def maximize_rate_over_states(
 
     The reference bound is beta ||H|| for the plain two-qubit case
     (1, 2, 2, 1) and 18 ||H|| ln min(d_A, d_B) otherwise.  A record above
-    the proved 18 ||H|| ln min(d_A, d_B) raises ProvedBoundViolation.
+    the proved 18 ||H|| ln min(d_A, d_B) raises ProvedBoundViolation.  A
+    trivial factor, d_A = 1 or d_B = 1, is a ValueError before any restart:
+    every rate there is 0 and so is the bound.
     """
     dims = rates._input_dims(dims)
     seed = _as_int_seed(seed)
     d_a, d_A, d_B, d_b = dims
     if H_AB.dim != d_A * d_B:
         raise ValueError(f"H_AB dim {H_AB.dim} != d_A*d_B = {d_A * d_B}")
+    if min(d_A, d_B) < 2:
+        raise ValueError(f"d_A = {d_A}, d_B = {d_B}: a state search needs both >= 2")
     n = int(np.prod(dims))
     h_norm = operator_norm(H_AB)
     if dims == (1, 2, 2, 1):
@@ -549,27 +555,23 @@ def maximize_rate_over_states(
         amp = rows[:, :n] + 1j * rows[:, n:]
         return amp / _row_norms(amp)[:, None]
 
-    Ht = rates._h_tilde(H_AB.mat, d_a)
     normalise = lambda rows: rows / _row_norms(rows)[:, None]
-
-    # a row's value, then its forward pass, which the gradient reads
-    def evaluate(rows):
-        forward = rates._rate_forward(amplitudes(rows), dims)
-        return (rates._commutator_functional(Ht, *forward[:2], "entanglement_rate"), *forward)
+    # a row's value, then the rest of its forward pass, which the gradient reads
+    evaluate = lambda rows: rates._rate_forward(amplitudes(rows), dims, H_AB.mat)
 
     # a row's value is the rate at the row over its squared norm, so at a
     # unit theta the step drops the rate gradient's component 2 f theta
     def gradient(theta, rows):
-        grad = rates._rate_gradient(amplitudes(theta), dims, H_AB.mat, rows[1:])
+        grad = rates._rate_gradient(amplitudes(theta), dims, H_AB.mat, rows)
         return grad - 2.0 * rows[0][:, None] * theta
 
     best, best_params, trials = -np.inf, None, 0
-    for group in _groups(budget.restarts, n):
+    for group in _groups(budget.restarts, max(d_a * d_A, d_B * d_b)):
         draws = np.array([sample_bipartite_state(dims, [seed, r]).amplitudes for r in group])
         theta = np.concatenate([draws.real, draws.imag], axis=1)
         amps = amplitudes(theta)
         f = [rates.entanglement_rate(BipartiteState(dims, amp), H_AB) for amp in amps]
-        start = (np.array(f), *rates._rate_forward(amps, dims))
+        start = (np.array(f), *rates._rate_forward(amps, dims, H_AB.mat)[1:])
         theta, (f, *_), evals = _ascend(evaluate, theta, start, budget.iters, gradient, normalise)
         trials += int(evals.sum())
         k = int(np.argmax(f))

@@ -169,6 +169,17 @@ class TestRate:
         assert bundle["bound"] == 0.0
         assert bundle["input"] == {"state": state.to_json(), "ham": H.to_json()}
 
+    def test_trivial_factor_rate_is_zero(self, tmp_path):
+        # at d_A = 1 rho_aA is pure: the rate is 0 up to rounding, within the
+        # slack of its bound 0
+        state = sample_bipartite_state((1, 1, 2, 1), 3)
+        sf = write_json(tmp_path / "state.json", state.to_json())
+        hf = write_json(tmp_path / "ham.json", HermitianOperator(np.diag([1.0, -1.0])).to_json())
+        out = str(tmp_path / "r.txt")
+        assert main(["rate", "--state", sf, "--ham", hf, "--out", out]) == EXIT_OK
+        (line,) = body(read_lines(out))
+        assert abs(float(line.split()[1])) <= 1e-15
+
 
 class TestLambdaMax:
     def test_sampled_pair(self, tmp_path):
@@ -256,6 +267,19 @@ class TestSimScan:
         assert main(["sim-scan", "--config", seeded, "--seed", "9"]) == EXIT_INPUT
         assert "unrecognized arguments: --seed 9" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "cfg, name",
+        [(None, "p_grid"), ({"dims": [], "p_grid": [0.1]}, "dims"), ({"dims": [2], "p_grid": []}, "p_grid")],
+        ids=["no-config", "empty-dims", "empty-p-grid"],
+    )
+    def test_no_cell_exits_1_with_one_line(self, tmp_path, capsys, cfg, name):
+        # a scan of no cell would write a header-only report
+        out = tmp_path / "s.csv"
+        flags = [] if cfg is None else ["--config", write_json(tmp_path / "cfg.json", cfg)]
+        assert main(["sim-scan", "--out", str(out)] + flags) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {name} has 0 values, needs at least 1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["restart", "seeds", "dim"])
     def test_unknown_config_key_exits_1_with_one_line(self, tmp_path, capsys, key):
         cfg = write_json(tmp_path / "cfg.json", {"dims": [2], "p_grid": [0.1], "iters": 0, key: 2})
@@ -289,6 +313,16 @@ class TestBetaSearch:
         nats = float(vals["best_rate_nats"])
         assert float(vals["best_rate_bits"]) == pytest.approx(nats / np.log(2.0))
         assert nats <= float(vals["bound_nats"]) * (1 + 1e-9)
+
+    @pytest.mark.parametrize("dims", ["1,1,2,1", "1,2,1,1"])
+    def test_trivial_factor_exits_1_with_one_line(self, tmp_path, capsys, dims):
+        # a trivial factor has rate 0 and bound 0: no ratio to search for
+        hf = write_json(tmp_path / "h2.json", HermitianOperator(np.diag([1.0, -1.0])).to_json())
+        out = tmp_path / "beta.txt"
+        assert main(["beta-search", "--dims", dims, "--ham", hf, "--out", str(out)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: d_A = ") and "needs both >= 2" in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_config_hash_names_the_hamiltonian(self, tmp_path):
         # the default H and two --ham files: three configs, three hashes

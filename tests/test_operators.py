@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from entlab.chains import _cut_entropy_and_rate
+from entlab.rates import _schmidt_rate
 from entlab.operators import (
     HermitianOperator,
     NonHermitianError,
@@ -295,10 +295,14 @@ class TestNorms:
 
 class TestEntropy:
     # the one entropy the program computes: S(rho_L) of a chain state across
-    # its cut, rho_L = M M^dag from the 2^cut x 2^(n-cut) Schmidt matrix M
+    # its cut, -sum w ln w over the support, from the spectrum w of
+    # rho_L = M M^dag that the rate kernel takes of the 2^cut x 2^(n-cut)
+    # Schmidt matrix M
     @staticmethod
     def entropy(psi, cut):
-        return _cut_entropy_and_rate(psi, np.zeros_like(psi), cut)[0]
+        M = psi.reshape(2**cut, -1)
+        _, w, _, on, lw = _schmidt_rate(M, np.zeros_like(M))[:5]
+        return -np.sum(w[on] * lw[on])
 
     def test_pure_state(self):
         psi = np.zeros(8)

@@ -28,7 +28,6 @@ from entlab.rates import (
     NumericalConsistencyError,
     _eigenbasis_terms,
     _entanglement_rates,
-    _kron,
 )
 from entlab.search import sample_admissible_pair, sample_bipartite_state
 
@@ -188,6 +187,26 @@ class TestLambdaFunctional:
             C = HermitianOperator(1j * commutator(pair.X.mat, logY))
             assert lam == pytest.approx(trace_norm(C), abs=1e-12)
 
+    def test_genuine_imaginary_residue_raises(self):
+        # an operator with an anti-Hermitian part (built past the validator)
+        # gives -i Tr(H [X, log Y]) an imaginary part of its own size
+        rng = np.random.default_rng(34)
+        pair = sample_admissible_pair(4, 0.1, 34)
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        H = object.__new__(HermitianOperator)
+        object.__setattr__(H, "mat", (g + g.conj().T) / 2 + 1j * (g + g.conj().T) / 2)
+        with pytest.raises(NumericalConsistencyError, match="lambda_functional: imaginary residue"):
+            lambda_functional(H, pair)
+
+    def test_residue_check_scales_with_h(self):
+        # the residue tolerance is relative: at ||H|| = 1e10 the value is
+        # 1e10 times the unit-norm value, not a realness failure
+        rng = np.random.default_rng(37)
+        pair = sample_admissible_pair(4, 0.1, 37)
+        h = rand_unit_herm(rng, 4)
+        unit = lambda_functional(HermitianOperator(h), pair)
+        assert lambda_functional(HermitianOperator(1e10 * h), pair) == pytest.approx(1e10 * unit, rel=1e-12)
+
     def test_commuting_pair_gives_zero(self):
         # X proportional to Y commutes with log Y, so the functional vanishes
         Y = HermitianOperator(np.diag([0.7, 0.3]))
@@ -240,7 +259,9 @@ class TestEntanglementRate:
 
     def test_matches_finite_difference(self):
         rng = np.random.default_rng(31)
-        for dims in ((1, 2, 2, 1), (2, 2, 3, 1), (1, 3, 2, 2)):
+        # ancillas wider than the interacting pair: (8, 2, 2, 8) is the
+        # half-chain cut of a 10-site chain at its middle bond
+        for dims in ((1, 2, 2, 1), (2, 2, 3, 1), (1, 3, 2, 2), (4, 2, 2, 4), (8, 2, 2, 8)):
             n = int(np.prod(dims))
             amp = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             amp /= np.linalg.norm(amp)
@@ -269,9 +290,8 @@ class TestEntanglementRate:
             entanglement_rate(state, HermitianOperator(np.eye(6)))
 
     def test_large_norm_scales_exactly(self):
-        # the residue tolerance is relative: at ||H|| = 1e10 the rate is
-        # 1e10 times the unit-norm rate, not a realness failure
-        # (an absolute 1e-8 on the residue rejects this state: 5.6e-7)
+        # the rate is linear in H: at ||H|| = 1e10 it is 1e10 times the
+        # unit-norm rate
         state = sample_bipartite_state((1, 2, 2, 1), 3)
         sz = np.diag([1.0, -1.0])
         h = np.kron(sz, sz)
@@ -279,18 +299,16 @@ class TestEntanglementRate:
         big = entanglement_rate(state, HermitianOperator(1e10 * h))
         assert big == pytest.approx(1e10 * unit, rel=1e-12)
 
-    def test_genuine_imaginary_residue_raises(self):
-        # an operator with an anti-Hermitian part (built past the validator)
-        # gives -i Tr(H [rho, L]) an imaginary part of its own size
-        rng = np.random.default_rng(34)
-        amp = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        state = BipartiteState((1, 2, 2, 1), amp / np.linalg.norm(amp))
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        H = object.__new__(HermitianOperator)
-        object.__setattr__(H, "mat", (g + g.conj().T) / 2 + 1j * (g + g.conj().T) / 2)
-        with pytest.raises(NumericalConsistencyError):
-            entanglement_rate(state, H)
-
+    def test_sign_is_that_of_e_plus_iht(self):
+        # the rate is taken under e^{+iH~t}; under e^{-iH~t} it is the rate
+        # at -H, the exact negative, bit for bit
+        for dims, seed in (((1, 2, 2, 1), 3), ((2, 2, 3, 2), 4), ((4, 2, 2, 4), 5)):
+            state = sample_bipartite_state(dims, seed)
+            d = dims[1] * dims[2]
+            H = HermitianOperator(rand_unit_herm(np.random.default_rng(seed), d))
+            minus = HermitianOperator(-H.mat)
+            assert entanglement_rate(state, minus) == -entanglement_rate(state, H)
+            assert entanglement_rate(state, H) != 0.0
 
     def test_stacked_rows_match_one_by_one(self):
         # a row's rate does not depend on its batch, bit for bit, and is
@@ -309,36 +327,17 @@ class TestEntanglementRate:
                 assert one.tobytes() == stacked[k : k + 1].tobytes()
                 assert entanglement_rate(BipartiteState(dims, amps[k]), H) == stacked[k]
 
-    def test_one_bad_row_in_a_stack_raises(self):
-        # with an anti-Hermitian part in H (built past the validator) only
-        # the generic state has a residue: the basis state has log rho_aA = 0
-        rng = np.random.default_rng(36)
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        H = (g + g.conj().T) / 2 + 1j * (g + g.conj().T) / 2
-        basis = np.eye(4, dtype=complex)[0]
-        generic = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        generic /= np.linalg.norm(generic)
-        dims = (1, 2, 2, 1)
-        assert (_entanglement_rates(np.stack([basis, basis]), dims, H) == 0.0).all()
-        with pytest.raises(NumericalConsistencyError):
-            _entanglement_rates(np.stack([basis, generic, basis]), dims, H)
-
-
-class TestKron:
-    def test_matches_np_kron_bit_for_bit(self):
-        # rho_aA (x) I_B and I_a (x) H of the rate kernel, built by
-        # broadcasting, have the bits of np.kron, one matrix or a stack
-        rng = np.random.default_rng(43)
-        for dA, dB in ((2, 2), (3, 2), (2, 4)):
-            d = dA * dB
-            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            m = g @ g.conj().T
-            rho_A = partial_trace_matrix(m / np.trace(m).real, [dA, dB], [0])
-            for a, b in ((rho_A, np.eye(dB)), (np.eye(dB), rho_A)):
-                assert _kron(a, b).tobytes() == np.kron(a, b).tobytes()
-            stack = np.stack([rho_A, 2.0 * rho_A])
-            ref = np.stack([np.kron(r, np.eye(dB)) for r in stack])
-            assert _kron(stack, np.eye(dB)).tobytes() == ref.tobytes()
+    def test_real_rows_read_as_complex_rows(self):
+        # a real Schmidt matrix has a complex tangent i M_h: the kernel
+        # takes their dot in complex arithmetic
+        rng = np.random.default_rng(38)
+        dims = (2, 2, 3, 2)
+        amps = rng.standard_normal((3, 24))
+        amps /= np.linalg.norm(amps, axis=1)[:, None]
+        H = rand_unit_herm(rng, 6)
+        assert _entanglement_rates(amps, dims, H) == pytest.approx(
+            _entanglement_rates(amps.astype(complex), dims, H), rel=1e-13, abs=1e-15
+        )
 
 
 def support_basis(pair):

@@ -397,7 +397,7 @@ class TestRateGradient:
 
     # (2, 2, 3, 1): rho_aA is 4 x 4 of rank at most 3, so the divided
     # differences across the support boundary enter
-    _DIMS = [(1, 2, 2, 1), (1, 2, 3, 1), (2, 2, 2, 2), (1, 3, 3, 1), (1, 3, 3, 2), (2, 2, 3, 1)]
+    _DIMS = [(1, 2, 2, 1), (1, 2, 3, 1), (2, 2, 2, 2), (1, 3, 3, 1), (1, 3, 3, 2), (2, 2, 3, 1), (4, 2, 2, 4)]
 
     @pytest.mark.parametrize("dims", _DIMS)
     def test_matches_central_differences(self, dims, h=1e-6):
@@ -550,6 +550,15 @@ class TestMaximizeRate:
             with pytest.raises(ValueError, match=r"H_AB dim 4 != d_A\*d_B"):
                 maximize_rate_over_states(dims, H, TrialBudget(1, 0), 1)
 
+    def test_trivial_factor_rejected_before_any_restart(self, monkeypatch):
+        # at d_A = 1 or d_B = 1 every rate is 0 and so is the bound
+        # 18 ||H|| ln 1, so the ratio would be 0 / 0
+        monkeypatch.setattr(search, "_rng", lambda seed: pytest.fail("a restart began"))
+        H = HermitianOperator(np.diag([1.0, -1.0]))
+        for dims in ((1, 1, 2, 1), (2, 2, 1, 3)):
+            with pytest.raises(ValueError, match="a state search needs both >= 2"):
+                maximize_rate_over_states(dims, H, TrialBudget(1, 0), 1)
+
     def test_dims_input_checked(self):
         # dims are integers: a fractional entry or a string is rejected, not
         # truncated or parsed, and an integral float reads as the integer
@@ -631,7 +640,8 @@ class TestLockstep:
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         H = HermitianOperator((g + g.conj().T) / 2)
         search_call = lambda: maximize_rate_over_states(dims, H, TrialBudget(5, 100), 2)  # noqa: E731
-        self._check(monkeypatch, int(np.prod(dims)), search_call)
+        # a row is valued through Schmidt matrices (d_a d_A) x (d_B d_b)
+        self._check(monkeypatch, max(dims[0] * dims[1], dims[2] * dims[3]), search_call)
 
     def test_zero_gradient_stops_its_restart_only(self):
         # f(x) = -|x|^2 from x = 0, a stationary point, and from x = (1, 0):
