@@ -60,10 +60,14 @@ axis into the 2^n basis touch the whole.  Its locality is *measured* by
 compressing R onto balls around a center site, each shell's norm read from
 the shell's two flip blocks on its ball, taken from the shell's upper rows.
 
-Dense only: K needs every eigenpair of H, so n_sites is capped at 12.  One
-path point takes about 0.05 s at n = 10 and about 1.6 s at n = 12, one
-centred generator term at n = 10 about 0.055 s and its locality profile
-about 0.02 s, on one core of a 2-core OpenBLAS host.
+Dense only: K needs every eigenpair of H, so n_sites is capped at 12.  A
+path point costs H(s)'s four sector decompositions, each of a block about
+2^(n-2) wide, and one product per sector for the gap quotients.  The
+decompositions are kept for the two most recently visited (n, J, g)
+(``_chain_sectors``), so a centred term at a visited point costs only its
+products in sector coordinates (``_flip_block_generator``).  A locality
+profile costs its partial traces and, mostly, the Lanczos norms of its
+widest shells.
 """
 
 from __future__ import annotations
@@ -517,8 +521,28 @@ class _UniformChain(_ChainOperator):
 
     @cached_property
     def sectors(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """``numpy.linalg.eigh`` of the four ``_SECTORS`` blocks."""
-        return tuple(np.linalg.eigh(block) for block in self.blocks())
+        """``numpy.linalg.eigh`` of the four ``_SECTORS`` blocks, read-only,
+        shared by every chain of the same (n, J, g) (``_chain_sectors``).
+        A memo key does not tell -0.0 from 0.0, so both take 0.0's
+        decompositions, whichever was visited first."""
+        return _chain_sectors(self.n, self.J + 0.0, self.g + 0.0)
+
+
+@lru_cache(maxsize=2)
+def _chain_sectors(n: int, J: float, g: float) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The four sector decompositions of -J sum ZZ - g sum X on n sites,
+    every w and u read-only.
+
+    A path point and each of its centred terms build their own H(s) with
+    the same (n, J, g), so they take its decompositions once.  Only the two
+    most recently visited points are kept: one visited neighbour is enough
+    for a point's centres to find it, and a point holds about 2^(2n-2)
+    floats (2.1 MB at n = 10, 33 MB at n = 12).  Only the spectra are kept,
+    never an operator, whose ``mat`` would be kept with it."""
+    sectors = tuple(np.linalg.eigh(block) for block in _UniformChain(n, J, g).blocks())
+    for a in (a for pair in sectors for a in pair):
+        a.setflags(write=False)
+    return sectors
 
 
 def _path_parameter(s) -> float:
@@ -706,9 +730,9 @@ def adiabatic_generator(H: _UniformChain, Hprime) -> _TransportGenerator:
     and half difference of R's two flip blocks are gathered back to flip
     order, antisymmetrised straight into R's upper quadrants and mirrored
     into its lower ones, so R is exactly antisymmetric and F R F = R
-    exactly.  A centred term at n = 10 takes about 0.055 s on one core of a
-    2-core OpenBLAS host, over two fifths of it H's four sector
-    decompositions.
+    exactly.  H's four sector decompositions are taken once per point and
+    shared (``_chain_sectors``), so the products and the gathers are what a
+    term costs once its point has been visited.
     """
     _chain_operators(H, Hprime)
     if H.dim != Hprime.dim:
@@ -804,8 +828,8 @@ def locality_profile(K: _TransportGenerator, spec: ChainPathSpec, center: int) -
     (``_shell_flip_blocks``): each block's largest singular value, from a
     full ``eigvalsh`` of S^T S on a ball of up to 8 sites, and by Lanczos
     on a wider one (at n = 10 the r = 4 and r = 5 shells of a centre in the
-    middle).  At n = 10 a profile takes about 0.02 s on one core of a
-    2-core OpenBLAS host, most of it in the Lanczos norms.
+    middle), which are most of a profile's cost.  K must be 2^n_sites wide,
+    n_sites from ``spec``; a generator of another size is a ValueError.
     """
     if not isinstance(K, _TransportGenerator):
         raise ValueError(
@@ -813,6 +837,8 @@ def locality_profile(K: _TransportGenerator, spec: ChainPathSpec, center: int) -
             " or centered_generator_term returns"
         )
     n = spec.n_sites
+    if len(K.R) != 2**n:
+        raise ValueError(f"K is {len(K.R)} wide, but a chain of {n} sites is {2**n} wide")
     center = _site(center, n)
     r_max = max(center, n - 1 - center)
     radii = np.arange(r_max + 1)

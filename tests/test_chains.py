@@ -1,4 +1,6 @@
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -268,6 +270,74 @@ class TestChainTerms:
         assert calls == []
 
 
+class TestSharedSectors:
+    """The four sector decompositions of H(s) are taken once per (n, J, g)
+    and kept for the two most recently visited points, so a path point and
+    the centred terms of its points share them."""
+
+    WINDOW = ChainPathSpec(n_sites=8, cut=4, J=(1.0,), g=(1.5, 1.0), s_grid=(0.48, 0.5, 0.52))
+
+    def _centres(self):
+        return [centered_generator_term(self.WINDOW, 0.5, c).R for c in range(8)]
+
+    def test_one_diagonalisation_per_point(self, monkeypatch):
+        chains._chain_sectors.cache_clear()
+        widths, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: widths.append(len(a)) or eigh(a, *args))
+        entropy_along_path(self.WINDOW)
+        self._centres()
+        # four sectors, 72, 56, 64 and 64 wide, at each of three points; the
+        # 16-wide calls are the reduced density matrices of the cut
+        assert [w for w in widths if w != 16] == [72, 56, 64, 64] * 3
+        assert chains._chain_sectors.cache_info().currsize == 2
+        H = build_chain_hamiltonian(self.WINDOW, 0.5)
+        assert H.sectors is build_chain_hamiltonian(self.WINDOW, 0.5).sectors
+        for w, u in H.sectors:
+            for a in (w, u):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0.0
+
+    def test_signed_zero_coupling_is_one_key(self):
+        # J = -0.0 and J = 0.0 read one memo entry, and it holds 0.0's
+        # decompositions in either visiting order (at J = 0 a sector has
+        # degenerate levels, whose eigenvectors the sign of a zero moves)
+        seen = []
+        for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+            chains._chain_sectors.cache_clear()
+            a = chains._UniformChain(6, first, 1.3).sectors
+            assert chains._UniformChain(6, second, 1.3).sectors is a
+            seen.append(b"".join(x.tobytes() for pair in a for x in pair))
+        assert seen[0] == seen[1]
+
+    def test_memo_keeps_no_operator(self):
+        H = build_chain_hamiltonian(self.WINDOW, 0.5)
+        ground_state(H)
+        H.mat  # built, as a traced run's span labels build it
+        ref = weakref.ref(H)
+        del H
+        gc.collect()
+        assert ref() is None
+
+    def test_memo_changes_no_bit(self):
+        def cold(f, *args):
+            chains._chain_sectors.cache_clear()
+            return f(*args)
+
+        def fields(points):
+            return [
+                (pt.ground_energy, pt.gap, pt.entropy_left, pt.rate_commutator, pt.rate_finite_difference, pt.K_norm)
+                for pt in points
+            ]
+
+        cold_path = fields(cold(entropy_along_path, self.WINDOW))
+        cold_terms = [cold(centered_generator_term, self.WINDOW, 0.5, c).R for c in range(8)]
+        chains._chain_sectors.cache_clear()
+        warm_path = fields(entropy_along_path(self.WINDOW))
+        warm_terms = self._centres()
+        assert np.array_equal(cold_path, warm_path)
+        assert all(np.array_equal(a, b) for a, b in zip(cold_terms, warm_terms))
+
+
 class TestCoefficientSources:
     """A source, centred or uniform, is its bonds and fields; the generator
     multiplies in sector coordinates and never builds its matrix."""
@@ -532,12 +602,28 @@ class TestLocality:
         assert cut and all(np.array_equal(m, mirrored(m)) for m in cut)
 
     def test_centered_terms_sum_to_full_generator(self):
-        spec = ramp_spec(n=4)
+        """The n centred terms of a point sum to the generator of H'.  The
+        generator is linear in its source, and the terms share every kernel
+        with it (the same sectors, the same products), so this is an
+        identity check of the split into centres, not an independent
+        oracle."""
         s = 0.5
-        H = build_chain_hamiltonian(spec, s)
-        K = adiabatic_generator(H, chain_hprime(spec, s))
-        total = sum(centered_generator_term(spec, s, c).R for c in range(4))
-        assert np.max(np.abs(total - K.R)) < 1e-10
+        for n in (4, 8):
+            spec = ramp_spec(n=n)
+            H = build_chain_hamiltonian(spec, s)
+            R = adiabatic_generator(H, chain_hprime(spec, s)).R
+            total = sum(centered_generator_term(spec, s, c).R for c in range(n))
+            # about 1e-14 here, where max |R| is about 0.05; the largest
+            # error seen, at n = 8, is 2.4e-14 of max |R|
+            assert np.max(np.abs(total - R)) <= 2e-13 * np.max(np.abs(R)), n
+
+    def test_generator_of_another_size_rejected(self):
+        # an n = 8 generator against a spec of another size fails where it
+        # enters, naming both widths
+        K = centered_generator_term(ramp_spec(n=8, cut=4, pts=3), 0.5, 4)
+        for n in (6, 10):
+            with pytest.raises(ValueError, match=f"K is 256 wide, but a chain of {n} sites is {2**n} wide"):
+                locality_profile(K, ramp_spec(n=n, cut=n // 2, pts=3), 3)
 
     def test_centered_term_validation(self):
         with pytest.raises(ValueError):

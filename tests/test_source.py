@@ -80,6 +80,56 @@ def test_every_allowed_literal_is_in_the_code(name):
     assert sorted(ASCENT_PARAMETERS[name] - floats) == []
 
 
+def _name(node: ast.expr):
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def _unbounded(decorator: ast.expr) -> bool:
+    """True for ``cache`` and ``lru_cache(maxsize=None)`` (or
+    ``lru_cache(None)``), bare or as attributes of ``functools``."""
+    if not isinstance(decorator, ast.Call):
+        return _name(decorator) == "cache"
+    size = decorator.args[:1] + [k.value for k in decorator.keywords if k.arg == "maxsize"]
+    return _name(decorator.func) == "lru_cache" and any(
+        isinstance(v, ast.Constant) and v.value is None for v in size
+    )
+
+
+def unbounded_memos(tree: ast.Module) -> list[str]:
+    """Each function with an unbounded memo that has a parameter not
+    annotated ``int``.  Such a memo keyed on a float (s, J, g) would grow
+    for the life of the process, one entry per value visited."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and any(map(_unbounded, node.decorator_list)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            if not all(_name(p.annotation) == "int" for p in params):
+                found.append(node.name)
+    return sorted(found)
+
+
+def test_checker_finds_unbounded_memos_off_integers():
+    tree = ast.parse(
+        "@lru_cache(maxsize=None)\ndef layout(d: int, n: int): pass\n"
+        "@lru_cache(maxsize=None)\ndef spectra(n: int, J: float): pass\n"
+        "@functools.lru_cache(None)\ndef untyped(n): pass\n"
+        "@cache\ndef cached(s: float): pass\n"
+        "@lru_cache(maxsize=None)\ndef spread(*sizes: int, **kw: int): pass\n"
+        "@lru_cache(maxsize=None)\ndef star(n: int, *rest): pass\n"
+        "@lru_cache(maxsize=2)\ndef bounded(n: int, J: float): pass\n"
+        "@lru_cache\ndef default(s: float): pass\n"
+        "@other(maxsize=None)\ndef unrelated(s: float): pass\n"
+    )
+    assert unbounded_memos(tree) == ["cached", "spectra", "star", "untyped"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_unbounded_memos_are_keyed_on_integers(path):
+    # a memo keyed on floats carries a finite maxsize
+    assert unbounded_memos(ast.parse(path.read_text())) == []
+
+
 # public names no code in src/entlab reads, kept for the tests and entbench
 KEPT_UNREAD = {
     "trace_norm": "the trace-norm oracle of criteria 5 and 6 and the operator tests",
