@@ -4,18 +4,20 @@ commutator functional and the entanglement rate.
 Search is hybrid: random restarts over admissible pairs (or states), each
 refined by gradient ascent.  One routine, ``_ascend``, runs both searches, and
 it steps the restarts of a search in lockstep: each step takes one stacked
-exact gradient of the live restarts from its caller and sends the rows of
-all their backtracking line searches to an objective that evaluates a stack
-of parameter rows at once (``_eval_pair_params`` for pairs, the stacked
-forward pass of the rate ``rates._rate_forward`` for states).  Each gradient
-is one backward pass through its objective's forward pass
-(``_pair_gradient`` for pairs, ``rates._rate_gradient`` for states).  A
-row's bits do not depend on its batch, so a record does not depend on how
-many restarts step together; restarts go in groups (``_groups``) that bound
-the memory of one stack by the widest matrix a row is valued through, d wide
-for a pair and max(d_a d_A, d_B d_b) for a state's Schmidt matrix.  A
-restart ends at its first line search without a gain.  The inner
-optimization over the Hamiltonian is always the closed form,
+exact gradient of the live restarts from its caller and sends a prefix of
+each one's backtracking line search, sized by where its last search gained,
+to an objective that evaluates a stack of parameter rows at once
+(``_eval_pair_params`` for pairs, the stacked forward pass of the rate
+``rates._rate_forward`` for states); the restarts whose prefix holds no gain
+send the rest of their steps in a second stack.  Each gradient is one
+backward pass through its objective's forward pass (``_pair_gradient`` for
+pairs, ``rates._rate_gradient`` for states).  A row's bits do not depend on
+its batch, so a record does not depend on how many restarts step together
+or on how their line searches are split; restarts go in groups (``_groups``)
+that bound the memory of one stack by the widest matrix a row is valued
+through, d wide for a pair and max(d_a d_A, d_B d_b) for a state's Schmidt
+matrix.  A restart ends at its first line search without a gain.  The
+inner optimization over the Hamiltonian is always the closed form,
 ||i[X, log Y]||_1, from one forward pass in Y's eigenbasis (``_pair_forward``)
 for draws and ascent rows alike, so pure random sampling is an ascent of
 zero steps.
@@ -358,17 +360,21 @@ def _ascend(evaluate, theta, start, iters, gradient, retract=lambda rows: rows):
     else the caller keeps of the point the ascent ends at.  ``start`` is
     that tuple for ``theta``.  ``gradient(theta, rows)`` returns the exact
     gradients at a stack of points, whose rows of that tuple are ``rows``.
-    Each step takes one gradient of the live restarts and sends all their
-    line-search steps to ``evaluate`` as one stack; a row's bits do not
-    depend on its batch, so neither does any restart's path.  ``evals``
-    counts, per restart, the start point, each gradient as one, and each
-    line search up to its first gain, as a sequential search would.  Returns
-    (theta, start, evals) at the end of each restart."""
+    Each step takes one gradient of the live restarts and sends a prefix of
+    each one's line-search steps to ``evaluate`` as one stack: all of them
+    at its first line search, then the first min(24, 2j + 2) after a gain
+    at step j, since a restart's next gain tends to lie near its last.  The
+    restarts whose prefix holds no gain send the rest of their steps as a
+    second stack.  A row's bits do not depend on its batch, so neither does
+    any restart's path.  ``evals`` counts, per restart, the start point,
+    each gradient as one, and each line search up to its first gain, as a
+    sequential search would.  Returns (theta, start, evals) at the end of
+    each restart."""
     n = _LINE_STEPS.size
     # the live restarts: their places in the result, points, rows of the
-    # tuple and counts
+    # tuple, counts and the steps their next line search values first
     live, th, row = np.arange(len(theta)), theta.copy(), tuple(s.copy() for s in start)
-    ev = np.ones(len(theta), dtype=int)
+    ev, head = np.ones(len(theta), dtype=int), np.full(len(theta), n)
     theta, start, evals = np.empty_like(th), [np.empty_like(r) for r in row], np.empty_like(ev)
 
     def drop(done):
@@ -377,7 +383,7 @@ def _ascend(evaluate, theta, start, iters, gradient, retract=lambda rows: rows):
         for s, r in zip(start, row):
             s[live[done]] = r[done]
         keep = ~done
-        return live[keep], th[keep], tuple(r[keep] for r in row), ev[keep]
+        return live[keep], th[keep], tuple(r[keep] for r in row), ev[keep], head[keep]
 
     for _ in range(iters):
         g = gradient(th, row)
@@ -386,23 +392,35 @@ def _ascend(evaluate, theta, start, iters, gradient, retract=lambda rows: rows):
         zero = gn < 1e-12
         if np.count_nonzero(zero):
             g, gn = g[~zero], gn[~zero]
-            live, th, row, ev = drop(zero)
+            live, th, row, ev, head = drop(zero)
             if not live.size:
                 break
+        # each backtracking search stops at its first (largest) step that
+        # gains, j, or at none (j = n): its prefix, then the rest if no gain
         steps = th[:, None] + _LINE_STEPS[:, None] * g[:, None] / gn[:, None, None]
-        trial = retract(steps.reshape(-1, th.shape[1]))
-        out = evaluate(trial)
-        gain = out[0].reshape(-1, n) > (row[0] + 1e-14)[:, None]
-        # each backtracking search stops at its first (largest) step that gains
-        up, j = gain.any(axis=1), gain.argmax(axis=1)
-        ev += np.where(up, j + 1, n)
-        at = up.nonzero()[0]
-        pick = at * n + j[at]
-        th[at] = trial[pick]
-        for r, o in zip(row, out):
-            r[at] = o[pick]
-        if not up.all():
-            live, th, row, ev = drop(~up)
+        j = np.full(live.size, n)
+        prefix = np.arange(n) < head[:, None]
+        for todo in (prefix, ~prefix):
+            todo &= (j == n)[:, None]
+            k, i = todo.nonzero()
+            if not k.size:
+                break
+            trial = retract(steps[todo])
+            out = evaluate(trial)
+            # the rows run restart by restart, steps ascending: the first
+            # row that gains of each restart
+            pick = (out[0] > row[0][k] + 1e-14).nonzero()[0]
+            first = np.ones(pick.size, dtype=bool)
+            first[1:] = k[pick[1:]] != k[pick[:-1]]
+            pick = pick[first]
+            at = k[pick]
+            j[at], th[at] = i[pick], trial[pick]
+            for r, o in zip(row, out):
+                r[at] = o[pick]
+        ev += np.minimum(j + 1, n)
+        head = np.minimum(2 * j + 2, n)
+        if (j == n).any():
+            live, th, row, ev, head = drop(j == n)
             if not live.size:
                 break
     drop(np.ones(live.size, dtype=bool))

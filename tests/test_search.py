@@ -332,19 +332,22 @@ class TestPairGradient:
         self._check(self._theta(rng, rng.uniform(1.0, 2.0, d), b), d)
 
     def test_each_line_search_stacks_the_live_restarts_of_its_group(self, monkeypatch):
-        # every evaluation of an ascent holds the line-search rows of each
-        # restart its gradient was taken for, and no more than the group cap
+        # each step's one or two evaluations hold, for every restart its
+        # gradient was taken for, a prefix of its line search that reaches
+        # its first gain or all of it, the second only the restarts without
+        # a gain in their prefix; no evaluation holds more than the group cap
         d, n = 4, _LINE_STEPS.size
-        grads, rows = [], []
-        gradient, evaluate = search._pair_gradient, search._eval_pair_params
-        monkeypatch.setattr(search, "_pair_gradient", lambda r, p: grads.append(len(r[0])) or gradient(r, p))
+        sizes, evaluate = [], search._eval_pair_params
         monkeypatch.setattr(
-            search, "_eval_pair_params", lambda t, d, p: rows.append(len(t)) or evaluate(t, d, p)
+            search, "_eval_pair_params", lambda t, d, p: sizes.append(len(t)) or evaluate(t, d, p)
         )
         monkeypatch.setattr(search, "_GROUP_ENTRIES", 3 * n * d * d)
+        steps = _traced_steps(monkeypatch)
         rec = maximize_lambda_over_pairs(d, 0.1, TrialBudget(7, 40), 3)
-        assert rows == [n * k for k in grads]
-        assert max(rows) * d * d <= search._GROUP_ENTRIES and max(grads) == 3
+        kinds = _check_line_searches(steps)
+        assert sizes == [len(call) for step in steps for call in step.calls]
+        assert max(sizes) * d * d <= search._GROUP_ENTRIES and max(len(step.points) for step in steps) == 3
+        assert {k for step in kinds for k in step} == {"prefix", "rest", "none"}
         assert rec.method == "hybrid"
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
@@ -683,6 +686,93 @@ def _first_stall_ascent(evaluate, theta, start, iters, gradient, retract=lambda 
     return th[0], tuple(r[0] for r in row), evals
 
 
+class _Step:
+    """One step of ``_ascend``: for each restart its gradient was taken for,
+    its point's bytes, its value and its 24 retracted line-search rows, and
+    the step's evaluations, each as (restart, line-search step, value) per
+    row."""
+
+    def __init__(self, points, values, rows):
+        self.points, self.values, self.rows, self.calls = points, values, rows, []
+
+
+def _traced_steps(monkeypatch):
+    """Trace every step of ``search._ascend``: the returned list fills with
+    a ``_Step`` per gradient, each evaluated row matched by its bytes to
+    the retracted theta + alpha g / |g| of one restart and step."""
+    ascend, steps = search._ascend, []
+
+    def traced(evaluate, theta, start, iters, gradient, retract=lambda rows: rows):
+        def grad(th, rows):
+            g = gradient(th, rows)
+            on = (_row_norms(g) >= 1e-12).nonzero()[0]
+            lines = [retract(th[k] + _LINE_STEPS[:, None] * g[k] / _row_norms(g[k : k + 1])) for k in on]
+            steps.append(_Step([th[k].tobytes() for k in on], rows[0][on], lines))
+            return g
+
+        def ev(rows):
+            out = evaluate(rows)
+            step = steps[-1]
+            where = {row.tobytes(): (r, i) for r, line in enumerate(step.rows) for i, row in enumerate(line)}
+            assert len(where) == _LINE_STEPS.size * len(step.rows)
+            step.calls.append([(*where[row.tobytes()], v) for row, v in zip(rows, out[0])])
+            return out
+
+        return ascend(ev, theta, start, iters, grad, retract)
+
+    monkeypatch.setattr(search, "_ascend", traced)
+    return steps
+
+
+def _check_line_searches(steps):
+    """Check that each step's first evaluation values a prefix of each
+    restart's line search, all of it at the restart's first search and the
+    first min(24, 2j + 2) steps after a gain at step j, and a second
+    evaluation the rest of the steps of the restarts whose prefix holds no
+    gain, and nothing more.  Returns, per step, where each restart's search
+    gained: "prefix", "rest" or "none"."""
+    n, heads, kinds = _LINE_STEPS.size, {}, []
+    for step in steps:
+        assert 1 <= len(step.calls) <= 2 and all(step.calls)
+        head = [heads.get(point, n) for point in step.points]
+        valued = [[[(i, v) for r, i, v in call if r == k] for k in range(len(head))] for call in step.calls]
+        first, rest = valued[0], valued[1] if len(valued) > 1 else [[] for _ in head]
+        kind = []
+        for k, m in enumerate(head):
+            assert [i for i, _ in first[k]] == list(range(m))
+            gains = [i for i, v in first[k] + rest[k] if v > step.values[k] + 1e-14]
+            inside = bool(gains) and gains[0] < m
+            assert [i for i, _ in rest[k]] == ([] if inside else list(range(m, n)))
+            if gains:
+                heads[step.rows[k][gains[0]].tobytes()] = min(n, 2 * gains[0] + 2)
+            kind.append("prefix" if inside else "rest" if gains else "none")
+        kinds.append(kind)
+    return kinds
+
+
+def test_prefix_then_rest_on_a_constructed_objective(monkeypatch):
+    # f(x) = -(x - c)^2 about the target c of x's band, k = round(x / 10),
+    # and a gradient of +1, so step i of a line search moves x by
+    # _LINE_STEPS[i].
+    # Each restart's first search gains at step 0 (0.1), so its second
+    # search values steps 0 and 1 first: from 0.1 to 0.3 step 0 still gains,
+    # from 10.1 to 10.12 only step 2 does, and from 20.1 past 20.08 none does
+    target = {0: 0.3, 1: 10.12, 2: 20.08}
+    c = lambda x: np.array([target[k] for k in np.rint(x / 10).astype(int)])  # noqa: E731
+    evaluate = lambda rows: (-((rows[:, 0] - c(rows[:, 0])) ** 2),)  # noqa: E731
+    gradient = lambda theta, rows: np.ones_like(theta)  # noqa: E731
+    theta = np.array([[0.0], [10.0], [20.0]])
+    steps = _traced_steps(monkeypatch)
+    got = search._ascend(evaluate, theta, evaluate(theta), 12, gradient)
+    kinds = _check_line_searches(steps)
+    assert kinds[:2] == [["prefix"] * 3, ["prefix", "rest", "none"]]
+    assert [sorted({r for r, _, _ in call}) for call in steps[1].calls] == [[0, 1, 2], [1, 2]]
+    for k in range(3):
+        ref = _first_stall_ascent(evaluate, theta[k], (evaluate(theta)[0][k],), 12, gradient)
+        assert got[0][k].tobytes() == ref[0].tobytes() and got[1][0][k].tobytes() == ref[1][0].tobytes()
+        assert got[2][k] == ref[2]
+
+
 def _random_hamiltonian(d, seed=5):
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -707,34 +797,20 @@ class TestEarlyStop:
 
     @pytest.mark.parametrize("name", sorted(SEARCHES))
     def test_no_restart_is_valued_after_a_search_without_gain(self, monkeypatch, name):
-        # each block of 24 rows is the line search of one live restart, from
-        # the point its gradient was taken at
-        ascend, n = search._ascend, _LINE_STEPS.size
-        fruitless, searches = set(), [0]
-
-        def traced(evaluate, theta, start, iters, gradient, *rest):
-            pending = []
-
-            def grad(th, rows):
-                g = gradient(th, rows)
-                pending[:] = [(t.tobytes(), v) for t, v, gn in zip(th, rows[0], _row_norms(g)) if gn >= 1e-12]
-                return g
-
-            def ev(rows):
-                out = evaluate(rows)
-                assert len(rows) == n * len(pending)
-                for (point, value), block in zip(pending, out[0].reshape(-1, n)):
-                    assert point not in fruitless, "a restart stepped again from a point without a gain"
-                    searches[0] += 1
-                    if not (block > value + 1e-14).any():
-                        fruitless.add(point)
-                return out
-
-            return ascend(ev, theta, start, iters, grad, *rest)
-
-        monkeypatch.setattr(search, "_ascend", traced)
+        # each row is matched by its bytes to the line-search step of one
+        # live restart, from the point its gradient was taken at
+        steps = _traced_steps(monkeypatch)
         SEARCHES[name](300)
-        assert fruitless and searches[0] > len(fruitless)
+        fruitless, searches = set(), 0
+        for step in steps:
+            rows = [row for call in step.calls for row in call]
+            for r, _, _ in rows:
+                assert step.points[r] not in fruitless, "a restart stepped again from a point without a gain"
+            for r, (point, value) in enumerate(zip(step.points, step.values)):
+                searches += 1
+                if not any(v > value + 1e-14 for k, _, v in rows if k == r):
+                    fruitless.add(point)
+        assert fruitless and searches > len(fruitless)
 
     @pytest.mark.parametrize("name", sorted(SEARCHES))
     def test_evaluations_match_the_five_stall_rule(self, monkeypatch, name):
